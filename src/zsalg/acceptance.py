@@ -65,7 +65,7 @@ def _result(name, passed, t0, **details):
     return {
         "criterion": name,
         "passed": bool(passed),
-        "runtime_s": round(time.time() - t0, 3),
+        "runtime_s": round(time.perf_counter() - t0, 3),
         "details": details,
     }
 
@@ -73,7 +73,7 @@ def _result(name, passed, t0, **details):
 def criterion_1_counterexample(seed=0):
     """Counterexample monoid: cancellative, aligned, ideal formula, and the
     non-concordance witness a.(1,e) = b.(1,e) = (1,a)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     tr = builtin_counterexample(size_bound=4, formula_size=3)
     witness = tr["concordant"].get("witness")
     ok = (
@@ -83,7 +83,7 @@ def criterion_1_counterexample(seed=0):
         and not tr["concordant"]["passed"]
         and witness == ["a", "b", "(1|'')", "(1|'')"]
     )
-    runtime = time.time() - t0
+    runtime = time.perf_counter() - t0
     return _result(
         "1 counterexample reproduction",
         ok and runtime < 5.0,
@@ -97,7 +97,7 @@ def criterion_1_counterexample(seed=0):
 def criterion_2_mce_oracle(seed=0, graphs=20, pair_budget=30000):
     """Randomized k-graphs: the prefix-test MCE equals the double-extension
     oracle on every checked pair, exactly."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     checked_graphs = 0
     checked_pairs = 0
@@ -162,7 +162,7 @@ def _same_range_pairs(graph, cap, budget):
 def criterion_3_le_laws(seed=0):
     """Window-restricted path laws on every locally convex fixture, sources
     included; the non-convex control must break the product law."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     convex = {
         "one_square": fixtures.kgraph_k1((2, 2)),
         "with_source_2graph": fixtures.kgraph_convex_with_source((2, 2)),
@@ -220,7 +220,7 @@ def _le_rigidity(graph, bound):
 def criterion_4_matched_pair(seed=0):
     """Flip action verifies; product composition is associative on the
     window; the broken restriction table is rejected at (g, g, a)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     swap = fixtures.swap_pair()
     ok_pair = verify_matched_pair(swap, (3,))
     ok_ss = check_self_similar(swap, (3,))
@@ -252,7 +252,7 @@ def criterion_4_matched_pair(seed=0):
 def criterion_5_cocycles(seed=0):
     """Rotation cocycles at three angles verify exactly; a perturbed table
     is rejected with a triple; all linear-homotopy fibers pass at M = 11."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     k1 = fixtures.kgraph_k1((3, 3))
     all_ok = True
     for theta in (Fraction(0), Fraction(1, 4), Fraction(1, 3)):
@@ -287,7 +287,7 @@ def _k1_models(theta, m=11):
 def criterion_6_relation_residuals(seed=0):
     """Truncated representations meet every relation family at its stated
     guard within 1e-12, for both twisted and untwisted fixtures."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     reps_checked = 0
     configs = []
@@ -308,7 +308,7 @@ def criterion_6_relation_residuals(seed=0):
             reps_checked += 1
             all_ok = all_ok and out.passed
             worst = max(worst, max(out.details["residuals"].values()))
-    runtime = time.time() - t0
+    runtime = time.perf_counter() - t0
     return _result(
         "6 relation residuals",
         all_ok and worst <= PASS_TOL and runtime < 30,
@@ -321,7 +321,7 @@ def criterion_6_relation_residuals(seed=0):
 def criterion_7_normal_form(seed=0, triples=1000):
     """Associativity and involution fuzz; level raising reproduces the
     covariant vertex identity; the two models agree through representation."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     zs_rot, fam_rot = _k1_models(Fraction(1, 4))
     model_rot = AlgebraModel(zs_rot, fam_rot, (8, 8))
@@ -371,7 +371,7 @@ def criterion_7_normal_form(seed=0, triples=1000):
 def criterion_8_fibers(seed=0, pairs=200):
     """Fiber evaluation is multiplicative and star-preserving at all grid
     points, exactly; the zero fiber is the untwisted algebra."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     zs, fam = _k1_models(Fraction(1, 4))
     model = AlgebraModel(zs, fam, (8, 8))
@@ -405,7 +405,7 @@ def _transport(x, target_model):
 def criterion_9_concordance(seed=0):
     """The lower-color inclusion passes concordance and exhaustive-set
     lifting on both split fixtures, with bounds recorded."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     k1 = fixtures.kgraph_k1((3, 3))
     gamma, grep = validate_kgraph(sub_kgraph(k1, [1]), (2,))
     validate_category(gamma, (2,))
@@ -436,7 +436,7 @@ def criterion_9_concordance(seed=0):
 def criterion_10_corners(seed=0):
     """Transversals meet each orbit once; corner structure of the tail-only
     algebra verifies exhaustively on both groupoid fixtures."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     from .kgraph import KGraphPresentation
 
     results = []
@@ -465,7 +465,7 @@ def criterion_10_corners(seed=0):
 def criterion_11_correspondence(seed=0, vectors=200):
     """Hilbert-module pairing: conjugate symmetry, right-linearity, and the
     edge orthogonality rule, on both split fixtures."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     ok = True
 

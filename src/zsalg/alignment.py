@@ -1,11 +1,13 @@
 """Finite alignment, exhaustive sets, and concordance of inclusions.
 
 Ideal intersections c1 C  n  c2 C are represented by a finite independent
-generating set F.  The engine picks the cheapest sound method per category:
-minimal common extensions for path categories, path-part lifting for
-products with groupoid tails (the tail never changes a principal ideal), and
-bounded brute force with minimality reduction otherwise.  Every answer is
-certified only within its stated bound and says so.
+generating set F.  Each category answers divisibility and meet questions
+through its own SmallCategory methods, so the method is the category's:
+minimal common extensions for path categories ("MCE"), path-part lifting for
+products with groupoid tails ("ZS-path-lift"; the tail never changes a
+principal ideal), and the bounded brute-force default with minimality
+reduction otherwise ("brute").  Every answer is certified only within its
+stated bound and says so.
 
 Concordance of a subcategory asks more than agreeing intersections: every
 ambient factorization of a common extension must route through the internal
@@ -42,53 +44,12 @@ from . import fixtures
 def divisors_into(a, b, cat: SmallCategory, bound):
     """All x with a x = b, searching the window (at most one if cat is
     left-cancellative)."""
-    from .kgraph import deg_sub
-
-    if isinstance(cat, KGraph):
-        if not cat.extends(b, a):
-            return []
-        return [cat.factorize(b, a.degree, deg_sub(b.degree, a.degree))[1]]
-    if isinstance(cat, ZSCategory) and cat.is_groupoid_tailed():
-        # solve the path part by factorization and unwind the tail twist
-        if not cat.D.extends(b.path, a.path):
-            return []
-        rest = cat.D.factorize(b.path, a.path.degree, deg_sub(b.path.degree, a.path.degree))[1]
-        ginv = cat.C.inverse(a.tail)
-        xd = cat.pair.left_act(ginv, rest)
-        xc = cat.C.compose(cat.C.inverse(cat.pair.right_act(a.tail, xd)), b.tail)
-        if xc is None:
-            return []
-        x = ZSMorphism(xd, xc)
-        return [x] if cat.compose(a, x) == b else []
-    need = _size_gap(cat.size(a), cat.size(b))
-    if need is None:
-        return []
-    out = []
-    for x in cat.morphisms(bound):
-        if cat.size(x) != need:
-            continue  # sizes are additive in every in-scope category
-        if cat.s(a) == cat.r(x) and cat.compose(a, x) == b:
-            out.append(x)
-    return out
-
-
-def _size_gap(sa, sb):
-    if isinstance(sa, tuple):
-        gap = tuple(y - x for x, y in zip(sa, sb))
-        return gap if all(g >= 0 for g in gap) else None
-    return sb - sa if sb >= sa else None
+    return cat.divisors_into(a, b, bound)
 
 
 def divides(a, b, cat: SmallCategory, bound) -> bool:
     """b lies in the principal right ideal of a (window-certified)."""
-    if a == b:
-        return True
-    if isinstance(cat, KGraph):
-        return cat.extends(b, a)
-    if isinstance(cat, ZSCategory) and cat.is_groupoid_tailed():
-        # tails are invertible, so ideals only see the path part
-        return cat.D.extends(b.path, a.path)
-    return bool(divisors_into(a, b, cat, bound))
+    return cat.divides(a, b, bound)
 
 
 def independent(A, cat: SmallCategory, bound) -> Report:
@@ -143,49 +104,17 @@ class IdealMeetResult:
 
 def meet_ideal(c1, c2, cat: SmallCategory, bound) -> IdealMeetResult:
     """A finite independent set F with F C = c1 C  n  c2 C (within bound)."""
-    if isinstance(cat, KGraph):
-        return IdealMeetResult(cat.mce(c1, c2), True, "MCE", bound)
-    if isinstance(cat, ZSCategory) and cat.is_groupoid_tailed():
-        mces = cat.D.mce(c1.path, c2.path)
-        return IdealMeetResult(
-            tuple(cat.from_path(xi) for xi in mces), True, "ZS-path-lift", bound
-        )
-    cat.require_validated()
-    ideal = set(principal_ideal(c1, cat, bound)) & set(principal_ideal(c2, cat, bound))
-    minimal = [
-        m
-        for m in ideal
-        if not any(
-            divides(m2, m, cat, bound) and not divides(m, m2, cat, bound)
-            for m2 in ideal
-            if m2 != m
-        )
-    ]
-    # one representative per equivalence class of mutually dividing elements
-    chosen = []
-    for m in sorted(minimal, key=cat.sort_key):
-        if not any(divides(c, m, cat, bound) for c in chosen):
-            chosen.append(m)
-    return IdealMeetResult(tuple(chosen), True, "brute", bound)
+    generators, method = cat.meet(c1, c2, bound)
+    return IdealMeetResult(generators, True, method, bound)
 
 
 def check_exhaustive(F, v, cat: SmallCategory, bound) -> Report:
     """Every window morphism out of v has a common extension with some member."""
     F = list(F)
     for c in cat.morphisms_from(v, bound):
-        if not any(_meets(c, a, cat, bound) for a in F):
+        if not any(cat.meets(c, a, bound) for a in F):
             return failing("exhaustive", witness=c, bound=bound)
     return passing("exhaustive", bound=bound, vertex=v, size=len(F))
-
-
-def _meets(a, b, cat, bound):
-    """a C  n  b C nonempty, within the window."""
-    if isinstance(cat, KGraph):
-        return bool(cat.mce(a, b))
-    if isinstance(cat, ZSCategory) and cat.is_groupoid_tailed():
-        return bool(cat.D.mce(a.path, b.path))
-    pa = set(principal_ideal(a, cat, bound))
-    return any(x in pa for x in principal_ideal(b, cat, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +265,7 @@ def minimal_exhaustive_sets(v, cat: SmallCategory, bound, max_size=6, window_cap
     cover_of = {}
     for a in candidates:
         cov = frozenset(
-            i for i, c in enumerate(candidates) if _meets(c, a, cat, bound)
+            i for i, c in enumerate(candidates) if cat.meets(c, a, bound)
         )
         if cov not in cover_of:
             cover_of[cov] = a

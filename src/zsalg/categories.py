@@ -34,29 +34,21 @@ def size_fits(size, bound) -> bool:
     return size <= bound
 
 
-def size_add(a, b):
-    if isinstance(a, tuple):
-        return tuple(x + y for x, y in zip(a, b))
-    return a + b
-
-
-def size_sub(a, b):
-    if isinstance(a, tuple):
-        return tuple(x - y for x, y in zip(a, b))
-    return a - b
-
-
-def size_nonneg(a) -> bool:
-    if isinstance(a, tuple):
-        return all(x >= 0 for x in a)
-    return a >= 0
+def _size_gap(sa, sb):
+    """sb - sa when that is a valid size, else None."""
+    if isinstance(sa, tuple):
+        gap = tuple(y - x for x, y in zip(sa, sb))
+        return gap if all(g >= 0 for g in gap) else None
+    return sb - sa if sb >= sa else None
 
 
 class SmallCategory:
     """Interface for truncation-gauged small categories.
 
     Subclasses provide objects, identities, range/source maps, a size gauge,
-    bounded morphism enumeration and (partial, memoized) composition.
+    bounded morphism enumeration and (partial, memoized) composition.  The
+    divisibility, meet and generator-splitting methods have generic defaults
+    that a subclass overrides when it knows its own factorizations.
     """
 
     #: invertible morphisms are guaranteed to have size 0 (true for every
@@ -115,12 +107,74 @@ class SmallCategory:
 
     # -- conveniences
 
-    def composable(self, a, b) -> bool:
-        return self.s(a) == self.r(b)
-
     def morphisms_from(self, v, bound):
         """v-rooted slice of the window: morphisms with range v."""
         return [m for m in self.morphisms(bound) if self.r(m) == v]
+
+    # -- generator splitting, for extending actions from generator tables.
+    #    The defaults treat every morphism as atomic and as its own key.
+
+    def peel_right(self, m):
+        """m = prefix . generator, or None when m is atomic."""
+        return None
+
+    def peel_left(self, m):
+        """m = generator . rest, or None when m is atomic."""
+        return None
+
+    def generator_key(self, m):
+        """The action-table key of an atomic morphism."""
+        return m
+
+    # -- divisibility and ideal meets.  The defaults search the window by
+    #    brute force; path-like subclasses override them with exact
+    #    factorization, which ignores the bound.
+
+    def divisors_into(self, a, b, bound):
+        """All x in the window with a x = b (at most one when
+        left-cancellative)."""
+        need = _size_gap(self.size(a), self.size(b))
+        if need is None:
+            return []
+        # sizes are additive in every in-scope category
+        return [
+            x
+            for x in self.morphisms(bound)
+            if self.size(x) == need and self.s(a) == self.r(x) and self.compose(a, x) == b
+        ]
+
+    def divides(self, a, b, bound) -> bool:
+        """b lies in the principal right ideal of a."""
+        return a == b or bool(self.divisors_into(a, b, bound))
+
+    def meets(self, a, b, bound) -> bool:
+        """a C  n  b C is nonempty within the window."""
+        pa = set(principal_ideal(a, self, bound))
+        return any(x in pa for x in principal_ideal(b, self, bound))
+
+    def meet(self, c1, c2, bound):
+        """(F, method): a finite independent F with F C = c1 C  n  c2 C.
+
+        The default intersects the two windowed ideals and keeps one
+        representative per class of minimal elements.
+        """
+        self.require_validated()
+        ideal = set(principal_ideal(c1, self, bound)) & set(principal_ideal(c2, self, bound))
+        minimal = [
+            m
+            for m in ideal
+            if not any(
+                self.divides(m2, m, bound) and not self.divides(m, m2, bound)
+                for m2 in ideal
+                if m2 != m
+            )
+        ]
+        # one representative per equivalence class of mutually dividing elements
+        chosen = []
+        for m in sorted(minimal, key=self.sort_key):
+            if not any(self.divides(c, m, bound) for c in chosen):
+                chosen.append(m)
+        return tuple(chosen), "brute"
 
 
 @dataclass(frozen=True)

@@ -55,18 +55,11 @@ from .cocycle import (
     verify_homotopy,
 )
 from .errors import ZsalgError
-from .groupoid import GroupoidPresentation, validate_groupoid
-from .kgraph import (
-    Edge,
-    KGraphPresentation,
-    structural_predicates,
-    sub_kgraph,
-    validate_kgraph,
-)
+from .groupoid import validate_groupoid
+from .kgraph import structural_predicates, sub_kgraph, validate_kgraph
 from .matrixrep import build_grid_reps, check_homotopy_relations, check_relations
 from .normalform import AlgebraModel, random_element
 from .selfsim import (
-    ActionTable,
     MatchedPair,
     ZSCategory,
     check_jointly_faithful,
@@ -92,12 +85,7 @@ class Workspace:
         kg = doc.get("kgraph")
         if kg is None:
             raise ZsalgError("workspace needs a 'kgraph' section")
-        edges = [Edge(e["id"], int(e["color"]), e["dst"], e["src"]) for e in kg.get("edges", [])]
-        squares = [
-            ((sq["ef"][0], sq["ef"][1]), (sq["fe"][0], sq["fe"][1]))
-            for sq in kg.get("squares", [])
-        ]
-        self.pres = KGraphPresentation(int(kg["k"]), list(kg["vertices"]), edges, squares)
+        self.pres = fixtures.parse_kgraph(kg)
         self.k = self.pres.k
         bounds = doc.get("bounds", {})
         self.bound = tuple(bound or bounds.get("degree") or (2,) * max(self.k, 1))[: self.k]
@@ -112,54 +100,39 @@ class Workspace:
                 None,
             )
         else:
-            pres = GroupoidPresentation(
-                units=list(gp["units"]),
-                morphisms=[m["id"] for m in gp["morphisms"]] ,
-                rng={m["id"]: m["dst"] for m in gp["morphisms"]},
-                src={m["id"]: m["src"] for m in gp["morphisms"]},
-                inv={m["id"]: m["inv"] for m in gp["morphisms"]},
-                compose={(a, b): c for a, b, c in gp.get("compose", [])},
-            )
-            self.groupoid, self.groupoid_report = validate_groupoid(pres)
+            self.groupoid, self.groupoid_report = validate_groupoid(fixtures.parse_groupoid(gp))
 
-        act = doc.get("action", {})
-        left = {
-            (entry["g"], entry["edge"]): self.graph.nf((entry["out"],))
-            for entry in act.get("left", [])
-        }
-        right = {(entry["g"], entry["edge"]): entry["out"] for entry in act.get("right", [])}
-        self.pair = MatchedPair(self.groupoid, self.graph, ActionTable(left, right))
+        table = fixtures.parse_action(doc.get("action", {}), self.graph)
+        self.pair = MatchedPair(self.groupoid, self.graph, table)
         self.zs = ZSCategory(self.pair)
 
         self.grid = int(grid or doc.get("homotopy", {}).get("grid", 11))
-        self.budgets = doc.get("budgets", {})
+        # a copy: --budget writes here, and builtin documents are shared
+        self.budgets = dict(doc.get("budgets", {}))
 
     def cocycle(self) -> Cocycle:
         spec = self.doc.get("cocycle")
         if spec is None:
             return trivial_cocycle()
-        if "rotation" in spec:
-            theta = [[_rat(x) for x in row] for row in spec["rotation"]]
-            return Cocycle(RotationForm(theta), name="rotation")
-        table = {}
-        for entry in spec["table"]:
-            c1 = self._decode_pathlike(entry["c1"])
-            c2 = self._decode_pathlike(entry["c2"])
-            table[(c1, c2)] = _rat(entry["phase"])
-        return Cocycle(TableForm(table), name="table")
+        return Cocycle(self._form(spec), name="rotation" if "rotation" in spec else "table")
 
     def generator_form(self):
         spec = self.doc.get("homotopy", {}).get("generator")
         if spec is None:
             spec = self.doc.get("cocycle", {"rotation": [[0] * self.k] * self.k})
+        return self._form(spec)
+
+    def _form(self, spec):
+        """A "rotation" angle matrix, or a "table" of phases keyed by product
+        morphisms of the path part."""
         if "rotation" in spec:
             return RotationForm([[_rat(x) for x in row] for row in spec["rotation"]])
-        table = {}
-        for entry in spec["table"]:
-            c1 = self._decode_pathlike(entry["c1"])
-            c2 = self._decode_pathlike(entry["c2"])
-            table[(c1, c2)] = _rat(entry["phase"])
-        return TableForm(table)
+        return TableForm(
+            {
+                (self._decode_pathlike(e["c1"]), self._decode_pathlike(e["c2"])): _rat(e["phase"])
+                for e in spec["table"]
+            }
+        )
 
     def family(self, m=None):
         m = m or self.grid
@@ -174,105 +147,12 @@ class Workspace:
             p = self.graph.nf(tuple(spec))
         return self.zs.from_path(p)
 
-    def decode_zs(self, spec):
-        """{"edges": [...], "tail": g} or a bare edge list."""
-        if isinstance(spec, dict):
-            p = (
-                self.graph.identity(spec["vertex"])
-                if "vertex" in spec
-                else self.graph.nf(tuple(spec.get("edges", ())))
-            )
-            tail = spec.get("tail", self.groupoid.identity(self.graph.s(p)))
-            from .selfsim import ZSMorphism
-
-            return ZSMorphism(p, tail)
-        return self.zs.from_path(self.graph.nf(tuple(spec)))
-
 
 def builtin_workspace(name, bound=None, grid=None) -> Workspace:
     """Builtin fixtures addressable by name from the command line."""
-    docs = {
-        "k1": {
-            "kgraph": {
-                "k": 2,
-                "vertices": ["v"],
-                "edges": [
-                    {"id": "e", "color": 1, "src": "v", "dst": "v"},
-                    {"id": "f", "color": 2, "src": "v", "dst": "v"},
-                ],
-                "squares": [{"ef": ["e", "f"], "fe": ["f", "e"]}],
-            },
-            "homotopy": {"generator": {"rotation": [[0, 0], ["1/4", 0]]}, "grid": 11},
-            "bounds": {"degree": [2, 2]},
-        },
-        "e2": {
-            "kgraph": {
-                "k": 1,
-                "vertices": ["v"],
-                "edges": [
-                    {"id": "a", "color": 1, "src": "v", "dst": "v"},
-                    {"id": "b", "color": 1, "src": "v", "dst": "v"},
-                ],
-                "squares": [],
-            },
-            "bounds": {"degree": [3]},
-        },
-    }
-    z2 = {
-        "units": ["v"],
-        "morphisms": [
-            {"id": "v", "src": "v", "dst": "v", "inv": "v"},
-            {"id": "g", "src": "v", "dst": "v", "inv": "g"},
-        ],
-        "compose": [["g", "g", "v"]],
-    }
-    docs["swap"] = {
-        "kgraph": docs["e2"]["kgraph"],
-        "groupoid": z2,
-        "action": {
-            "left": [
-                {"g": "g", "edge": "a", "out": "b"},
-                {"g": "g", "edge": "b", "out": "a"},
-            ],
-            "right": [
-                {"g": "g", "edge": "a", "out": "g"},
-                {"g": "g", "edge": "b", "out": "g"},
-            ],
-        },
-        "bounds": {"degree": [3]},
-    }
-    docs["swap2"] = {
-        "kgraph": {
-            "k": 2,
-            "vertices": ["v"],
-            "edges": [
-                {"id": "a", "color": 1, "src": "v", "dst": "v"},
-                {"id": "b", "color": 1, "src": "v", "dst": "v"},
-                {"id": "z", "color": 2, "src": "v", "dst": "v"},
-            ],
-            "squares": [
-                {"ef": ["a", "z"], "fe": ["z", "a"]},
-                {"ef": ["b", "z"], "fe": ["z", "b"]},
-            ],
-        },
-        "groupoid": z2,
-        "action": {
-            "left": [
-                {"g": "g", "edge": "a", "out": "b"},
-                {"g": "g", "edge": "b", "out": "a"},
-                {"g": "g", "edge": "z", "out": "z"},
-            ],
-            "right": [
-                {"g": "g", "edge": "a", "out": "g"},
-                {"g": "g", "edge": "b", "out": "g"},
-                {"g": "g", "edge": "z", "out": "g"},
-            ],
-        },
-        "bounds": {"degree": [2, 2]},
-    }
-    if name not in docs:
-        raise ZsalgError(f"unknown fixture {name!r}; choose from {sorted(docs)}")
-    return Workspace(docs[name], bound=bound, grid=grid)
+    if name not in fixtures.FIXTURE_DOCS:
+        raise ZsalgError(f"unknown fixture {name!r}; choose from {sorted(fixtures.FIXTURE_DOCS)}")
+    return Workspace(fixtures.FIXTURE_DOCS[name], bound=bound, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +268,14 @@ def cmd_concordance(ws: Workspace, args):
 
 
 def cmd_cocycle_check(ws: Workspace, args):
-    sigma = ws.cocycle()
-    cat = ws.zs if ws.doc.get("groupoid") else ws.graph
-    return {"checks": [verify_cocycle(sigma, cat, ws.bound).to_json()]}
+    # the product category, which is the path category when the groupoid
+    # is trivial: the table forms are keyed by its morphisms
+    return {"checks": [verify_cocycle(ws.cocycle(), ws.zs, ws.bound).to_json()]}
 
 
 def cmd_homotopy_check(ws: Workspace, args):
-    cat = ws.zs if ws.doc.get("groupoid") else ws.graph
-    hom = linear_homotopy(ws.generator_form(), cat, ws.bound, m=ws.grid)
-    checks = [verify_homotopy(hom, cat, ws.bound).to_json()]
+    hom = linear_homotopy(ws.generator_form(), ws.zs, ws.bound, m=ws.grid)
+    checks = [verify_homotopy(hom, ws.zs, ws.bound).to_json()]
     checks.append(check_homotopy_relations(ws.zs, hom, ws.bound).to_json())
     return {"checks": checks}
 

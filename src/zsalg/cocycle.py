@@ -100,10 +100,6 @@ class PhaseSum:
             return PhaseSum({p.value: Fraction(coeff)})
         return PhaseSum(rem=complex(coeff) * p.complex_value())
 
-    @staticmethod
-    def from_complex(z):
-        return PhaseSum(rem=z)
-
     def __add__(self, other):
         merged = dict(self.terms)
         for ph, c in other.terms.items():
@@ -435,9 +431,6 @@ class Homotopy:
         """The per-grid-point phases of the pair, as a tuple."""
         q = self.exponent(c1, c2)
         return tuple(Phase(s * q) for s in self.grid_scales())
-
-    def grid_fn(self, c1, c2) -> GridFunction:
-        return GridFunction.from_phases(self.phase_vec(c1, c2))
 
 
 class LinearHomotopy(Homotopy):

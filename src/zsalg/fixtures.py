@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import MalformedSquaresError
 from .groupoid import GroupoidPresentation, validate_groupoid
 from .kgraph import Edge, KGraph, KGraphPresentation, validate_kgraph
 from .selfsim import (
@@ -22,26 +23,152 @@ from .selfsim import (
 )
 
 
-def kgraph_k1(bound=(3, 3)):
-    """One-vertex 2-graph; edges e (color 1), f (color 2); square ef = fe."""
-    pres = KGraphPresentation(
-        2,
-        ["v"],
-        [Edge("e", 1, "v", "v"), Edge("f", 2, "v", "v")],
-        [(("e", "f"), ("f", "e"))],
+# ---------------------------------------------------------------------------
+# workspace documents: the fixtures the command line names with --fixture,
+# in the workspace JSON schema of zsalg.cli.  The Python fixtures below of
+# the same names are parsed from these documents, so each is defined once.
+# The documents are shared: parse them, never mutate them.
+
+_E2_KGRAPH = {
+    "k": 1,
+    "vertices": ["v"],
+    "edges": [
+        {"id": "a", "color": 1, "src": "v", "dst": "v"},
+        {"id": "b", "color": 1, "src": "v", "dst": "v"},
+    ],
+    "squares": [],
+}
+_Z2_GROUPOID = {
+    "units": ["v"],
+    "morphisms": [
+        {"id": "v", "src": "v", "dst": "v", "inv": "v"},
+        {"id": "g", "src": "v", "dst": "v", "inv": "g"},
+    ],
+    "compose": [["g", "g", "v"]],
+}
+
+FIXTURE_DOCS = {
+    # one-vertex 2-graph; edges e (color 1), f (color 2); square ef = fe
+    "k1": {
+        "kgraph": {
+            "k": 2,
+            "vertices": ["v"],
+            "edges": [
+                {"id": "e", "color": 1, "src": "v", "dst": "v"},
+                {"id": "f", "color": 2, "src": "v", "dst": "v"},
+            ],
+            "squares": [{"ef": ["e", "f"], "fe": ["f", "e"]}],
+        },
+        "homotopy": {"generator": {"rotation": [[0, 0], ["1/4", 0]]}, "grid": 11},
+        "bounds": {"degree": [2, 2]},
+    },
+    # one-vertex 1-graph on edges a, b: paths are the free monoid on {a, b}
+    "e2": {"kgraph": _E2_KGRAPH, "bounds": {"degree": [3]}},
+    # Z/2 flipping the two edges of e2, restricting to g
+    "swap": {
+        "kgraph": _E2_KGRAPH,
+        "groupoid": _Z2_GROUPOID,
+        "action": {
+            "left": [
+                {"g": "g", "edge": "a", "out": "b"},
+                {"g": "g", "edge": "b", "out": "a"},
+            ],
+            "right": [
+                {"g": "g", "edge": "a", "out": "g"},
+                {"g": "g", "edge": "b", "out": "g"},
+            ],
+        },
+        "bounds": {"degree": [3]},
+    },
+    # the flip on a one-vertex 2-graph: colors {a, b | z}, squares az = za,
+    # bz = zb, with g fixing z and restricting to g everywhere
+    "swap2": {
+        "kgraph": {
+            "k": 2,
+            "vertices": ["v"],
+            "edges": [
+                {"id": "a", "color": 1, "src": "v", "dst": "v"},
+                {"id": "b", "color": 1, "src": "v", "dst": "v"},
+                {"id": "z", "color": 2, "src": "v", "dst": "v"},
+            ],
+            "squares": [
+                {"ef": ["a", "z"], "fe": ["z", "a"]},
+                {"ef": ["b", "z"], "fe": ["z", "b"]},
+            ],
+        },
+        "groupoid": _Z2_GROUPOID,
+        "action": {
+            "left": [
+                {"g": "g", "edge": "a", "out": "b"},
+                {"g": "g", "edge": "b", "out": "a"},
+                {"g": "g", "edge": "z", "out": "z"},
+            ],
+            "right": [
+                {"g": "g", "edge": "a", "out": "g"},
+                {"g": "g", "edge": "b", "out": "g"},
+                {"g": "g", "edge": "z", "out": "g"},
+            ],
+        },
+        "bounds": {"degree": [2, 2]},
+    },
+}
+
+
+def parse_kgraph(section) -> KGraphPresentation:
+    """A workspace "kgraph" section; edges run from src to dst (the range)."""
+    edges = [Edge(e["id"], int(e["color"]), e["dst"], e["src"]) for e in section.get("edges", [])]
+    squares = [
+        ((sq["ef"][0], sq["ef"][1]), (sq["fe"][0], sq["fe"][1]))
+        for sq in section.get("squares", [])
+    ]
+    return KGraphPresentation(int(section["k"]), list(section["vertices"]), edges, squares)
+
+
+def parse_groupoid(section) -> GroupoidPresentation:
+    """A workspace "groupoid" section."""
+    return GroupoidPresentation(
+        units=list(section["units"]),
+        morphisms=[m["id"] for m in section["morphisms"]],
+        rng={m["id"]: m["dst"] for m in section["morphisms"]},
+        src={m["id"]: m["src"] for m in section["morphisms"]},
+        inv={m["id"]: m["inv"] for m in section["morphisms"]},
+        compose={(a, b): c for a, b, c in section.get("compose", [])},
     )
-    graph, rep = validate_kgraph(pres, bound)
+
+
+def parse_action(section, graph: KGraph) -> ActionTable:
+    """A workspace "action" section: generator tables on (g, edge) keys."""
+    left = {(e["g"], e["edge"]): graph.nf((e["out"],)) for e in section.get("left", [])}
+    right = {(e["g"], e["edge"]): e["out"] for e in section.get("right", [])}
+    return ActionTable(left, right)
+
+
+def _doc_kgraph(name, bound):
+    graph, rep = validate_kgraph(parse_kgraph(FIXTURE_DOCS[name]["kgraph"]), bound)
     assert rep.passed, rep
     return graph
 
+
+def _doc_groupoid(name):
+    gpd, rep = validate_groupoid(parse_groupoid(FIXTURE_DOCS[name]["groupoid"]))
+    assert rep.passed, rep
+    return gpd
+
+
+def _doc_pair(name, bound):
+    graph = _doc_kgraph(name, bound)
+    table = parse_action(FIXTURE_DOCS[name]["action"], graph)
+    return MatchedPair(_doc_groupoid(name), graph, table)
+
+
+def kgraph_k1(bound=(3, 3)):
+    """One-vertex 2-graph; edges e (color 1), f (color 2); square ef = fe."""
+    return _doc_kgraph("k1", bound)
+
+
 def kgraph_e2(bound=(4,)):
     """One-vertex 1-graph on edges a, b: paths are the free monoid on {a, b}."""
-    pres = KGraphPresentation(
-        1, ["v"], [Edge("a", 1, "v", "v"), Edge("b", 1, "v", "v")], []
-    )
-    graph, rep = validate_kgraph(pres, bound)
-    assert rep.passed, rep
-    return graph
+    return _doc_kgraph("e2", bound)
 
 
 def kgraph_single_loop(bound=(6,)):
@@ -87,19 +214,9 @@ def kgraph_not_locally_convex(bound=(1, 1)):
     return graph
 
 
-def z2_groupoid(unit="v"):
-    """Z/2 = {unit, g} as a one-object groupoid."""
-    pres = GroupoidPresentation(
-        units=[unit],
-        morphisms=[unit, "g"],
-        rng={"g": unit},
-        src={"g": unit},
-        inv={"g": "g"},
-        compose={("g", "g"): unit},
-    )
-    gpd, rep = validate_groupoid(pres)
-    assert rep.passed, rep
-    return gpd
+def z2_groupoid():
+    """Z/2 = {v, g} as a one-object groupoid (the swap fixtures' groupoid)."""
+    return _doc_groupoid("swap")
 
 
 def trivial_groupoid(units):
@@ -156,53 +273,20 @@ def two_orbit_groupoid():
 
 def swap_pair(bound=(4,)):
     """Z/2 flipping the two edges of the one-vertex 1-graph; restriction g."""
-    graph = kgraph_e2(bound)
-    gpd = z2_groupoid("v")
-    table = ActionTable(
-        left={
-            ("g", "a"): graph.nf(("b",)),
-            ("g", "b"): graph.nf(("a",)),
-        },
-        right={("g", "a"): "g", ("g", "b"): "g"},
-    )
-    return MatchedPair(gpd, graph, table)
+    return _doc_pair("swap", bound)
 
 
 def badswap_pair(bound=(4,)):
     """Same flip but the restriction tables break the interchange identity."""
-    graph = kgraph_e2(bound)
-    gpd = z2_groupoid("v")
-    table = ActionTable(
-        left={
-            ("g", "a"): graph.nf(("b",)),
-            ("g", "b"): graph.nf(("a",)),
-        },
-        right={("g", "a"): "v", ("g", "b"): "g"},
-    )
-    return MatchedPair(gpd, graph, table)
+    pair = swap_pair(bound)
+    pair.table.right[("g", "a")] = "v"
+    return pair
 
 
 def swap2_pair(bound=(3, 3)):
     """Flip action on a one-vertex 2-graph: colors {a,b | z}, squares az = za,
     bz = zb, with g fixing z and restricting to g everywhere."""
-    pres = KGraphPresentation(
-        2,
-        ["v"],
-        [Edge("a", 1, "v", "v"), Edge("b", 1, "v", "v"), Edge("z", 2, "v", "v")],
-        [(("a", "z"), ("z", "a")), (("b", "z"), ("z", "b"))],
-    )
-    graph, rep = validate_kgraph(pres, bound)
-    assert rep.passed, rep
-    gpd = z2_groupoid("v")
-    table = ActionTable(
-        left={
-            ("g", "a"): graph.nf(("b",)),
-            ("g", "b"): graph.nf(("a",)),
-            ("g", "z"): graph.nf(("z",)),
-        },
-        right={("g", "a"): "g", ("g", "b"): "g", ("g", "z"): "g"},
-    )
-    return MatchedPair(gpd, graph, table)
+    return _doc_pair("swap2", bound)
 
 
 def trivial_pair(graph: KGraph):
@@ -318,7 +402,7 @@ def random_kgraph(seed, max_vertices=4, max_edges_per_color=3, max_k=3, bound=No
         use_bound = tuple((bound or (3,) * k)[:k])
         try:
             graph, rep = validate_kgraph(pres, use_bound)
-        except Exception:
+        except MalformedSquaresError:
             continue
         if rep.passed:
             return graph

@@ -390,6 +390,36 @@ class KGraph(SmallCategory):
         right = {self.compose(nu, y) for y in self.paths(nu.src, deg_sub(j, nu.degree))}
         return tuple(sorted(left & right, key=self.sort_key))
 
+    # -- the SmallCategory divisibility and splitting protocol, answered by
+    #    factorization (exact, so the window bound is not needed)
+
+    def divisors_into(self, a: Path, b: Path, bound):
+        if not self.extends(b, a):
+            return []
+        return [self.factorize(b, a.degree, deg_sub(b.degree, a.degree))[1]]
+
+    def divides(self, a: Path, b: Path, bound) -> bool:
+        return a == b or self.extends(b, a)
+
+    def meets(self, a: Path, b: Path, bound) -> bool:
+        return bool(self.mce(a, b))
+
+    def meet(self, c1: Path, c2: Path, bound):
+        return self.mce(c1, c2), "MCE"
+
+    def peel_right(self, m: Path):
+        if len(m.edges) <= 1:
+            return None
+        return self.nf(m.edges[:-1]), self.nf(m.edges[-1:])
+
+    def peel_left(self, m: Path):
+        if len(m.edges) <= 1:
+            return None
+        return self.nf(m.edges[:1]), self.nf(m.edges[1:])
+
+    def generator_key(self, m: Path):
+        return m.edges[0]
+
 
 # ---------------------------------------------------------------------------
 # validation

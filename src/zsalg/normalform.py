@@ -150,9 +150,6 @@ class AlgebraModel:
     # scalar additive exponent per pair, so coefficient twists accumulate as
     # one scalar and expand to grid phases once per emitted term.
 
-    def sig(self, x: ZSMorphism, y: ZSMorphism) -> GridFunction:
-        return GridFunction.from_phases(self._expand(self._e(x, y)))
-
     def _e(self, x: ZSMorphism, y: ZSMorphism):
         memo = self._e_memo
         key = (x, y)
@@ -187,12 +184,6 @@ class AlgebraModel:
 
     def e_tt(self, g, h):
         return self._e(self._zs_tail(g), self._zs_tail(h))
-
-    def sig_pp(self, p, q):
-        return GridFunction.from_phases(self._expand(self.e_pp(p, q)))
-
-    def sig_tt(self, g, h):
-        return GridFunction.from_phases(self._expand(self.e_tt(g, h)))
 
     # -- constructors
 
@@ -233,85 +224,81 @@ class AlgebraModel:
 
     def mul(self, x: Element, y: Element) -> Element:
         out = {}
-        for (l1, g1, m1), f1 in x.terms.items():
-            for (l2, g2, m2), f2 in y.terms.items():
-                for key, f in self._term_product(l1, g1, m1, f1, l2, g2, m2, f2):
-                    out[key] = out[key] + f if key in out else f
+        for key, f in self._term_products(x.terms.items(), y.terms.items()):
+            out[key] = out[key] + f if key in out else f
         return Element(self, out)
 
-    def _term_product(self, l1, g1, m1, f1, l2, g2, m2, f2):
-        """All reduced terms of (z(f1) S_l1 S_g1 S_m1*)(z(f2) S_l2 S_g2 S_m2*)."""
-        if self.D.r(m1) != self.D.r(l2):
-            return
-        join = tuple(max(a, b) for a, b in zip(m1.degree, l2.degree))
-        if not deg_le(join, self.level_bound):
-            raise WindowExceededError(
-                f"needed extension degree {join} exceeds window {self.level_bound}"
-            )
-        g2inv = self.G.inverse(g2)
-        base = f1 * f2
-        for xi in self.D.mce(m1, l2):
-            alpha = self.D.factorize(xi, m1.degree, deg_sub(xi.degree, m1.degree))[1]
-            beta = self.D.factorize(xi, l2.degree, deg_sub(xi.degree, l2.degree))[1]
-            a_moved, g1_res = self.pair.extend(g1, alpha)
-            b_moved, h = self.pair.extend(g2inv, beta)
-            hinv = self.G.inverse(h)
-            # adjoint-sandwich expansion over the common extension,
-            # then push g1 through alpha and absorb into l1
-            tw = (
-                -self.e_pp(m1, alpha)
-                + self.e_pp(l2, beta)
-                + self.e_tp(g1, alpha)
-                - self.e_pt(a_moved, g1_res)
-                + self.e_pp(l1, a_moved)
-            )
-            # convert S_beta* S_g2 via the inverse tail, merge the tails
-            # and the adjoint-side paths
-            tw = (
-                tw
-                + self.e_tt(g2inv, g2)
-                - self.e_tp(g2inv, beta)
-                + self.e_pt(b_moved, h)
-                - self.e_tt(h, hinv)
-                + self.e_tt(g1_res, hinv)
-                - self.e_pp(m2, b_moved)
-            )
-            new_lam = self.D.compose(l1, a_moved)
-            new_tail = self.G.compose(g1_res, hinv)
-            new_mu = self.D.compose(m2, b_moved)
-            yield (new_lam, new_tail, new_mu), base.times_phases(self._expand(tw))
+    def _term_products(self, xterms, yterms, audit=None):
+        """All reduced terms of (z(f1) S_l1 S_g1 S_m1*)(z(f2) S_l2 S_g2 S_m2*)
+        over every pair of terms drawn from the two term lists.
 
-    def explain_product(self, x: Element, y: Element):
-        """Audit transcript of the reduction: one record per term pair and
-        common extension, with the data every coefficient factor came from."""
-        records = []
-        for (l1, g1, m1), _f1 in x.sorted_terms():
-            for (l2, g2, m2), _f2 in y.sorted_terms():
+        When ``audit`` is a list, one record per term pair and common
+        extension is appended to it, with the data every coefficient factor
+        came from.
+        """
+        for (l1, g1, m1), f1 in xterms:
+            for (l2, g2, m2), f2 in yterms:
                 if self.D.r(m1) != self.D.r(l2):
                     continue
+                join = tuple(max(a, b) for a, b in zip(m1.degree, l2.degree))
+                if not deg_le(join, self.level_bound):
+                    raise WindowExceededError(
+                        f"needed extension degree {join} exceeds window {self.level_bound}"
+                    )
                 g2inv = self.G.inverse(g2)
+                base = f1 * f2
                 for xi in self.D.mce(m1, l2):
                     alpha = self.D.factorize(xi, m1.degree, deg_sub(xi.degree, m1.degree))[1]
                     beta = self.D.factorize(xi, l2.degree, deg_sub(xi.degree, l2.degree))[1]
                     a_moved, g1_res = self.pair.extend(g1, alpha)
                     b_moved, h = self.pair.extend(g2inv, beta)
-                    records.append(
-                        {
-                            "left_term": [str(l1), str(g1), str(m1)],
-                            "right_term": [str(l2), str(g2), str(m2)],
-                            "common_extension": str(xi),
-                            "alpha": str(alpha),
-                            "beta": str(beta),
-                            "moved_alpha": str(a_moved),
-                            "residual_tail": str(g1_res),
-                            "inverse_push": [str(b_moved), str(h)],
-                            "result": [
-                                str(self.D.compose(l1, a_moved)),
-                                str(self.G.compose(g1_res, self.G.inverse(h))),
-                                str(self.D.compose(m2, b_moved)),
-                            ],
-                        }
+                    hinv = self.G.inverse(h)
+                    # adjoint-sandwich expansion over the common extension,
+                    # then push g1 through alpha and absorb into l1
+                    tw = (
+                        -self.e_pp(m1, alpha)
+                        + self.e_pp(l2, beta)
+                        + self.e_tp(g1, alpha)
+                        - self.e_pt(a_moved, g1_res)
+                        + self.e_pp(l1, a_moved)
                     )
+                    # convert S_beta* S_g2 via the inverse tail, merge the
+                    # tails and the adjoint-side paths
+                    tw = (
+                        tw
+                        + self.e_tt(g2inv, g2)
+                        - self.e_tp(g2inv, beta)
+                        + self.e_pt(b_moved, h)
+                        - self.e_tt(h, hinv)
+                        + self.e_tt(g1_res, hinv)
+                        - self.e_pp(m2, b_moved)
+                    )
+                    key = (
+                        self.D.compose(l1, a_moved),
+                        self.G.compose(g1_res, hinv),
+                        self.D.compose(m2, b_moved),
+                    )
+                    if audit is not None:
+                        audit.append(
+                            {
+                                "left_term": [str(l1), str(g1), str(m1)],
+                                "right_term": [str(l2), str(g2), str(m2)],
+                                "common_extension": str(xi),
+                                "alpha": str(alpha),
+                                "beta": str(beta),
+                                "moved_alpha": str(a_moved),
+                                "residual_tail": str(g1_res),
+                                "inverse_push": [str(b_moved), str(h)],
+                                "result": [str(part) for part in key],
+                            }
+                        )
+                    yield key, base.times_phases(self._expand(tw))
+
+    def explain_product(self, x: Element, y: Element):
+        """Audit transcript of the reduction: one record per term pair and
+        common extension, with the data every coefficient factor came from."""
+        records = []
+        list(self._term_products(x.sorted_terms(), y.sorted_terms(), audit=records))
         return records
 
     # -- involution
@@ -365,7 +352,6 @@ class AlgebraModel:
 
         if not isinstance(j, int) or not 0 <= j < self.m:
             raise OffGridError(f"grid index {j} outside 0..{self.m - 1}")
-        key = ("_fiber", j)
         cached = getattr(self, "_fiber_cache", None)
         if cached is None:
             cached = {}

@@ -82,40 +82,6 @@ class FreeMonoidCategory(SmallCategory):
             return None
         return w[0], w[1:]
 
-    def generator_key(self, w):
-        return w
-
-
-def _peel_right(cat, m):
-    if isinstance(cat, FiniteGroupoid):
-        return None  # groupoid elements are atomic in the tables
-    if isinstance(cat, KGraph):
-        if len(m.edges) <= 1:
-            return None
-        head = m.edges[:-1]
-        last = m.edges[-1]
-        rest = cat.nf(head)
-        return rest, cat.nf((last,))
-    return cat.peel_right(m)
-
-
-def _peel_left(cat, m):
-    if isinstance(cat, KGraph):
-        if len(m.edges) <= 1:
-            return None
-        first = m.edges[0]
-        rest = cat.nf(m.edges[1:])
-        return cat.nf((first,)), rest
-    return cat.peel_left(m)
-
-
-def _generator_key(cat, m):
-    if isinstance(cat, FiniteGroupoid):
-        return m
-    if isinstance(cat, KGraph):
-        return m.edges[0]
-    return cat.generator_key(m)
-
 
 @dataclass
 class ActionTable:
@@ -151,21 +117,21 @@ class MatchedPair:
         elif C.is_identity(c):
             out = (d, C.identity(D.s(d)))
         else:
-            split_c = _peel_right(C, c)
+            split_c = C.peel_right(c)
             if split_c is not None:
                 c1, gamma = split_c
                 mid, tail = self.extend(gamma, d)
                 top, head = self.extend(c1, mid)
                 out = (top, C.compose(head, tail))
             else:
-                split_d = _peel_left(D, d)
+                split_d = D.peel_left(d)
                 if split_d is not None:
                     delta, d2 = split_d
                     first, c_after = self.extend(c, delta)
                     second, c_final = self.extend(c_after, d2)
                     out = (D.compose(first, second), c_final)
                 else:
-                    k = (_generator_key(C, c), _generator_key(D, d))
+                    k = (C.generator_key(c), D.generator_key(d))
                     if k not in self.table.left or k not in self.table.right:
                         raise UndefinedGeneratorError(f"no action entry for {k}")
                     out = (self.table.left[k], self.table.right[k])
@@ -401,6 +367,40 @@ class ZSCategory(SmallCategory):
         if not self.is_groupoid_tailed():
             raise NotApplicableError("tail category is not a groupoid")
         return self.C.inverse(m.tail)
+
+    # -- divisibility and meets.  With a groupoid tail, tails are invertible
+    #    and never change a principal ideal, so every question lifts from
+    #    the path part; otherwise the brute-force defaults apply.
+
+    def divisors_into(self, a: ZSMorphism, b: ZSMorphism, bound):
+        if not self.is_groupoid_tailed():
+            return super().divisors_into(a, b, bound)
+        # solve the path part by factorization and unwind the tail twist
+        rests = self.D.divisors_into(a.path, b.path, bound)
+        if not rests:
+            return []
+        xd = self.pair.left_act(self.C.inverse(a.tail), rests[0])
+        xc = self.C.compose(self.C.inverse(self.pair.right_act(a.tail, xd)), b.tail)
+        if xc is None:
+            return []
+        x = ZSMorphism(xd, xc)
+        return [x] if self.compose(a, x) == b else []
+
+    def divides(self, a: ZSMorphism, b: ZSMorphism, bound) -> bool:
+        if not self.is_groupoid_tailed():
+            return super().divides(a, b, bound)
+        return a == b or self.D.divides(a.path, b.path, bound)
+
+    def meets(self, a: ZSMorphism, b: ZSMorphism, bound) -> bool:
+        if not self.is_groupoid_tailed():
+            return super().meets(a, b, bound)
+        return self.D.meets(a.path, b.path, bound)
+
+    def meet(self, c1: ZSMorphism, c2: ZSMorphism, bound):
+        if not self.is_groupoid_tailed():
+            return super().meet(c1, c2, bound)
+        generators, _ = self.D.meet(c1.path, c2.path, bound)
+        return tuple(self.from_path(xi) for xi in generators), "ZS-path-lift"
 
 
 def zs_compose(cat: ZSCategory, x: ZSMorphism, y: ZSMorphism) -> ZSMorphism:

@@ -8,6 +8,7 @@ from zsalg.alignment import (
     check_exhaustive,
     check_exhaustive_lifting,
     divides,
+    divisors_into,
     equivalent_sets,
     independent,
     meet_ideal,
@@ -15,7 +16,7 @@ from zsalg.alignment import (
     path_inclusion,
     zs_inclusion,
 )
-from zsalg.categories import validate_category
+from zsalg.categories import SmallCategory, validate_category
 from zsalg.errors import NotIndependentError
 from zsalg.fixtures import (
     kgraph_e2,
@@ -86,9 +87,9 @@ def test_meet_ideal_matches_brute_oracle_and_symmetry():
         for c2 in window[:8]:
             fast = meet_ideal(c1, c2, zs, (3,))
             assert independent(fast.generators, zs, (3,))
-            slow = _brute_meet(c1, c2, zs, (3,))
+            slow, _ = SmallCategory.meet(zs, c1, c2, (3,))
             if fast.generators or slow:
-                assert equivalent_sets(list(fast.generators), slow, zs, (3,))
+                assert equivalent_sets(list(fast.generators), list(slow), zs, (3,))
             sym = meet_ideal(c2, c1, zs, (3,))
             if fast.generators or sym.generators:
                 assert equivalent_sets(
@@ -96,24 +97,25 @@ def test_meet_ideal_matches_brute_oracle_and_symmetry():
                 )
 
 
-def _brute_meet(c1, c2, cat, bound):
-    from zsalg.categories import principal_ideal
-
-    ideal = set(principal_ideal(c1, cat, bound)) & set(principal_ideal(c2, cat, bound))
-    minimal = [
-        m
-        for m in ideal
-        if not any(
-            divides(m2, m, cat, bound) and not divides(m, m2, cat, bound)
-            for m2 in ideal
-            if m2 != m
-        )
-    ]
-    chosen = []
-    for m in sorted(minimal, key=cat.sort_key):
-        if not any(divides(c, m, cat, bound) for c in chosen):
-            chosen.append(m)
-    return chosen
+@pytest.mark.parametrize("name", ["k1", "swap"])
+def test_overrides_match_brute_force_defaults(name):
+    """The exact KGraph and ZSCategory answers agree with the window search
+    of the SmallCategory defaults, called unbound on the same category."""
+    if name == "k1":
+        cat, bound, method = kgraph_k1((3, 3)), (2, 2), "MCE"
+    else:
+        cat, bound, method = zs_of(swap_pair()), (2,), "ZS-path-lift"
+    validate_category(cat, bound)
+    window = cat.morphisms(bound)
+    for a in window:
+        for b in window:
+            assert SmallCategory.divisors_into(cat, a, b, bound) == divisors_into(a, b, cat, bound)
+            assert SmallCategory.divides(cat, a, b, bound) == divides(a, b, cat, bound)
+            assert SmallCategory.meets(cat, a, b, bound) == cat.meets(a, b, bound)
+            slow, slow_method = SmallCategory.meet(cat, a, b, bound)
+            fast = meet_ideal(a, b, cat, bound)
+            assert (slow_method, fast.method) == ("brute", method)
+            assert equivalent_sets(list(fast.generators), list(slow), cat, bound)
 
 
 def test_tail_invariance_of_meets():

@@ -83,6 +83,31 @@ def test_cocycle_and_homotopy_commands(tmp_path):
     assert code == 0
 
 
+def test_cocycle_check_table_without_groupoid(tmp_path):
+    """A table cocycle is keyed by product morphisms, so it is verified on
+    the product category even when the groupoid section is absent."""
+    ws = {
+        "kgraph": {
+            "k": 1,
+            "vertices": ["v"],
+            "edges": [
+                {"id": "a", "color": 1, "src": "v", "dst": "v"},
+                {"id": "b", "color": 1, "src": "v", "dst": "v"},
+            ],
+            "squares": [],
+        },
+        "cocycle": {"table": [{"c1": ["a"], "c2": ["b"], "phase": "1/10"}]},
+        "bounds": {"degree": [2]},
+    }
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(ws))
+    code, report = run(tmp_path, "cocycle-check", "--workspace", str(path))
+    assert code == 1
+    assert report["checks"][0]["witness"] == ["identity", "(a|'v')", "(a|'v')", "(b|'v')"]
+    code, report = run(tmp_path, "homotopy-check", "--workspace", str(path))
+    assert code == 2 and report["error"] == "BadGeneratorError"
+
+
 def test_nf_mult_command(tmp_path):
     code, report = run(tmp_path, "nf-mult", "--fixture", "swap", "--triples", "25")
     assert code == 0

@@ -345,7 +345,7 @@ def test_corner_decomposition_fixtures():
 def test_corner_decomposition_single_object():
     from zsalg.fixtures import z2_groupoid
 
-    gpd = z2_groupoid("v")
+    gpd = z2_groupoid()
     zero_graph, _ = validate_kgraph(KGraphPresentation(0, ["v"], [], []), ())
     pair = MatchedPair(gpd, zero_graph, ActionTable())
     model = AlgebraModel(ZSCategory(pair), ConstantHomotopy(trivial_cocycle(), m=1), ())

@@ -150,7 +150,7 @@ def test_degree_breaking_table_detected():
     from zsalg.selfsim import ActionTable, MatchedPair
 
     graph = kgraph_e2((3,))
-    gpd = z2_groupoid("v")
+    gpd = z2_groupoid()
     table = ActionTable(
         left={("g", "a"): graph.nf(("a", "a")), ("g", "b"): graph.nf(("a",))},
         right={("g", "a"): "g", ("g", "b"): "g"},
@@ -190,6 +190,6 @@ def test_undefined_generator_raises():
     from zsalg.selfsim import ActionTable, MatchedPair
 
     graph = kgraph_e2((2,))
-    pair = MatchedPair(z2_groupoid("v"), graph, ActionTable(left={}, right={}))
+    pair = MatchedPair(z2_groupoid(), graph, ActionTable(left={}, right={}))
     with pytest.raises(UndefinedGeneratorError):
         extend_action(pair, "g", graph.nf(("a",)))
