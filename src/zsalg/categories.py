@@ -9,6 +9,9 @@ componentwise.
 
 Concrete categories subclass SmallCategory: explicit tables here, path
 categories in kgraph, groupoids in groupoid, product categories in selfsim.
+composable_triples is the one sweep over the composable triples of a
+window: the associativity checks here and in the CLI, and the cocycle,
+homotopy and additive-generator checks in cocycle, all run on it.
 Validated categories are never mutated, so they are safe to share across
 concurrent readers; composition is memoized internally, and the memo caches
 only ever insert values that are deterministic functions of their keys, so
@@ -255,6 +258,36 @@ class TableCategory(SmallCategory):
 # relational layer
 
 
+def composable_triples(cat: SmallCategory, window):
+    """Yield (a, b, c, ab, bc) for every composable triple of the window.
+
+    This is the one triple sweep behind every windowed associativity and
+    cocycle check.  Triples come in window order (a, then b, then c).  The
+    window is indexed by range once, ab is composed once per (a, b) and bc
+    once per (b, c): the row of b is filled on b's first use and replayed
+    for every later a, so a consumer that stops early, or a composition
+    that raises, stops at the same triple as the plain nested loop would.
+    Composites may be None where the category is partial.
+    """
+    by_range = {}
+    for i, m in enumerate(window):
+        by_range.setdefault(cat.r(m), []).append((i, m))
+    rows = [None] * len(window)
+    for a in window:
+        for i, b in by_range.get(cat.s(a), ()):
+            ab = cat.compose(a, b)
+            row = rows[i]
+            if row is None:
+                row = rows[i] = []
+                for _, c in by_range.get(cat.s(b), ()):
+                    bc = cat.compose(b, c)
+                    row.append((c, bc))
+                    yield a, b, c, ab, bc
+            else:
+                for c, bc in row:
+                    yield a, b, c, ab, bc
+
+
 def validate_category(cat: SmallCategory, bound) -> Report:
     """Check associativity and identity neutrality on the window.
 
@@ -267,21 +300,11 @@ def validate_category(cat: SmallCategory, bound) -> Report:
         v, w = cat.r(m), cat.s(m)
         if cat.compose(cat.identity(v), m) != m or cat.compose(m, cat.identity(w)) != m:
             return failing("category_axioms", witness=("identity_not_neutral", m), bound=bound)
-    for a in window:
-        for b in window:
-            if cat.s(a) != cat.r(b):
-                continue
-            ab = cat.compose(a, b)
-            for c in window:
-                if cat.s(b) != cat.r(c):
-                    continue
-                bc = cat.compose(b, c)
-                left = cat.compose(ab, c) if ab is not None else None
-                right = cat.compose(a, bc) if bc is not None else None
-                if left is not None and right is not None and left != right:
-                    return failing(
-                        "category_axioms", witness=("associativity", a, b, c), bound=bound
-                    )
+    for a, b, c, ab, bc in composable_triples(cat, window):
+        left = cat.compose(ab, c) if ab is not None else None
+        right = cat.compose(a, bc) if bc is not None else None
+        if left is not None and right is not None and left != right:
+            return failing("category_axioms", witness=("associativity", a, b, c), bound=bound)
     cat.mark_validated(bound)
     return passing("category_axioms", bound=bound, morphisms=len(window))
 

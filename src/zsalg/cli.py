@@ -42,7 +42,7 @@ from .alignment import (
     path_inclusion,
     zs_inclusion,
 )
-from .categories import validate_category
+from .categories import composable_triples, validate_category
 from .cocycle import (
     Cocycle,
     ConstantHomotopy,
@@ -54,7 +54,7 @@ from .cocycle import (
     verify_cocycle,
     verify_homotopy,
 )
-from .errors import ZsalgError
+from .errors import BadGeneratorError, ZsalgError
 from .groupoid import validate_groupoid
 from .kgraph import structural_predicates, sub_kgraph, validate_kgraph
 from .matrixrep import build_grid_reps, check_homotopy_relations, check_relations
@@ -217,17 +217,10 @@ def cmd_zs(ws: Workspace, args):
     ]
     window = ws.zs.morphisms(ws.bound)
     assoc = True
-    witness = None
-    for x in window:
-        for y in window:
-            if ws.zs.s(x) != ws.zs.r(y):
-                continue
-            xy = ws.zs.compose(x, y)
-            for z in window:
-                if ws.zs.s(y) != ws.zs.r(z):
-                    continue
-                if ws.zs.compose(xy, z) != ws.zs.compose(x, ws.zs.compose(y, z)):
-                    assoc, witness = False, [str(x), str(y), str(z)]
+    witness = None  # the last failing triple
+    for x, y, z, xy, yz in composable_triples(ws.zs, window):
+        if ws.zs.compose(xy, z) != ws.zs.compose(x, yz):
+            assoc, witness = False, [str(x), str(y), str(z)]
     checks.append(
         {"check": "zs_associativity", "passed": assoc, "witness": witness, "window": len(window)}
     )
@@ -274,7 +267,11 @@ def cmd_cocycle_check(ws: Workspace, args):
 
 
 def cmd_homotopy_check(ws: Workspace, args):
-    hom = linear_homotopy(ws.generator_form(), ws.zs, ws.bound, m=ws.grid)
+    try:
+        hom = linear_homotopy(ws.generator_form(), ws.zs, ws.bound, m=ws.grid)
+    except BadGeneratorError as exc:
+        # a witnessed non-cocycle is a violation, not malformed input
+        return {"checks": [exc.report.to_json()]}
     checks = [verify_homotopy(hom, ws.zs, ws.bound).to_json()]
     checks.append(check_homotopy_relations(ws.zs, hom, ws.bound).to_json())
     return {"checks": checks}

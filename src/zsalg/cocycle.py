@@ -19,7 +19,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .categories import SmallCategory
+from .categories import SmallCategory, composable_triples
 from .errors import BadGeneratorError, NotDegreeAdditiveError
 from .kgraph import Path, deg_add
 from .report import Report, failing, passing
@@ -65,6 +65,14 @@ class Phase:
 
 
 ONE = Phase(Fraction(0))
+
+
+def _same_product(p1: Phase, p2: Phase, p3: Phase, p4: Phase) -> bool:
+    """p1 p2 == p3 p4, as (p1 * p2).same_as(p3 * p4) decides it; in rational
+    mode the exponents differ by an integer, so no product is built."""
+    if p1.exact and p2.exact and p3.exact and p4.exact:
+        return (p1.value + p2.value - p3.value - p4.value).denominator == 1
+    return (p1 * p2).same_as(p3 * p4)
 
 
 class PhaseSum:
@@ -374,30 +382,56 @@ def verify_cocycle(sigma: Cocycle, cat: SmallCategory, bound) -> Report:
 
     Phases compare exactly in rational mode, within 1e-12 otherwise.
     """
-    window = cat.morphisms(bound)
-    for c in window:
-        if not sigma.phase(cat.identity(cat.r(c)), c).is_one():
-            return failing(f"cocycle[{sigma.name}]", witness=("normalization_left", c), bound=bound)
-        if not sigma.phase(c, cat.identity(cat.s(c))).is_one():
-            return failing(f"cocycle[{sigma.name}]", witness=("normalization_right", c), bound=bound)
-    checked = 0
-    for c1 in window:
-        for c2 in window:
-            if cat.s(c1) != cat.r(c2):
-                continue
-            c12 = cat.compose(c1, c2)
-            for c3 in window:
-                if cat.s(c2) != cat.r(c3):
-                    continue
-                c23 = cat.compose(c2, c3)
-                lhs = sigma.phase(c2, c3) * sigma.phase(c1, c23)
-                rhs = sigma.phase(c1, c2) * sigma.phase(c12, c3)
-                checked += 1
-                if not lhs.same_as(rhs):
-                    return failing(
-                        f"cocycle[{sigma.name}]", witness=("identity", c1, c2, c3), bound=bound
-                    )
+    _, witness, checked = _sweep_fibers(lambda c1, c2: (sigma.phase(c1, c2),), 1, cat, bound)
+    if witness is not None:
+        return failing(f"cocycle[{sigma.name}]", witness=witness, bound=bound)
     return passing(f"cocycle[{sigma.name}]", bound=bound, triples=checked)
+
+
+def _sweep_fibers(phase_vec, m, cat: SmallCategory, bound):
+    """verify_cocycle for a family of m cocycles at once, in one sweep.
+
+    ``phase_vec(c1, c2)`` gives the pair's phase in every fiber; it is
+    computed once per pair.  Returns ``(fiber, witness, triples)``: the
+    lowest failing fiber with the witness verify_cocycle gives for that
+    fiber alone; the witness is None when every fiber passes.
+    Only fibers below the lowest failure found so far can change the
+    answer, so the sweep watches those and stops once fiber 0 fails.
+    """
+    window = cat.morphisms(bound)
+    memo = {}
+
+    def vec(c1, c2):
+        out = memo.get((c1, c2))
+        if out is None:
+            out = memo[c1, c2] = phase_vec(c1, c2)
+        return out
+
+    low, witness = m, None
+    for c in window:
+        for kind, pair in (
+            ("normalization_left", (cat.identity(cat.r(c)), c)),
+            ("normalization_right", (c, cat.identity(cat.s(c)))),
+        ):
+            phases = vec(*pair)
+            j = next((j for j in range(low) if not phases[j].is_one()), None)
+            if j is not None:
+                low, witness = j, (kind, c)
+                if j == 0:
+                    return 0, witness, 0
+    checked = 0
+    for c1, c2, c3, c12, c23 in composable_triples(cat, window):
+        v23, v1_23, v12, v12_3 = vec(c2, c3), vec(c1, c23), vec(c1, c2), vec(c12, c3)
+        checked += 1
+        j = next(
+            (j for j in range(low) if not _same_product(v23[j], v1_23[j], v12[j], v12_3[j])),
+            None,
+        )
+        if j is not None:
+            low, witness = j, ("identity", c1, c2, c3)
+            if j == 0:
+                break
+    return low, witness, checked
 
 
 # ---------------------------------------------------------------------------
@@ -486,50 +520,58 @@ class ConstantHomotopy(Homotopy):
         return (self.sigma.phase(c1, c2),) * self.m
 
 
+def _check_additive_generator(generator: ExponentForm, cat: SmallCategory, bound) -> Report:
+    """linear_homotopy's precondition as a report; witnesses read as
+    verify_cocycle's."""
+    window = cat.morphisms(bound)
+    for c in window:
+        if generator.exponent(cat.identity(cat.r(c)), c):
+            return failing("additive_generator", witness=("normalization_left", c), bound=bound)
+        if generator.exponent(c, cat.identity(cat.s(c))):
+            return failing("additive_generator", witness=("normalization_right", c), bound=bound)
+    for c1, c2, c3, c12, c23 in composable_triples(cat, window):
+        lhs = generator.exponent(c2, c3) + generator.exponent(c1, c23)
+        rhs = generator.exponent(c1, c2) + generator.exponent(c12, c3)
+        if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
+            bad = lhs != rhs
+        else:
+            bad = abs(float(lhs) - float(rhs)) > TOL
+        if bad:
+            return failing("additive_generator", witness=("identity", c1, c2, c3), bound=bound)
+    return passing("additive_generator", bound=bound)
+
+
 def linear_homotopy(generator: ExponentForm, cat: SmallCategory, bound, m=11) -> LinearHomotopy:
     """Build the linear homotopy of an additive generator.
 
     The generator must solve the additive cocycle identity and vanish on
-    identity pairs (checked on the window; BadGeneratorError otherwise) --
-    then every fiber t*q is automatically a solution as well.
+    identity pairs (checked on the window) -- then every fiber t*q is
+    automatically a solution as well.  Otherwise BadGeneratorError, whose
+    ``report`` is the failing check with its witness.
     """
-    window = cat.morphisms(bound)
-    for c in window:
-        if generator.exponent(cat.identity(cat.r(c)), c) or generator.exponent(
-            c, cat.identity(cat.s(c))
-        ):
-            raise BadGeneratorError(f"generator not normalized at {c}")
-    for c1 in window:
-        for c2 in window:
-            if cat.s(c1) != cat.r(c2):
-                continue
-            c12 = cat.compose(c1, c2)
-            for c3 in window:
-                if cat.s(c2) != cat.r(c3):
-                    continue
-                lhs = generator.exponent(c2, c3) + generator.exponent(c1, cat.compose(c2, c3))
-                rhs = generator.exponent(c1, c2) + generator.exponent(c12, c3)
-                if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
-                    bad = lhs != rhs
-                else:
-                    bad = abs(float(lhs) - float(rhs)) > TOL
-                if bad:
-                    raise BadGeneratorError(f"additive identity fails at ({c1}, {c2}, {c3})")
+    rep = _check_additive_generator(generator, cat, bound)
+    if not rep:
+        raise BadGeneratorError(f"generator is not an additive cocycle: {rep.witness}", rep)
     return LinearHomotopy(generator, m)
 
 
 def verify_homotopy(h: Homotopy, cat: SmallCategory, bound) -> Report:
-    """Every grid fiber is a cocycle; endpoint Sigma_0 = 1 for linear families."""
-    for j in range(h.m):
-        rep = verify_cocycle(h.cocycle_at(j), cat, bound)
-        if not rep:
-            return failing("homotopy_fibers", witness={"fiber": j, "inner": rep.witness}, bound=bound)
+    """Every grid fiber is a cocycle; endpoint Sigma_0 = 1 for linear families.
+
+    One sweep of the window serves all fibers: each pair's phase vector is
+    computed once, and the report names the lowest failing fiber with the
+    witness verify_cocycle gives for it.
+    """
+    fiber, witness, _ = _sweep_fibers(h.phase_vec, h.m, cat, bound)
+    if witness is not None:
+        return failing("homotopy_fibers", witness={"fiber": fiber, "inner": witness}, bound=bound)
     if isinstance(h, LinearHomotopy):
+        sigma0 = h.cocycle_at(0)
         window = cat.morphisms(bound)
         for c1 in window:
             for c2 in window:
                 if cat.s(c1) != cat.r(c2):
                     continue
-                if not h.cocycle_at(0).phase(c1, c2).is_one():
+                if not sigma0.phase(c1, c2).is_one():
                     return failing("homotopy_fibers", witness=("endpoint", c1, c2), bound=bound)
     return passing("homotopy_fibers", bound=bound, fibers=h.m)

@@ -50,7 +50,12 @@ class NotDegreeAdditiveError(ZsalgError):
 
 
 class BadGeneratorError(ZsalgError):
-    """Homotopy generator fails the additive cocycle identity."""
+    """Homotopy generator fails the additive cocycle identity; ``report`` is
+    the failing check, with its witness."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class WindowExceededError(ZsalgError):

@@ -286,6 +286,10 @@ class ZSCategory(SmallCategory):
         self.gauge = gauge
         self._compose_memo = {}
         self._window_memo = {}
+        # hash-consing: one canonical object per product morphism, so that
+        # memo hits and equality tests of windows and composites are
+        # identity checks
+        self._interned = {}
 
     def objects(self):
         return tuple(sorted(self.D.objects()))
@@ -319,14 +323,14 @@ class ZSCategory(SmallCategory):
             for d in self.D.morphisms(bound):
                 for c in self.C.morphisms(None):
                     if self.C.r(c) == self.D.s(d):
-                        out.append(ZSMorphism(d, c))
+                        out.append(self._intern(d, c))
         else:
             for d in self.D.morphisms(self._scalar_tuple(bound)):
                 dsize = self.D.size(d)
                 dsize = sum(dsize) if isinstance(dsize, tuple) else dsize
                 for c in self.C.morphisms(bound - dsize):
                     if self.C.r(c) == self.D.s(d):
-                        out.append(ZSMorphism(d, c))
+                        out.append(self._intern(d, c))
         out.sort(key=self.sort_key)
         self._window_memo[key] = out
         return list(out)
@@ -336,16 +340,23 @@ class ZSCategory(SmallCategory):
         dsize = self.D.size(probe)
         return (bound,) * len(dsize) if isinstance(dsize, tuple) else bound
 
+    def _intern(self, path, tail) -> ZSMorphism:
+        """The one ZSMorphism with these parts."""
+        key = (path, tail)
+        m = self._interned.get(key)
+        if m is None:
+            m = self._interned[key] = ZSMorphism(path, tail)
+        return m
+
     def compose(self, x: ZSMorphism, y: ZSMorphism):
-        if self.s(x) != self.r(y):
-            return None
         key = (x, y)
         out = self._compose_memo.get(key)
         if out is None:
+            # only composable pairs are memoized, so a hit needs no test
+            if self.s(x) != self.r(y):
+                return None
             moved, tail = self.pair.extend(x.tail, y.path)
-            out = ZSMorphism(
-                self.D.compose(x.path, moved), self.C.compose(tail, y.tail)
-            )
+            out = self._intern(self.D.compose(x.path, moved), self.C.compose(tail, y.tail))
             self._compose_memo[key] = out
         return out
 

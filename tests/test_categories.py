@@ -5,13 +5,22 @@ import pytest
 from zsalg.categories import (
     TableCategory,
     check_left_cancellative,
+    composable_triples,
     equivalent,
     invertibles,
     principal_ideal,
     validate_category,
 )
 from zsalg.errors import UnvalidatedCategoryError
-from zsalg.fixtures import kgraph_e2, pair_groupoid_2, x_elem, x_monoid
+from zsalg.fixtures import (
+    kgraph_e2,
+    kgraph_k1,
+    pair_groupoid_2,
+    swap_pair,
+    x_elem,
+    x_monoid,
+    zs_of,
+)
 
 
 def three_morphism_counterexample():
@@ -113,3 +122,65 @@ def test_equivalent_morphisms_generate_equal_ideals():
         for b in gpd.names:
             if equivalent(a, b, gpd, 0):
                 assert principal_ideal(a, gpd, 0) == principal_ideal(b, gpd, 0)
+
+
+def _nested_triples(cat, window):
+    """The plain nested loop that composable_triples replaces."""
+    for a in window:
+        for b in window:
+            if cat.s(a) != cat.r(b):
+                continue
+            ab = cat.compose(a, b)
+            for c in window:
+                if cat.s(b) == cat.r(c):
+                    yield a, b, c, ab, cat.compose(b, c)
+
+
+def partial_two_object_table():
+    # x: v -> v, y: w -> v, z: w -> w; x x and z z are undefined
+    return TableCategory(
+        objects=["v", "w"],
+        morphisms=["v", "w", "x", "y", "z"],
+        r_map={"x": "v", "y": "v", "z": "w"},
+        s_map={"x": "v", "y": "w", "z": "w"},
+        compose_table={("x", "y"): "y", ("y", "z"): "y"},
+    )
+
+
+@pytest.mark.parametrize(
+    "cat, bound",
+    [
+        (kgraph_k1((2, 2)), (2, 2)),
+        (zs_of(swap_pair()), (2,)),
+        (partial_two_object_table(), 1),
+    ],
+    ids=["k1", "swap", "partial-table"],
+)
+def test_composable_triples_match_nested_loop(cat, bound):
+    window = cat.morphisms(bound)
+    got = list(composable_triples(cat, window))
+    assert got == list(_nested_triples(cat, window))
+    if isinstance(cat, TableCategory):
+        assert any(ab is None for *_, ab, _ in got) and any(bc is None for *_, bc in got)
+
+
+def test_composable_triples_raise_where_the_nested_loop_would():
+    class Raising(TableCategory):
+        def compose(self, a, b):
+            if (a.name, b.name) == ("y", "z"):
+                raise ValueError("no composite")
+            return super().compose(a, b)
+
+    base = partial_two_object_table()
+    cat = Raising(base._objects, list(base._morphs), base._r, base._s, base._table)
+    window = cat.morphisms(1)
+
+    def until_raise(triples):
+        seen = []
+        with pytest.raises(ValueError):
+            for triple in triples:
+                seen.append(triple)
+        return seen
+
+    got = until_raise(composable_triples(cat, window))
+    assert got and got == until_raise(_nested_triples(cat, window))

@@ -104,8 +104,48 @@ def test_cocycle_check_table_without_groupoid(tmp_path):
     code, report = run(tmp_path, "cocycle-check", "--workspace", str(path))
     assert code == 1
     assert report["checks"][0]["witness"] == ["identity", "(a|'v')", "(a|'v')", "(b|'v')"]
+    # the same table as a homotopy generator is a witnessed violation too
     code, report = run(tmp_path, "homotopy-check", "--workspace", str(path))
-    assert code == 2 and report["error"] == "BadGeneratorError"
+    assert code == 1
+    assert report["checks"][0]["check"] == "additive_generator"
+    assert report["checks"][0]["witness"] == ["identity", "(a|'v')", "(a|'v')", "(b|'v')"]
+
+
+def test_zs_broken_flip_witness(tmp_path):
+    """The flip action with a <| g = v breaks the interchange law; zs
+    reports the last non-associative triple of the product window."""
+    e2 = {
+        "k": 1,
+        "vertices": ["v"],
+        "edges": [
+            {"id": "a", "color": 1, "src": "v", "dst": "v"},
+            {"id": "b", "color": 1, "src": "v", "dst": "v"},
+        ],
+        "squares": [],
+    }
+    ws = {
+        "kgraph": e2,
+        "groupoid": {
+            "units": ["v"],
+            "morphisms": [
+                {"id": "v", "src": "v", "dst": "v", "inv": "v"},
+                {"id": "g", "src": "v", "dst": "v", "inv": "g"},
+            ],
+            "compose": [["g", "g", "v"]],
+        },
+        "action": {
+            "left": [{"g": "g", "edge": "a", "out": "b"}, {"g": "g", "edge": "b", "out": "a"}],
+            "right": [{"g": "g", "edge": "a", "out": "v"}, {"g": "g", "edge": "b", "out": "g"}],
+        },
+        "bounds": {"degree": [2]},
+    }
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(ws))
+    code, report = run(tmp_path, "zs", "--workspace", str(path))
+    assert code == 1
+    checks = {c["check"]: c for c in report["checks"]}
+    assert checks["matched_pair"]["witness"] == ["acting_interchange", "g", "g", "a"]
+    assert checks["zs_associativity"]["witness"] == ["(bb|'g')", "(bb|'g')", "(bb|'v')"]
 
 
 def test_nf_mult_command(tmp_path):

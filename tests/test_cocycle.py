@@ -9,6 +9,7 @@ from zsalg.cocycle import (
     Cocycle,
     ConstantHomotopy,
     GridFunction,
+    Homotopy,
     LinearHomotopy,
     Phase,
     PhaseSum,
@@ -194,3 +195,73 @@ def test_restrict_cocycle_function():
 
     restricted = restrict_cocycle(rot_theta(Fraction(1, 4)), embed)
     assert verify_cocycle(restricted, gamma, (2,))
+
+
+def test_bad_generator_error_carries_witness():
+    e2 = kgraph_e2((3,))
+    a, b = e2.paths("v", (1,))
+    with pytest.raises(BadGeneratorError) as info:
+        linear_homotopy(TableForm({(a, b): Fraction(1, 10)}), e2, (2,), m=3)
+    assert info.value.report.name == "additive_generator"
+    assert info.value.report.witness == ("identity", a, a, b)
+
+
+class TableFamily(Homotopy):
+    """Fiber j is the table cocycle of tables[j]."""
+
+    def __init__(self, tables):
+        super().__init__(len(tables))
+        self.fibers = [Cocycle(TableForm(t), name=f"fiber{j}") for j, t in enumerate(tables)]
+
+    def cocycle_at(self, j):
+        return self.fibers[j]
+
+    def phase_vec(self, c1, c2):
+        return tuple(sigma.phase(c1, c2) for sigma in self.fibers)
+
+
+def fiberwise(h, cat, bound):
+    """The reference: verify_cocycle on each fiber in turn."""
+    for j in range(h.m):
+        rep = verify_cocycle(h.cocycle_at(j), cat, bound)
+        if not rep:
+            return {"fiber": j, "inner": rep.witness}
+    return None
+
+
+def _families():
+    k1 = kgraph_k1((2, 2))
+    e2 = kgraph_e2((3,))
+    a, b = e2.paths("v", (1,))
+    bb = e2.nf(("b", "b"))
+    mixed = TableFamily(
+        [
+            {},
+            {(bb, bb): Fraction(1, 7)},  # fails late in the sweep
+            {(a, a): Fraction(1, 5)},  # fails earlier
+            {(e2.identity("v"), a): Fraction(1, 3)},  # fails normalization
+        ]
+    )
+    return [
+        ("linear-k1", LinearHomotopy(RotationForm([[0, 0], [Fraction(1, 4), 0]]), m=5), k1, (2, 2)),
+        ("constant-k1", ConstantHomotopy(rot_theta(Fraction(1, 4)), m=3), k1, (2, 2)),
+        ("linear-non-additive", LinearHomotopy(TableForm({(a, b): Fraction(1, 10)}), m=4), e2, (2,)),
+        ("mixed-fibers", mixed, e2, (2,)),
+    ]
+
+
+@pytest.mark.parametrize("name, h, cat, bound", _families(), ids=[f[0] for f in _families()])
+def test_homotopy_sweep_matches_fiberwise_check(name, h, cat, bound):
+    rep = verify_homotopy(h, cat, bound)
+    expected = fiberwise(h, cat, bound)
+    if expected is None:
+        assert rep
+    else:
+        assert not rep and rep.witness == expected
+    if name == "linear-non-additive":
+        assert expected["fiber"] == 1
+    if name == "mixed-fibers":
+        # the lowest failing fiber wins, with its own first witness, even
+        # though fibers 2 and 3 fail earlier in the sweep
+        assert expected["fiber"] == 1
+        assert verify_cocycle(h.cocycle_at(2), cat, bound).witness != expected["inner"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from zsalg.categories import principal_ideal, validate_category
+from zsalg.categories import composable_triples, principal_ideal, validate_category
 from zsalg.errors import NotApplicableError, NotComposableError
 from zsalg.fixtures import (
     badswap_pair,
@@ -112,6 +112,19 @@ def test_zs_associativity_window():
                     if zs.s(y) != zs.r(z):
                         continue
                     assert zs.compose(xy, z) == zs.compose(x, zs.compose(y, z))
+
+
+def test_equal_zs_composites_are_one_object():
+    zs = zs_of(swap_pair())
+    window = zs.morphisms((2,))
+    canonical = {m: m for m in window}
+    assert all(m is canonical[m] for m in zs.morphisms((1,)))
+    for x, y, z, xy, yz in composable_triples(zs, window):
+        assert zs.compose(xy, z) is zs.compose(x, yz)
+        assert xy not in canonical or xy is canonical[xy]
+    # a fresh but equal pair hits the same memo entry
+    x, y = window[1], window[2]
+    assert zs.compose(ZSMorphism(x.path, x.tail), y) is zs.compose(x, y)
 
 
 def test_zs_degree_additivity():
