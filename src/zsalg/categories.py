@@ -192,13 +192,14 @@ class TableCategory(SmallCategory):
     """Finite category given by explicit tables.
 
     ``compose_table`` maps (name, name) -> name and may be partial: the
-    windowed checks simply skip undefined products.  Used for hand-built
-    counterexample fixtures.
+    windowed checks simply skip undefined products.  Identities have size 0
+    and every other morphism size 1.  Used for hand-built counterexample
+    fixtures.
     """
 
     invertibles_size_zero = False
 
-    def __init__(self, objects, morphisms, r_map, s_map, compose_table, sizes=None):
+    def __init__(self, objects, morphisms, r_map, s_map, compose_table):
         self._objects = tuple(sorted(objects))
         self._morphs = {name: TableMorphism(name) for name in morphisms}
         for v in self._objects:
@@ -213,7 +214,6 @@ class TableCategory(SmallCategory):
             if name not in self._r or name not in self._s:
                 raise MalformedTableError(f"morphism {name!r} lacks range/source")
         self._table = dict(compose_table)
-        self._sizes = dict(sizes or {})
 
     def objects(self):
         return self._objects
@@ -231,9 +231,7 @@ class TableCategory(SmallCategory):
         return self._s[m.name]
 
     def size(self, m):
-        if m.name in self._objects:
-            return 0
-        return self._sizes.get(m.name, 1)
+        return 0 if m.name in self._objects else 1
 
     def morphisms(self, bound):
         out = [m for m in self._morphs.values() if size_fits(self.size(m), bound)]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -70,11 +71,13 @@ from .selfsim import (
 
 
 def _rat(x):
-    if isinstance(x, str):
+    """A workspace number: exact for strings and ints, else a finite float.
+    json.load accepts NaN and Infinity, which no check can compare."""
+    if isinstance(x, (str, int)):
         return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    return float(x)
+    if not isinstance(x, float) or not math.isfinite(x):
+        raise ZsalgError(f"not a finite number: {x!r}")
+    return x
 
 
 class Workspace:
@@ -134,10 +137,9 @@ class Workspace:
             }
         )
 
-    def family(self, m=None):
-        m = m or self.grid
+    def family(self):
         if "homotopy" in self.doc:
-            return LinearHomotopy(self.generator_form(), m=m)
+            return LinearHomotopy(self.generator_form(), m=self.grid)
         return ConstantHomotopy(self.cocycle(), m=1)
 
     def _decode_pathlike(self, spec):

@@ -171,10 +171,10 @@ def kgraph_e2(bound=(4,)):
     return _doc_kgraph("e2", bound)
 
 
-def kgraph_single_loop(bound=(6,)):
-    """One vertex, one loop: the path category is N."""
+def kgraph_single_loop():
+    """One vertex, one loop: the path category is N, validated up to 6."""
     pres = KGraphPresentation(1, ["*"], [Edge("1", 1, "*", "*")], [])
-    graph, rep = validate_kgraph(pres, bound)
+    graph, rep = validate_kgraph(pres, (6,))
     assert rep.passed, rep
     return graph
 
@@ -271,22 +271,22 @@ def two_orbit_groupoid():
     return gpd
 
 
-def swap_pair(bound=(4,)):
+def swap_pair():
     """Z/2 flipping the two edges of the one-vertex 1-graph; restriction g."""
-    return _doc_pair("swap", bound)
+    return _doc_pair("swap", (4,))
 
 
-def badswap_pair(bound=(4,)):
+def badswap_pair():
     """Same flip but the restriction tables break the interchange identity."""
-    pair = swap_pair(bound)
+    pair = swap_pair()
     pair.table.right[("g", "a")] = "v"
     return pair
 
 
-def swap2_pair(bound=(3, 3)):
+def swap2_pair():
     """Flip action on a one-vertex 2-graph: colors {a,b | z}, squares az = za,
     bz = zb, with g fixing z and restricting to g everywhere."""
-    return _doc_pair("swap2", bound)
+    return _doc_pair("swap2", (3, 3))
 
 
 def trivial_pair(graph: KGraph):
@@ -320,11 +320,11 @@ def klein_four_groupoid(unit="v"):
     return gpd
 
 
-def klein_unfaithful_pair(bound=(3,)):
+def klein_unfaithful_pair():
     """Klein four-group on the two-edge loop graph with p and q acting and
     restricting identically: a valid self-similar action whose isotropy is
     never separated by any path (two colliding pairs at every length)."""
-    graph = kgraph_e2(bound)
+    graph = kgraph_e2((3,))
     gpd = klein_four_groupoid("v")
     a, b = graph.nf(("a",)), graph.nf(("b",))
     table = ActionTable(
@@ -343,26 +343,27 @@ def klein_unfaithful_pair(bound=(3,)):
 
 
 def zs_of(pair: MatchedPair) -> ZSCategory:
-    return ZSCategory(pair, gauge="path")
+    return ZSCategory(pair)
 
 
-def x_monoid(bound=6):
+def x_monoid():
     """The monoid product of N with the free monoid on {a, b}.
 
     The free monoid acts trivially on N; a positive number collapses any
     word w to a^{|w|} on restriction (and 0 fixes it).  Realized through the
     generator tables (w <| 1 = a for both letters); the closed form
     w <| n = a^{|w|} for n >= 1 is the independent oracle in the tests.
+    Its acting factor is not a groupoid, so its gauge is the total size.
     """
-    loops = kgraph_single_loop((bound,))
-    free = FreeMonoidCategory(["a", "b"], obj="*")
+    loops = kgraph_single_loop()
+    free = FreeMonoidCategory(["a", "b"])
     one = loops.nf(("1",))
     table = ActionTable(
         left={("a", "1"): one, ("b", "1"): one},
         right={("a", "1"): "a", ("b", "1"): "a"},
     )
     pair = MatchedPair(free, loops, table)
-    return ZSCategory(pair, gauge="total")
+    return ZSCategory(pair)
 
 
 def x_elem(cat: ZSCategory, n: int, w: str):
@@ -375,33 +376,33 @@ def x_elem(cat: ZSCategory, n: int, w: str):
 # random validated k-graphs
 
 
-def random_kgraph(seed, max_vertices=4, max_edges_per_color=3, max_k=3, bound=None):
+def random_kgraph(seed):
     """A random validated k-graph presentation.
 
-    Squares are sampled as random endpoint-respecting bijections; for k >= 3
-    the sample is retried until the color-descending triples resolve
-    confluently, falling back to product-style (identity pairing) squares
-    when the retry budget runs out, so that the generator always returns a
-    validated graph.
+    Rank 1 to 3, 1 to 4 vertices and 1 to 3 edges per color, validated up to
+    degree 3 per color.  Squares are sampled as random endpoint-respecting
+    bijections; for k >= 3 the sample is retried until the color-descending
+    triples resolve confluently, falling back to product-style (identity
+    pairing) squares when the retry budget runs out, so that the generator
+    always returns a validated graph.
     """
     rng = random.Random(seed)
     for attempt in range(60):
-        k = rng.randint(1, max_k)
+        k = rng.randint(1, 3)
         flip_fallback = k >= 3 and attempt >= 30
-        nv = 1 if flip_fallback else rng.randint(1, max_vertices)
+        nv = 1 if flip_fallback else rng.randint(1, 4)
         verts = [f"v{i}" for i in range(nv)]
         edges = []
         for color in range(1, k + 1):
-            ne = rng.randint(1, max_edges_per_color)
+            ne = rng.randint(1, 3)
             for j in range(ne):
                 r_v, s_v = rng.choice(verts), rng.choice(verts)
                 edges.append(Edge(f"c{color}x{j}", color, r_v, s_v))
         pres = _with_random_squares(rng, k, verts, edges, flip=flip_fallback)
         if pres is None:
             continue
-        use_bound = tuple((bound or (3,) * k)[:k])
         try:
-            graph, rep = validate_kgraph(pres, use_bound)
+            graph, rep = validate_kgraph(pres, (3,) * k)
         except MalformedSquaresError:
             continue
         if rep.passed:

@@ -177,7 +177,7 @@ class KGraph(SmallCategory):
     def color(self, name):
         return self.edge[name].color
 
-    def nf(self, seq, rng=None, src=None):
+    def nf(self, seq, rng=None):
         """Normalize an edge sequence to a color-sorted Path.
 
         Sorting is by adjacent-descent rewriting through the square table;
@@ -425,15 +425,14 @@ class KGraph(SmallCategory):
 # validation
 
 
-def validate_kgraph(pres: KGraphPresentation, bound=None, sweep_cap=4) -> tuple:
+def validate_kgraph(pres: KGraphPresentation, bound=None) -> tuple:
     """Certify the factorization property; returns (KGraph, Report).
 
     Raises MalformedSquaresError for structural table defects.  The report
     fails with a witness path if rewriting is not confluent.  Confluence is
     certified for every degree via the critical color-descending triples;
     additionally all paths of degree <= bound (default 3 per color) with at
-    most ``sweep_cap`` edges are swept through an exhaustive factorization
-    round-trip.
+    most 4 edges are swept through an exhaustive factorization round-trip.
     """
     graph = KGraph(pres)
     if bound is None:
@@ -466,7 +465,7 @@ def validate_kgraph(pres: KGraphPresentation, bound=None, sweep_cap=4) -> tuple:
 
     # window sweep: normal-form uniqueness and factorization round-trip.
     seqs = [()]
-    for _ in range(min(sweep_cap, sum(bound))):
+    for _ in range(min(4, sum(bound))):
         grown = []
         for seq in seqs:
             src = graph.edge[seq[-1]].src if seq else None

@@ -21,12 +21,14 @@ is specific to the truncated model).
   * tails act as partial unitaries exactly.
 
 Residuals are operator norms (largest singular value, with a power-iteration
-fallback); pass tolerance 1e-12, warn at 1e-9.
+fallback); pass tolerance 1e-12, warn at 1e-9.  A residual that is not a
+number (a NaN phase) is the worst residual and fails.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -48,13 +50,17 @@ def operator_norm(mat) -> float:
         return _power_iteration_norm(mat)
 
 
-def _power_iteration_norm(mat, iters=200, seed=0):
-    rng = np.random.default_rng(seed)
+def _power_iteration_norm(mat):
+    """200 power iterations on mat* mat from a fixed random start; NaN for
+    a matrix with a non-finite entry, which has no norm to find."""
+    if not np.isfinite(mat).all():
+        return math.nan
+    rng = np.random.default_rng(0)
     v = rng.normal(size=mat.shape[1]) + 1j * rng.normal(size=mat.shape[1])
     v /= np.linalg.norm(v)
     gram = mat.conj().T @ mat
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(200):
         w = gram @ v
         nw = np.linalg.norm(w)
         if nw == 0:
@@ -62,6 +68,12 @@ def _power_iteration_norm(mat, iters=200, seed=0):
         v = w / nw
         lam = nw
     return float(np.sqrt(lam))
+
+
+def nan_max(worst, r):
+    """max(worst, r), where a NaN on either side wins: max() keeps its first
+    argument against a NaN, so a NaN residual would vanish from the maximum."""
+    return r if r > worst or r != r else worst
 
 
 class TruncatedRep:
@@ -197,7 +209,7 @@ def check_relations(rep: TruncatedRep, exhaustive_sets=None) -> Report:
 
     worst = 0.0
     for _kind, _name, mat in rep.generators():
-        worst = max(worst, operator_norm(mat @ mat.conj().T @ mat - mat))
+        worst = nan_max(worst, operator_norm(mat @ mat.conj().T @ mat - mat))
     residuals["partial_isometry"] = worst
 
     vsum = np.zeros((dim, dim), dtype=complex)
@@ -206,7 +218,7 @@ def check_relations(rep: TruncatedRep, exhaustive_sets=None) -> Report:
     for v in verts:
         vsum = vsum + rep.vertex_matrix(v)
     for v, w in itertools.combinations(verts, 2):
-        worst = max(worst, operator_norm(rep.vertex_matrix(v) @ rep.vertex_matrix(w)))
+        worst = nan_max(worst, operator_norm(rep.vertex_matrix(v) @ rep.vertex_matrix(w)))
     residuals["vertex_orthogonality"] = worst
     residuals["vertex_sum_identity"] = operator_norm(vsum - eye)
 
@@ -219,9 +231,9 @@ def check_relations(rep: TruncatedRep, exhaustive_sets=None) -> Report:
             if rep.zs.s(c1) == rep.zs.r(c2):
                 c12 = rep.zs.compose(c1, c2)
                 phase = rep.sigma.phase(c1, c2).complex_value()
-                worst = max(worst, operator_norm(prod - phase * rep.matrix(c12)))
+                worst = nan_max(worst, operator_norm(prod - phase * rep.matrix(c12)))
             else:
-                worst = max(worst, operator_norm(prod))
+                worst = nan_max(worst, operator_norm(prod))
     residuals["R1_multiplication"] = worst
 
     # source projections on their degree guards
@@ -231,7 +243,7 @@ def check_relations(rep: TruncatedRep, exhaustive_sets=None) -> Report:
         gap = deg_sub(rep.bound, c.path.degree)
         guard = rep.degree_cap_guard(gap)
         src = rep.vertex_matrix(rep.zs.s(c))
-        worst = max(worst, operator_norm((mat.conj().T @ mat - src) @ guard))
+        worst = nan_max(worst, operator_norm((mat.conj().T @ mat - src) @ guard))
     residuals["R2_source_guarded"] = worst
 
     # range relation: sum over minimal common extensions (exact), and the
@@ -253,11 +265,11 @@ def check_relations(rep: TruncatedRep, exhaustive_sets=None) -> Report:
                 proj = pl @ pl.conj().T
                 projections.append(proj)
                 total = total + proj
-            worst_sum = max(worst_sum, operator_norm(lhs - total))
+            worst_sum = nan_max(worst_sum, operator_norm(lhs - total))
             joined = join_projection(projections)
             if joined is None:
                 joined = np.zeros((dim, dim), dtype=complex)
-            worst_join = max(worst_join, operator_norm(lhs - joined))
+            worst_join = nan_max(worst_join, operator_norm(lhs - joined))
     residuals["TCK3_mce_sum"] = worst_sum
     residuals["R3_independent_join"] = worst_join
 
@@ -265,11 +277,8 @@ def check_relations(rep: TruncatedRep, exhaustive_sets=None) -> Report:
     worst = 0.0
     for g in rep.G.morphisms(None):
         mat = rep.tail_matrix(g)
-        worst = max(
-            worst,
-            operator_norm(mat @ mat.conj().T - rep.vertex_matrix(rep.G.r(g))),
-            operator_norm(mat.conj().T @ mat - rep.vertex_matrix(rep.G.s(g))),
-        )
+        worst = nan_max(worst, operator_norm(mat @ mat.conj().T - rep.vertex_matrix(rep.G.r(g))))
+        worst = nan_max(worst, operator_norm(mat.conj().T @ mat - rep.vertex_matrix(rep.G.s(g))))
     residuals["tail_partial_unitary"] = worst
 
     # covariant vertex relation on the degree floor
@@ -281,7 +290,7 @@ def check_relations(rep: TruncatedRep, exhaustive_sets=None) -> Report:
                 pl = rep.path_matrix(lam)
                 total = total + pl @ pl.conj().T
             guard = rep.degree_floor_guard(n)
-            worst = max(worst, operator_norm((rep.vertex_matrix(v) - total) @ guard))
+            worst = nan_max(worst, operator_norm((rep.vertex_matrix(v) - total) @ guard))
     residuals["CK_level_guarded"] = worst
 
     if exhaustive_sets:
@@ -295,10 +304,10 @@ def check_relations(rep: TruncatedRep, exhaustive_sets=None) -> Report:
                 floor = c.path.degree if floor is None else deg_join(floor, c.path.degree)
             joined = join_projection(projections)
             guard = rep.degree_floor_guard(floor)
-            worst = max(worst, operator_norm((rep.vertex_matrix(v) - joined) @ guard))
+            worst = nan_max(worst, operator_norm((rep.vertex_matrix(v) - joined) @ guard))
         residuals["R4_exhaustive_join_guarded"] = worst
 
-    bad = {k: v for k, v in residuals.items() if v > PASS_TOL}
+    bad = {k: v for k, v in residuals.items() if not v <= PASS_TOL}
     warn = {k: v for k, v in residuals.items() if PASS_TOL < v <= WARN_TOL}
     if bad:
         return failing(
@@ -307,13 +316,14 @@ def check_relations(rep: TruncatedRep, exhaustive_sets=None) -> Report:
     return passing("matrix_relations", bound=rep.bound, residuals=residuals, dim=rep.dim)
 
 
-def check_homotopy_relations(zs: ZSCategory, family: Homotopy, bound, sample_fns=None) -> Report:
+def check_homotopy_relations(zs: ZSCategory, family: Homotopy, bound) -> Report:
     """Per-fiber relation checks plus the grid-family layer.
 
     The vertex maps of the family act per fiber as f(t_j) times the vertex
     projection; their images are mutually orthogonal, they are unital, they
     commute past the generators, and the multiplication relation twists by
-    the fiber sample.
+    the fiber sample.  The sample function is f(t_j) = (j + 1) + j i, which
+    is nonzero and different at every grid point.
     """
     reps = build_grid_reps(zs, family, bound)
     fiber_results = []
@@ -326,27 +336,20 @@ def check_homotopy_relations(zs: ZSCategory, family: Homotopy, bound, sample_fns
                 witness={"fiber": rep.grid_index, "residuals": inner.witness},
                 bound=bound,
             )
-    scales = family.grid_scales()
-    if sample_fns is None:
-        sample_fns = [[complex(j + 1, j) for j in range(family.m)]]
     worst = 0.0
     for rep in reps:
-        for fn in sample_fns:
-            val = fn[rep.grid_index]
-            for v in rep.D.vertices:
-                pv = rep.vertex_matrix(v)
-                for w in rep.D.vertices:
-                    if v != w:
-                        worst = max(
-                            worst,
-                            operator_norm((val * pv) @ (val * rep.vertex_matrix(w))),
-                        )
-            for c in rep.basis:
-                mat = rep.matrix(c)
-                zr = val * rep.vertex_matrix(rep.zs.r(c))
-                zs_ = val * rep.vertex_matrix(rep.zs.s(c))
-                worst = max(worst, operator_norm(zr @ mat - mat @ zs_))
-    if worst > PASS_TOL:
+        val = complex(rep.grid_index + 1, rep.grid_index)
+        for v in rep.D.vertices:
+            pv = rep.vertex_matrix(v)
+            for w in rep.D.vertices:
+                if v != w:
+                    worst = nan_max(worst, operator_norm((val * pv) @ (val * rep.vertex_matrix(w))))
+        for c in rep.basis:
+            mat = rep.matrix(c)
+            zr = val * rep.vertex_matrix(rep.zs.r(c))
+            zs_ = val * rep.vertex_matrix(rep.zs.s(c))
+            worst = nan_max(worst, operator_norm(zr @ mat - mat @ zs_))
+    if not worst <= PASS_TOL:
         return failing("homotopy_relations", witness={"IR_layer": worst}, bound=bound)
     details = {
         "fibers": family.m,

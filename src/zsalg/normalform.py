@@ -75,13 +75,11 @@ class Element:
     def is_zero(self):
         return not self.terms
 
-    def same_as(self, other, tol=1e-12):
+    def same_as(self, other):
         self._check(other)
         keys = set(self.terms) | set(other.terms)
         zero = GridFunction.zero(self.model.m)
-        return all(
-            self.terms.get(k, zero).same_as(other.terms.get(k, zero), tol) for k in keys
-        )
+        return all(self.terms.get(k, zero).same_as(other.terms.get(k, zero)) for k in keys)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: self.model.term_key(kv[0]))
@@ -394,8 +392,9 @@ class AlgebraModel:
         )
 
 
-def random_element(model: AlgebraModel, rng, gen_degree=None, nterms=2):
-    """A random element with unit-phase grid coefficients (seeded, exact)."""
+def random_element(model: AlgebraModel, rng, gen_degree=None):
+    """A random two-term element with unit-phase grid coefficients (seeded,
+    exact); the terms may coincide and add up."""
     from fractions import Fraction
 
     from .cocycle import Phase
@@ -414,7 +413,7 @@ def random_element(model: AlgebraModel, rng, gen_degree=None, nterms=2):
         model._rand_pools = pools
     _, window, by_source, tails = pools
     terms = {}
-    for _ in range(nterms):
+    for _ in range(2):
         lam = rng.choice(window)
         g = rng.choice(tails[D.s(lam)])
         mu = rng.choice(by_source[G.s(g)])

@@ -33,11 +33,13 @@ from .report import Report, failing, passing
 
 
 class FreeMonoidCategory(SmallCategory):
-    """Free monoid on a letter set, as a one-object category of words."""
+    """Free monoid on a letter set, as a category of words on the one
+    object ``"*"``."""
 
-    def __init__(self, letters, obj="*"):
+    obj = "*"
+
+    def __init__(self, letters):
         self.letters = tuple(sorted(letters))
-        self.obj = obj
 
     def objects(self):
         return (self.obj,)
@@ -169,7 +171,7 @@ def restrict_pair(pair: MatchedPair, subgraph: KGraph) -> MatchedPair:
     return MatchedPair(pair.acting, subgraph, ActionTable(left, right))
 
 
-def verify_matched_pair(pair: MatchedPair, bound, acting_bound=None) -> Report:
+def verify_matched_pair(pair: MatchedPair, bound) -> Report:
     """Exhaustively check the matched-pair laws on a window.
 
     Stage one checks unit laws and endpoint compatibility; stage two checks
@@ -179,9 +181,7 @@ def verify_matched_pair(pair: MatchedPair, bound, acting_bound=None) -> Report:
     factorized, since every split appears as a tuple.
     """
     C, D = pair.acting, pair.acted
-    if acting_bound is None:
-        acting_bound = bound
-    cs = C.morphisms(acting_bound)
+    cs = C.morphisms(bound)
     ds = D.morphisms(bound)
 
     for c in cs:
@@ -273,17 +273,17 @@ class ZSMorphism:
 class ZSCategory(SmallCategory):
     """Zappa-Szep product of a matched pair.
 
-    The truncation gauge is the path-part degree (``gauge="path"``); pairs
-    with a non-groupoid acting factor can instead use the total scalar size
-    of both parts (``gauge="total"``), which is what the monoid
-    counterexample fixture needs.
+    Whether the tail (acting) factor is a groupoid decides the truncation
+    gauge and the divisibility answers alike.  With a groupoid tail the
+    gauge is the path-part degree; otherwise it is the total scalar size of
+    both parts, which is what the monoid counterexample needs.
     """
 
-    def __init__(self, pair: MatchedPair, gauge="path"):
+    def __init__(self, pair: MatchedPair):
         self.pair = pair
         self.D = pair.acted
         self.C = pair.acting
-        self.gauge = gauge
+        self._groupoid_tailed = isinstance(self.C, FiniteGroupoid)
         self._compose_memo = {}
         self._window_memo = {}
         # hash-consing: one canonical object per product morphism, so that
@@ -307,7 +307,7 @@ class ZSCategory(SmallCategory):
         return self.C.s(m.tail)
 
     def size(self, m):
-        if self.gauge == "path":
+        if self._groupoid_tailed:
             return self.D.size(m.path)
         d = self.D.size(m.path)
         d = sum(d) if isinstance(d, tuple) else d
@@ -319,7 +319,7 @@ class ZSCategory(SmallCategory):
         if cached is not None:
             return list(cached)
         out = []
-        if self.gauge == "path":
+        if self._groupoid_tailed:
             for d in self.D.morphisms(bound):
                 for c in self.C.morphisms(None):
                     if self.C.r(c) == self.D.s(d):
@@ -372,7 +372,7 @@ class ZSCategory(SmallCategory):
         return ZSMorphism(self.D.identity(self.C.r(c)), c)
 
     def is_groupoid_tailed(self):
-        return isinstance(self.C, FiniteGroupoid)
+        return self._groupoid_tailed
 
     def tail_inverse(self, m: ZSMorphism):
         if not self.is_groupoid_tailed():
@@ -447,7 +447,7 @@ def check_self_similar(pair: MatchedPair, bound) -> Report:
     return passing("self_similar", bound=bound, edge_action_bijective=bijective)
 
 
-def check_jointly_faithful(pair: MatchedPair, v, n, bound=None) -> Report:
+def check_jointly_faithful(pair: MatchedPair, v, n) -> Report:
     """Find lam in vLambda^n separating the isotropy at v.
 
     Scans vLambda^n in normal-form order and returns the first lam for which

@@ -1,6 +1,9 @@
 """Command surface: exit codes, determinism, witnesses in reports."""
 
 import json
+import math
+
+import pytest
 
 from zsalg.cli import main
 
@@ -109,6 +112,39 @@ def test_cocycle_check_table_without_groupoid(tmp_path):
     assert code == 1
     assert report["checks"][0]["check"] == "additive_generator"
     assert report["checks"][0]["witness"] == ["identity", "(a|'v')", "(a|'v')", "(b|'v')"]
+
+
+@pytest.mark.parametrize("command", ["rep-check", "homotopy-check"])
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"cocycle": {"rotation": [[0, 0], [math.nan, 0]]}},
+        {"homotopy": {"generator": {"rotation": [[0, 0], [math.inf, 0]]}, "grid": 3}},
+        {"cocycle": {"table": [{"c1": ["e"], "c2": ["f"], "phase": None}]}},
+    ],
+    ids=["nan-angle", "infinite-generator", "null-phase"],
+)
+def test_non_finite_number_is_malformed(tmp_path, command, section):
+    """json.load accepts NaN and Infinity; no check can compare them, and a
+    phase that is not a number at all is malformed too."""
+    ws = {
+        "kgraph": {
+            "k": 2,
+            "vertices": ["v"],
+            "edges": [
+                {"id": "e", "color": 1, "src": "v", "dst": "v"},
+                {"id": "f", "color": 2, "src": "v", "dst": "v"},
+            ],
+            "squares": [{"ef": ["e", "f"], "fe": ["f", "e"]}],
+        },
+        "bounds": {"degree": [1, 1]},
+        **section,
+    }
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(ws))
+    code, report = run(tmp_path, command, "--workspace", str(path))
+    assert code == 2
+    assert report["error"] == "ZsalgError" and "not a finite number" in report["message"]
 
 
 def test_zs_broken_flip_witness(tmp_path):

@@ -1,6 +1,7 @@
 """Phases, grid functions, cocycle verification, homotopies."""
 
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,16 @@ def test_bad_generator_rejected():
     a, b = e2.paths("v", (1,))
     with pytest.raises(BadGeneratorError):
         linear_homotopy(TableForm({(a, b): Fraction(1, 10)}), e2, (2,), m=3)
+
+
+def test_nan_generator_rejected():
+    """NaN compares false with everything, so every tolerance test is written
+    to fail on it."""
+    assert not Phase(math.nan).is_one()
+    assert not PhaseSum(rem=complex(math.nan)).is_zero()
+    k1 = kgraph_k1((2, 2))
+    with pytest.raises(BadGeneratorError):
+        linear_homotopy(RotationForm([[0, 0], [math.nan, 0]]), k1, (1, 1), m=3)
 
 
 def test_zero_generator_constant_trivial():

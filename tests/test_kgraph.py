@@ -1,5 +1,7 @@
 """Path arithmetic: validation, enumeration, factorization, extensions."""
 
+import hashlib
+
 import pytest
 
 from zsalg.errors import DegreeMismatchError, MalformedSquaresError
@@ -113,6 +115,18 @@ def test_factorize_bijection_on_window():
                 mu, nu = graph.factorize(lam, m, n)
                 assert graph.compose(mu, nu) == lam
                 assert mu.degree == m and nu.degree == n
+
+
+def test_random_kgraph_corpus_is_pinned():
+    """Criterion 2 and the mce-random benchmark run on random_kgraph(0..19):
+    their presentations (rank, vertices, edges, squares) must not drift."""
+    parts = []
+    for seed in range(20):
+        graph = random_kgraph(seed)
+        edges = sorted((e.name, e.color, e.rng, e.src) for e in graph.edge.values())
+        parts.append(repr((graph.k, graph.vertices, edges, sorted(graph.fwd.items()))))
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == "7b2adfa9d20580ef6dcdfd9dbf1dc9aa6846e925627bff6ea019ab643c7a21e0"
 
 
 def test_le_paths():

@@ -1,12 +1,13 @@
 """Truncated matrix model: basis, relations, guards, cross-model agreement."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from zsalg.cocycle import ConstantHomotopy, LinearHomotopy, RotationForm, trivial_cocycle
+from zsalg.cocycle import Cocycle, ConstantHomotopy, LinearHomotopy, RotationForm, trivial_cocycle
 from zsalg.errors import InfiniteBasisError, OffGridError
 from zsalg.fixtures import kgraph_k1, swap_pair, trivial_pair, x_monoid, zs_of
 from zsalg.matrixrep import (
@@ -54,6 +55,17 @@ def test_relations_k1_trivial_and_rotation():
         out = check_relations(rep)
         assert out
         assert max(out.details["residuals"].values()) <= PASS_TOL
+
+
+def test_nan_residual_fails():
+    """A NaN angle gives NaN residuals, which fail the check instead of
+    vanishing from the maximum."""
+    zsk = zs_of(trivial_pair(kgraph_k1((3, 3))))
+    nan_rotation = ConstantHomotopy(Cocycle(RotationForm([[0, 0], [math.nan, 0]])), m=1)
+    out = check_relations(build_rep(zsk, nan_rotation, (1, 1), 0))
+    assert not out.passed
+    assert math.isnan(out.details["residuals"]["partial_isometry"])
+    assert math.isnan(out.witness["R1_multiplication"])
 
 
 def test_relations_swap_trivial():
