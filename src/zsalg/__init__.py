@@ -82,7 +82,6 @@ from .normalform import (
 from .matrixrep import (
     TruncatedRep,
     build_grid_reps,
-    build_rep,
     check_homotopy_relations,
     check_product_agreement,
     check_relations,

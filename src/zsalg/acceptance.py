@@ -39,8 +39,8 @@ from .groupoid import check_transversal
 from .kgraph import deg_le, deg_splits, sub_kgraph, validate_kgraph
 from .matrixrep import (
     PASS_TOL,
+    TruncatedRep,
     build_grid_reps,
-    build_rep,
     check_product_agreement,
     check_relations,
     nan_max,
@@ -226,7 +226,7 @@ def criterion_4_matched_pair(seed=0):
     swap = fixtures.swap_pair()
     ok_pair = verify_matched_pair(swap, (3,))
     ok_ss = check_self_similar(swap, (3,))
-    zs = fixtures.zs_of(swap)
+    zs = ZSCategory(swap)
     window = zs.morphisms((3,))
     assoc = all(
         zs.compose(xy, z) == zs.compose(x, yz)
@@ -273,7 +273,7 @@ def _k1_models(theta):
     """The product of k1 with its trivial groupoid, and the rotation family
     of angle theta on an 11-point grid."""
     k1 = fixtures.kgraph_k1((3, 3))
-    zs = fixtures.zs_of(fixtures.trivial_pair(k1))
+    zs = ZSCategory(fixtures.trivial_pair(k1))
     if theta == 0:
         family = ConstantHomotopy(trivial_cocycle(), m=11)
     else:
@@ -291,7 +291,7 @@ def criterion_6_relation_residuals(seed=0):
     for theta in (Fraction(0), Fraction(1, 4)):
         zs, family = _k1_models(theta)
         configs.append((zs, family, (2, 2)))
-    zs2 = fixtures.zs_of(fixtures.swap_pair())
+    zs2 = ZSCategory(fixtures.swap_pair())
     configs.append((zs2, ConstantHomotopy(trivial_cocycle(), m=1), (2,)))
     all_ok = True
     for zs, family, bound in configs:
@@ -300,7 +300,7 @@ def criterion_6_relation_residuals(seed=0):
             for F in minimal_exhaustive_sets(v, zs, (1,) * zs.D.k, max_size=4, window_cap=60)[:4]:
                 exhaustive.append((v, list(F)))
         for j in (0, family.m - 1) if family.m > 1 else (0,):
-            rep = build_rep(zs, family, bound, j)
+            rep = TruncatedRep(zs, family, bound, j)
             out = check_relations(rep, exhaustive_sets=exhaustive)
             reps_checked += 1
             all_ok = all_ok and out.passed
@@ -325,7 +325,7 @@ def criterion_7_normal_form(seed=0):
     rng = random.Random(seed)
     zs_rot, fam_rot = _k1_models(Fraction(1, 4))
     model_rot = AlgebraModel(zs_rot, fam_rot, (8, 8))
-    zs_swap = fixtures.zs_of(fixtures.swap_pair())
+    zs_swap = ZSCategory(fixtures.swap_pair())
     model_swap = AlgebraModel(zs_swap, ConstantHomotopy(trivial_cocycle(), m=1), (8,))
     assoc_fail = invol_fail = 0
     for model in (model_rot, model_swap):
@@ -416,7 +416,7 @@ def criterion_9_concordance(seed=0):
     l1 = check_exhaustive_lifting(inc1, (2,), (2, 2))
 
     swap2 = fixtures.swap2_pair()
-    amb = fixtures.zs_of(swap2)
+    amb = ZSCategory(swap2)
     gamma2, grep2 = validate_kgraph(sub_kgraph(swap2.acted, [1]), (2,))
     sub = ZSCategory(restrict_pair(swap2, gamma2))
     validate_category(sub, (2,))
@@ -478,7 +478,7 @@ def criterion_11_correspondence(seed=0):
 
     swap2 = fixtures.swap2_pair()
     m2 = AlgebraModel(
-        fixtures.zs_of(swap2), ConstantHomotopy(trivial_cocycle(), m=1), (6, 6)
+        ZSCategory(swap2), ConstantHomotopy(trivial_cocycle(), m=1), (6, 6)
     )
     edges_s2 = [m2.D.nf((name,)) for name in m2.D.edges_by_color[2]]
 

@@ -94,7 +94,6 @@ def equivalent_sets(A, B, cat: SmallCategory, bound) -> bool:
 @dataclass
 class IdealMeetResult:
     generators: tuple
-    complete_within_bound: bool
     method: str
     bound: object = None
 
@@ -105,7 +104,7 @@ class IdealMeetResult:
 def meet_ideal(c1, c2, cat: SmallCategory, bound) -> IdealMeetResult:
     """A finite independent set F with F C = c1 C  n  c2 C (within bound)."""
     generators, method = cat.meet(c1, c2, bound)
-    return IdealMeetResult(generators, True, method, bound)
+    return IdealMeetResult(generators, method, bound)
 
 
 def check_exhaustive(F, v, cat: SmallCategory, bound) -> Report:

@@ -80,6 +80,15 @@ def _rat(x):
     return x
 
 
+def _section(parse, *args):
+    """parse(*args) on a workspace section: a TypeError there is a value of
+    the wrong JSON type, which is malformed input, not an internal error."""
+    try:
+        return parse(*args)
+    except TypeError as exc:
+        raise ZsalgError(f"malformed workspace section: {exc}") from exc
+
+
 class Workspace:
     """Parsed and validated workspace objects."""
 
@@ -88,7 +97,7 @@ class Workspace:
         kg = doc.get("kgraph")
         if kg is None:
             raise ZsalgError("workspace needs a 'kgraph' section")
-        self.pres = fixtures.parse_kgraph(kg)
+        self.pres = _section(fixtures.parse_kgraph, kg)
         self.k = self.pres.k
         bounds = doc.get("bounds", {})
         self.bound = tuple(bound or bounds.get("degree") or (2,) * max(self.k, 1))[: self.k]
@@ -103,9 +112,10 @@ class Workspace:
                 None,
             )
         else:
-            self.groupoid, self.groupoid_report = validate_groupoid(fixtures.parse_groupoid(gp))
+            presentation = _section(fixtures.parse_groupoid, gp)
+            self.groupoid, self.groupoid_report = validate_groupoid(presentation)
 
-        table = fixtures.parse_action(doc.get("action", {}), self.graph)
+        table = _section(fixtures.parse_action, doc.get("action", {}), self.graph)
         self.pair = MatchedPair(self.groupoid, self.graph, table)
         self.zs = ZSCategory(self.pair)
 
@@ -117,13 +127,14 @@ class Workspace:
         spec = self.doc.get("cocycle")
         if spec is None:
             return trivial_cocycle()
-        return Cocycle(self._form(spec), name="rotation" if "rotation" in spec else "table")
+        form = _section(self._form, spec)
+        return Cocycle(form, name="rotation" if "rotation" in spec else "table")
 
     def generator_form(self):
         spec = self.doc.get("homotopy", {}).get("generator")
         if spec is None:
             spec = self.doc.get("cocycle", {"rotation": [[0] * self.k] * self.k})
-        return self._form(spec)
+        return _section(self._form, spec)
 
     def _form(self, spec):
         """A "rotation" angle matrix, or a "table" of phases keyed by product
@@ -198,6 +209,9 @@ def cmd_enumerate(ws: Workspace, args):
 
 
 def cmd_mce(ws: Workspace, args):
+    for flag in ("mu", "nu"):
+        if getattr(args, flag) is None:
+            raise ZsalgError(f"mce needs --{flag}")
     mu = ws.graph.nf(tuple(args.mu.split(",")))
     nu = ws.graph.nf(tuple(args.nu.split(",")))
     got = ws.graph.mce(mu, nu)

@@ -342,10 +342,6 @@ def klein_unfaithful_pair():
     return MatchedPair(gpd, graph, table)
 
 
-def zs_of(pair: MatchedPair) -> ZSCategory:
-    return ZSCategory(pair)
-
-
 def x_monoid():
     """The monoid product of N with the free monoid on {a, b}.
 

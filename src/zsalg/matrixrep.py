@@ -20,15 +20,21 @@ is specific to the truncated model).
   * the covariant vertex relation holds on vectors of path degree >= n;
   * tails act as partial unitaries exactly.
 
-Residuals are operator norms (largest singular value, with a power-iteration
-fallback); pass tolerance 1e-12, warn at 1e-9.  A residual that is not a
+Each T_c is stored once as arrays (targets, weights): T_c basis_x =
+weights[x] basis_{targets[x]}, or 0 where targets[x] is -1.  Products are
+gathers, T T* is a diagonal, guards are boolean masks on the basis, and a
+sum of operators is a stack of their rows; dense matrices are built only to
+evaluate normal-form elements and to export.  Residuals are Schur bounds
+over that form, sqrt(max column sum * max row sum) of the |entries|: the
+operator norm on diagonals and weighted partial injections, an upper bound
+otherwise.  Pass tolerance 1e-12, warn at 1e-9.  A residual that is not a
 number (a NaN phase) is the worst residual and fails.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 
 import numpy as np
 
@@ -43,31 +49,72 @@ PASS_TOL = 1e-12
 WARN_TOL = 1e-9
 
 
-def operator_norm(mat) -> float:
-    try:
-        return float(np.linalg.norm(mat, 2))
-    except np.linalg.LinAlgError:
-        return _power_iteration_norm(mat)
+def operator_norm(op) -> float:
+    """Schur bound on the norm of a dense matrix or a (targets, weights)
+    stack, after summing the entries a stack holds twice: exact when no row
+    or column holds two nonzero entries, an upper bound otherwise."""
+    if isinstance(op, np.ndarray):
+        size = np.abs(op)
+        return float(np.sqrt(size.sum(0).max(initial=0.0) * size.sum(1).max(initial=0.0)))
+    targets, weights = np.atleast_2d(*op)
+    weights = np.where(targets >= 0, weights, 0)
+    for i in range(1, len(targets)):
+        for j in range(i):
+            same = targets[i] == targets[j]
+            weights[j] += np.where(same, weights[i], 0)
+            weights[i] = np.where(same, 0, weights[i])
+    size = np.abs(weights)
+    rows = np.bincount(targets.ravel() + 1, size.ravel())[1:]
+    return float(np.sqrt(rows.max(initial=0.0) * size.sum(0).max(initial=0.0)))
 
 
-def _power_iteration_norm(mat):
-    """200 power iterations on mat* mat from a fixed random start; NaN for
-    a matrix with a non-finite entry, which has no norm to find."""
-    if not np.isfinite(mat).all():
-        return math.nan
-    rng = np.random.default_rng(0)
-    v = rng.normal(size=mat.shape[1]) + 1j * rng.normal(size=mat.shape[1])
-    v /= np.linalg.norm(v)
-    gram = mat.conj().T @ mat
-    lam = 0.0
-    for _ in range(200):
-        w = gram @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-        lam = nw
-    return float(np.sqrt(lam))
+def _compose(a, b):
+    """a b, for a (targets, weights) stack a and a map b."""
+    (ta, wa), (tb, wb) = a, b
+    return np.where(tb >= 0, ta[..., tb], -1), wa[..., tb] * wb
+
+
+def _adjoint(op):
+    """T* of a map T, as a stack with one row per preimage rank: T* basis_y
+    is the sum of conj(weights[x]) basis_x over the x that T sends to y."""
+    targets, weights = op
+    xs = np.flatnonzero(targets >= 0)
+    xs = xs[np.argsort(targets[xs], kind="stable")]
+    ys = targets[xs]
+    rank = np.arange(len(xs)) - np.searchsorted(ys, ys)
+    out = np.full((rank.max(initial=-1) + 1, len(targets)), -1)
+    out[rank, ys] = xs
+    return out, weights.conj()[out]
+
+
+def _range(op):
+    """T T* of a map T, as its diagonal."""
+    targets, weights = op
+    return np.bincount(targets + 1, np.abs(weights) ** 2, minlength=len(targets) + 1)[1:]
+
+
+def _times(z, op):
+    return op[0], z * op[1]
+
+
+def _minus(a, *bs):
+    """a minus the sum of the bs, as one (targets, weights) stack."""
+    targets = np.vstack([a[0], *(b[0] for b in bs)])
+    return targets, np.vstack([a[1], *(-b[1] for b in bs)])
+
+
+def _on(op, guard):
+    """op Q, for the projection Q onto the basis vectors in a guard mask."""
+    return np.where(guard, op[0], -1), op[1]
+
+
+def dense(op):
+    """The dim x dim matrix of a (targets, weights) map."""
+    targets, weights = op
+    on = targets >= 0
+    mat = np.zeros((len(targets), len(targets)), dtype=complex)
+    mat[targets[on], np.flatnonzero(on)] = weights[on]
+    return mat
 
 
 def nan_max(worst, r):
@@ -77,7 +124,7 @@ def nan_max(worst, r):
 
 
 class TruncatedRep:
-    """Matrices of a fiber of the sampled cocycle family on the degree window."""
+    """Operators of a fiber of the sampled cocycle family on the degree window."""
 
     def __init__(self, zs: ZSCategory, family: Homotopy, bound, grid_index):
         if not zs.is_groupoid_tailed():
@@ -99,21 +146,20 @@ class TruncatedRep:
     # -- operators
 
     def matrix(self, c: ZSMorphism):
-        """The truncated action of a product-category morphism."""
+        """The truncated action of a product-category morphism, as its
+        (targets, weights) pair."""
         cached = self._mat_memo.get(c)
         if cached is not None:
             return cached
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        targets = np.full(self.dim, -1)
+        weights = np.zeros(self.dim, dtype=complex)
         for i, x in enumerate(self.basis):
-            if self.zs.s(c) != self.zs.r(x):
-                continue
-            cx = self.zs.compose(c, x)
-            out = self.index.get(cx)
-            if out is None:
-                continue
-            mat[out, i] = self.sigma.phase(c, x).complex_value()
-        self._mat_memo[c] = mat
-        return mat
+            out = self.index.get(self.zs.compose(c, x))  # None unless composable
+            if out is not None:
+                targets[i] = out
+                weights[i] = self.sigma.phase(c, x).complex_value()
+        self._mat_memo[c] = targets, weights
+        return targets, weights
 
     def path_matrix(self, p):
         return self.matrix(self.zs.from_path(p))
@@ -135,23 +181,15 @@ class TruncatedRep:
                 out.append(("tail", g, self.tail_matrix(g)))
         return out
 
-    # -- guard projections
+    # -- guard masks
 
     def degree_cap_guard(self, cap):
-        """Projection onto basis vectors with path degree <= cap."""
-        q = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, x in enumerate(self.basis):
-            if deg_le(x.path.degree, cap):
-                q[i, i] = 1.0
-        return q
+        """Mask of the basis vectors with path degree <= cap."""
+        return np.array([deg_le(x.path.degree, cap) for x in self.basis], dtype=bool)
 
     def degree_floor_guard(self, floor):
-        """Projection onto basis vectors with path degree >= floor."""
-        q = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, x in enumerate(self.basis):
-            if deg_le(floor, x.path.degree):
-                q[i, i] = 1.0
-        return q
+        """Mask of the basis vectors with path degree >= floor."""
+        return np.array([deg_le(floor, x.path.degree) for x in self.basis], dtype=bool)
 
     # -- export
 
@@ -165,14 +203,10 @@ class TruncatedRep:
             "bound": list(self.bound),
             "basis": [str(x) for x in self.basis],
             "generators": [
-                {"kind": kind, "name": str(name), "matrix": encode(mat)}
-                for kind, name, mat in self.generators()
+                {"kind": kind, "name": str(name), "matrix": encode(dense(op))}
+                for kind, name, op in self.generators()
             ],
         }
-
-
-def build_rep(zs: ZSCategory, family: Homotopy, bound, grid_index=0) -> TruncatedRep:
-    return TruncatedRep(zs, family, bound, grid_index)
 
 
 def build_grid_reps(zs: ZSCategory, family: Homotopy, bound):
@@ -180,20 +214,9 @@ def build_grid_reps(zs: ZSCategory, family: Homotopy, bound):
 
 
 def join_projection(projections):
-    """Smallest projection dominating a family of commuting projections,
-    by inclusion-exclusion."""
-    ps = list(projections)
-    if not ps:
-        return None
-    total = np.zeros_like(ps[0])
-    for r in range(1, len(ps) + 1):
-        sign = (-1.0) ** (r - 1)
-        for combo in itertools.combinations(ps, r):
-            prod = combo[0].copy()
-            for q in combo[1:]:
-                prod = prod @ q
-            total = total + sign * prod
-    return total
+    """Smallest projection dominating a family of diagonal projections:
+    1 - prod(1 - p), which is 0 for an empty family."""
+    return 1 - np.prod([1 - p for p in projections], axis=0)
 
 
 def check_relations(rep: TruncatedRep, exhaustive_sets=None) -> Report:
@@ -204,46 +227,41 @@ def check_relations(rep: TruncatedRep, exhaustive_sets=None) -> Report:
     relation; it is not this module's job to enumerate them.
     """
     residuals = {}
-    dim = rep.dim
-    eye = np.eye(dim, dtype=complex)
+    ident = np.arange(rep.dim)
 
     worst = 0.0
-    for _kind, _name, mat in rep.generators():
-        worst = nan_max(worst, operator_norm(mat @ mat.conj().T @ mat - mat))
+    for _kind, _name, op in rep.generators():
+        worst = nan_max(worst, operator_norm(_minus(_compose((ident, _range(op)), op), op)))
     residuals["partial_isometry"] = worst
 
-    vsum = np.zeros((dim, dim), dtype=complex)
     worst = 0.0
     verts = list(rep.D.vertices)
-    for v in verts:
-        vsum = vsum + rep.vertex_matrix(v)
     for v, w in itertools.combinations(verts, 2):
-        worst = nan_max(worst, operator_norm(rep.vertex_matrix(v) @ rep.vertex_matrix(w)))
+        worst = nan_max(worst, operator_norm(_compose(rep.vertex_matrix(v), rep.vertex_matrix(w))))
     residuals["vertex_orthogonality"] = worst
-    residuals["vertex_sum_identity"] = operator_norm(vsum - eye)
+    ones = (ident, np.ones(rep.dim))
+    residuals["vertex_sum_identity"] = operator_norm(_minus(ones, *map(rep.vertex_matrix, verts)))
 
     # multiplication relation, exactly on the whole truncated space
     worst = 0.0
     for c1 in rep.basis:
         m1 = rep.matrix(c1)
         for c2 in rep.basis:
-            prod = m1 @ rep.matrix(c2)
+            prod = _compose(m1, rep.matrix(c2))
             if rep.zs.s(c1) == rep.zs.r(c2):
                 c12 = rep.zs.compose(c1, c2)
                 phase = rep.sigma.phase(c1, c2).complex_value()
-                worst = nan_max(worst, operator_norm(prod - phase * rep.matrix(c12)))
-            else:
-                worst = nan_max(worst, operator_norm(prod))
+                prod = _minus(prod, _times(phase, rep.matrix(c12)))
+            worst = nan_max(worst, operator_norm(prod))
     residuals["R1_multiplication"] = worst
 
     # source projections on their degree guards
     worst = 0.0
     for c in rep.basis:
         mat = rep.matrix(c)
-        gap = deg_sub(rep.bound, c.path.degree)
-        guard = rep.degree_cap_guard(gap)
-        src = rep.vertex_matrix(rep.zs.s(c))
-        worst = nan_max(worst, operator_norm((mat.conj().T @ mat - src) @ guard))
+        guard = rep.degree_cap_guard(deg_sub(rep.bound, c.path.degree))
+        defect = _minus(_compose(_adjoint(mat), mat), rep.vertex_matrix(rep.zs.s(c)))
+        worst = nan_max(worst, operator_norm(_on(defect, guard)))
     residuals["R2_source_guarded"] = worst
 
     # range relation: sum over minimal common extensions (exact), and the
@@ -252,24 +270,14 @@ def check_relations(rep: TruncatedRep, exhaustive_sets=None) -> Report:
     worst_join = 0.0
     paths = sorted({x.path for x in rep.basis}, key=rep.D.sort_key)
     for mu in paths:
-        pmu = rep.path_matrix(mu)
-        range_mu = pmu @ pmu.conj().T
+        range_mu = _range(rep.path_matrix(mu))
         for nu in paths:
-            pnu = rep.path_matrix(nu)
-            lhs = range_mu @ pnu @ pnu.conj().T
+            lhs = range_mu * _range(rep.path_matrix(nu))
             mces = rep.D.mce(mu, nu) if mu.rng == nu.rng else ()
-            total = np.zeros((dim, dim), dtype=complex)
-            projections = []
-            for lam in mces:
-                pl = rep.path_matrix(lam)
-                proj = pl @ pl.conj().T
-                projections.append(proj)
-                total = total + proj
-            worst_sum = nan_max(worst_sum, operator_norm(lhs - total))
-            joined = join_projection(projections)
-            if joined is None:
-                joined = np.zeros((dim, dim), dtype=complex)
-            worst_join = nan_max(worst_join, operator_norm(lhs - joined))
+            projections = [_range(rep.path_matrix(lam)) for lam in mces]
+            worst_sum = nan_max(worst_sum, operator_norm((ident, lhs - sum(projections))))
+            joined = lhs - join_projection(projections)
+            worst_join = nan_max(worst_join, operator_norm((ident, joined)))
     residuals["TCK3_mce_sum"] = worst_sum
     residuals["R3_independent_join"] = worst_join
 
@@ -277,34 +285,28 @@ def check_relations(rep: TruncatedRep, exhaustive_sets=None) -> Report:
     worst = 0.0
     for g in rep.G.morphisms(None):
         mat = rep.tail_matrix(g)
-        worst = nan_max(worst, operator_norm(mat @ mat.conj().T - rep.vertex_matrix(rep.G.r(g))))
-        worst = nan_max(worst, operator_norm(mat.conj().T @ mat - rep.vertex_matrix(rep.G.s(g))))
+        rng = _minus((ident, _range(mat)), rep.vertex_matrix(rep.G.r(g)))
+        worst = nan_max(worst, operator_norm(rng))
+        src = _minus(_compose(_adjoint(mat), mat), rep.vertex_matrix(rep.G.s(g)))
+        worst = nan_max(worst, operator_norm(src))
     residuals["tail_partial_unitary"] = worst
 
     # covariant vertex relation on the degree floor
     worst = 0.0
     for v in verts:
         for n, _ in deg_splits(rep.bound):
-            total = np.zeros((dim, dim), dtype=complex)
-            for lam in rep.D.paths(v, n):
-                pl = rep.path_matrix(lam)
-                total = total + pl @ pl.conj().T
-            guard = rep.degree_floor_guard(n)
-            worst = nan_max(worst, operator_norm((rep.vertex_matrix(v) - total) @ guard))
+            ranges = [_range(rep.path_matrix(lam)) for lam in rep.D.paths(v, n)]
+            defect = _minus(rep.vertex_matrix(v), (ident, sum(ranges, np.zeros(rep.dim))))
+            worst = nan_max(worst, operator_norm(_on(defect, rep.degree_floor_guard(n))))
     residuals["CK_level_guarded"] = worst
 
     if exhaustive_sets:
         worst = 0.0
         for v, members in exhaustive_sets:
-            projections = []
-            floor = None
-            for c in members:
-                mat = rep.matrix(c)
-                projections.append(mat @ mat.conj().T)
-                floor = c.path.degree if floor is None else deg_join(floor, c.path.degree)
-            joined = join_projection(projections)
-            guard = rep.degree_floor_guard(floor)
-            worst = nan_max(worst, operator_norm((rep.vertex_matrix(v) - joined) @ guard))
+            projections = [_range(rep.matrix(c)) for c in members]
+            floor = functools.reduce(deg_join, (c.path.degree for c in members))
+            defect = _minus(rep.vertex_matrix(v), (ident, join_projection(projections)))
+            worst = nan_max(worst, operator_norm(_on(defect, rep.degree_floor_guard(floor))))
         residuals["R4_exhaustive_join_guarded"] = worst
 
     bad = {k: v for k, v in residuals.items() if not v <= PASS_TOL}
@@ -339,16 +341,13 @@ def check_homotopy_relations(zs: ZSCategory, family: Homotopy, bound) -> Report:
     worst = 0.0
     for rep in reps:
         val = complex(rep.grid_index + 1, rep.grid_index)
-        for v in rep.D.vertices:
-            pv = rep.vertex_matrix(v)
-            for w in rep.D.vertices:
-                if v != w:
-                    worst = nan_max(worst, operator_norm((val * pv) @ (val * rep.vertex_matrix(w))))
+        scaled = {v: _times(val, rep.vertex_matrix(v)) for v in rep.D.vertices}
+        for v, w in itertools.permutations(scaled, 2):
+            worst = nan_max(worst, operator_norm(_compose(scaled[v], scaled[w])))
         for c in rep.basis:
             mat = rep.matrix(c)
-            zr = val * rep.vertex_matrix(rep.zs.r(c))
-            zs_ = val * rep.vertex_matrix(rep.zs.s(c))
-            worst = nan_max(worst, operator_norm(zr @ mat - mat @ zs_))
+            zr, zs_ = scaled[rep.zs.r(c)], scaled[rep.zs.s(c)]
+            worst = nan_max(worst, operator_norm(_minus(_compose(zr, mat), _compose(mat, zs_))))
     if not worst <= PASS_TOL:
         return failing("homotopy_relations", witness={"IR_layer": worst}, bound=bound)
     details = {
@@ -373,13 +372,14 @@ def represent_element(rep: TruncatedRep, x: Element):
         coeff = f.at(j).value()
         if coeff == 0:
             continue
-        mat = rep.path_matrix(lam) @ rep.tail_matrix(g) @ rep.path_matrix(mu).conj().T
-        total = total + coeff * mat
+        lam_g = dense(rep.path_matrix(lam)) @ dense(rep.tail_matrix(g))
+        total = total + coeff * (lam_g @ dense(rep.path_matrix(mu)).conj().T)
     return total
 
 
 def product_guard(rep: TruncatedRep, y: Element):
-    """Projection on which representing x*y equals the represented product.
+    """Mask of the basis vectors on which representing x*y equals the
+    represented product.
 
     Applying y first can raise intermediate path degrees by at most the
     componentwise-positive part of d(lam) - d(mu) over its terms; vectors
@@ -399,4 +399,4 @@ def check_product_agreement(rep: TruncatedRep, x: Element, y: Element) -> float:
     """Residual of represent(x) represent(y) - represent(x y) on the guard."""
     lhs = represent_element(rep, x) @ represent_element(rep, y)
     rhs = represent_element(rep, x * y)
-    return operator_norm((lhs - rhs) @ product_guard(rep, y))
+    return operator_norm((lhs - rhs)[:, product_guard(rep, y)])

@@ -430,29 +430,27 @@ def random_element(model: AlgebraModel, rng, gen_degree=None):
 
 
 class ModuleVector:
-    """A sum of S_e . a with e an edge of the split-off color and a an
-    element of the lower-color subalgebra."""
+    """A sum of S_e . a with e an edge of the split-off color, the last one,
+    and a an element of the lower-color subalgebra."""
 
-    def __init__(self, model: AlgebraModel, pairs, split_color=None):
+    def __init__(self, model: AlgebraModel, pairs):
         from .kgraph import deg_unit
 
         self.model = model
-        self.split_color = split_color or model.D.k
+        k = model.D.k
         self.pairs = []
         for edge_path, a in pairs:
-            if edge_path.degree != deg_unit(model.D.k, self.split_color):
+            if edge_path.degree != deg_unit(k, k):
                 raise NotInModuleFormError(f"{edge_path!r} is not a split-color edge")
             for (lam, g, mu) in a.terms:
-                if lam.degree[self.split_color - 1] or mu.degree[self.split_color - 1]:
+                if lam.degree[k - 1] or mu.degree[k - 1]:
                     raise NotInModuleFormError(
                         f"coefficient term ({lam}, {g}, {mu}) leaves the subalgebra"
                     )
             self.pairs.append((edge_path, a))
 
     def rmul(self, b: Element) -> "ModuleVector":
-        return ModuleVector(
-            self.model, [(e, a * b) for e, a in self.pairs], self.split_color
-        )
+        return ModuleVector(self.model, [(e, a * b) for e, a in self.pairs])
 
 
 def correspondence_pair(xi: ModuleVector, eta: ModuleVector) -> Element:

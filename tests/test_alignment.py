@@ -26,7 +26,6 @@ from zsalg.fixtures import (
     swap_pair,
     x_elem,
     x_monoid,
-    zs_of,
 )
 from zsalg.kgraph import sub_kgraph, validate_kgraph
 from zsalg.selfsim import ZSCategory, restrict_pair
@@ -67,7 +66,7 @@ def test_meet_ideal_methods():
     assert got.method == "MCE" and [str(p) for p in got.generators] == ["ef"]
     assert meet_ideal(e, e, k1, (2, 2)).generators == (e,)
 
-    zs = zs_of(swap_pair())
+    zs = ZSCategory(swap_pair())
     x = zs.from_path(zs.D.nf(("a",)))
     got = meet_ideal(x, x, zs, (2,))
     assert got.method == "ZS-path-lift" and got.generators == (x,)
@@ -80,7 +79,7 @@ def test_meet_ideal_methods():
 
 
 def test_meet_ideal_matches_brute_oracle_and_symmetry():
-    zs = zs_of(swap_pair())
+    zs = ZSCategory(swap_pair())
     validate_category(zs, (3,))
     window = zs.morphisms((2,))
     for c1 in window[:8]:
@@ -104,7 +103,7 @@ def test_overrides_match_brute_force_defaults(name):
     if name == "k1":
         cat, bound, method = kgraph_k1((3, 3)), (2, 2), "MCE"
     else:
-        cat, bound, method = zs_of(swap_pair()), (2,), "ZS-path-lift"
+        cat, bound, method = ZSCategory(swap_pair()), (2,), "ZS-path-lift"
     validate_category(cat, bound)
     window = cat.morphisms(bound)
     for a in window:
@@ -119,7 +118,7 @@ def test_overrides_match_brute_force_defaults(name):
 
 
 def test_tail_invariance_of_meets():
-    zs = zs_of(swap_pair())
+    zs = ZSCategory(swap_pair())
     validate_category(zs, (3,))
     a = zs.D.nf(("a",))
     b = zs.D.nf(("b",))
@@ -174,7 +173,7 @@ def test_concordant_subgraph_of_one_square():
 
 def test_concordant_zs_inclusion():
     swap2 = swap2_pair()
-    amb = zs_of(swap2)
+    amb = ZSCategory(swap2)
     validate_category(amb, (2, 2))
     gamma, _ = validate_kgraph(sub_kgraph(swap2.acted, [1]), (2,))
     sub = ZSCategory(restrict_pair(swap2, gamma))

@@ -19,8 +19,8 @@ from zsalg.fixtures import (
     swap_pair,
     x_elem,
     x_monoid,
-    zs_of,
 )
+from zsalg.selfsim import ZSCategory
 
 
 def three_morphism_counterexample():
@@ -151,7 +151,7 @@ def partial_two_object_table():
     "cat, bound",
     [
         (kgraph_k1((2, 2)), (2, 2)),
-        (zs_of(swap_pair()), (2,)),
+        (ZSCategory(swap_pair()), (2,)),
         (partial_two_object_table(), 1),
     ],
     ids=["k1", "swap", "partial-table"],

@@ -221,3 +221,37 @@ def test_enumerate_command(tmp_path):
     assert code == 0
     paths = report["enumeration"]["paths"]
     assert paths["v|2"] == ["aa", "ab", "ba", "bb"]
+
+
+@pytest.mark.parametrize("missing", ["mu", "nu"])
+def test_mce_without_an_edge_list_is_malformed(tmp_path, missing):
+    given = {"mu": ["--mu", "a"], "nu": ["--nu", "b"]}
+    del given[missing]
+    argv = [arg for pair in given.values() for arg in pair]
+    code, report = run(tmp_path, "mce", "--fixture", "e2", *argv)
+    assert code == 2
+    assert report["error"] == "ZsalgError" and f"--{missing}" in report["message"]
+
+
+@pytest.mark.parametrize(
+    "command, ws",
+    [
+        ("validate", {"kgraph": {"k": None, "vertices": ["v"], "edges": [], "squares": []}}),
+        (
+            "cocycle-check",
+            {
+                "kgraph": {"k": 1, "vertices": ["v"], "edges": [], "squares": []},
+                "cocycle": {"rotation": 5},
+            },
+        ),
+    ],
+    ids=["null-k", "scalar-rotation"],
+)
+def test_wrongly_typed_value_is_malformed(tmp_path, command, ws):
+    """A workspace value of the wrong JSON type is malformed input (exit 2),
+    not a traceback."""
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(ws))
+    code, report = run(tmp_path, command, "--workspace", str(path))
+    assert code == 2
+    assert report["error"] == "ZsalgError" and "malformed workspace section" in report["message"]

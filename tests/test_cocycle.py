@@ -23,8 +23,9 @@ from zsalg.cocycle import (
     verify_homotopy,
 )
 from zsalg.errors import BadGeneratorError, NotDegreeAdditiveError
-from zsalg.fixtures import kgraph_e2, kgraph_k1, swap_pair, zs_of
+from zsalg.fixtures import kgraph_e2, kgraph_k1, swap_pair
 from zsalg.kgraph import sub_kgraph, validate_kgraph
+from zsalg.selfsim import ZSCategory
 
 
 def rot_theta(theta):
@@ -92,7 +93,7 @@ def test_perturbed_table_fails_with_witness():
 
 
 def test_rotation_cocycle_constructor_checks_degrees():
-    zs = zs_of(swap_pair())
+    zs = ZSCategory(swap_pair())
     sigma = rotation_cocycle([[0]], zs, check_bound=(2,))
     assert verify_cocycle(sigma, zs, (2,))
     # morphisms without a path part cannot carry a rotation twist
@@ -104,7 +105,7 @@ def test_rotation_on_zs_category():
     # one-vertex 2-graph with flip action: rotation twists only path parts
     from zsalg.fixtures import swap2_pair
 
-    zs = zs_of(swap2_pair())
+    zs = ZSCategory(swap2_pair())
     sigma = rotation_cocycle([[0, 0], [Fraction(1, 3), 0]], zs, check_bound=(1, 1))
     assert verify_cocycle(sigma, zs, (1, 1))
     # restriction to the degree-zero tail subcategory is trivial

@@ -1,5 +1,6 @@
 """Truncated matrix model: basis, relations, guards, cross-model agreement."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,21 +8,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from zsalg.cli import Workspace, main
 from zsalg.cocycle import Cocycle, ConstantHomotopy, LinearHomotopy, RotationForm, trivial_cocycle
 from zsalg.errors import InfiniteBasisError, OffGridError
-from zsalg.fixtures import kgraph_k1, swap_pair, trivial_pair, x_monoid, zs_of
+from zsalg.fixtures import kgraph_k1, swap_pair, trivial_pair, x_monoid
+from zsalg.kgraph import deg_splits, deg_sub
 from zsalg.matrixrep import (
     PASS_TOL,
+    TruncatedRep,
     build_grid_reps,
-    build_rep,
     check_homotopy_relations,
     check_product_agreement,
     check_relations,
+    dense,
     join_projection,
     operator_norm,
     represent_element,
 )
 from zsalg.normalform import AlgebraModel, random_element
+from zsalg.selfsim import ZSCategory
 
 
 def rot_family(theta=Fraction(1, 4), m=11):
@@ -29,12 +34,12 @@ def rot_family(theta=Fraction(1, 4), m=11):
 
 
 def test_basis_sizes():
-    zsk = zs_of(trivial_pair(kgraph_k1((3, 3))))
-    assert build_rep(zsk, rot_family(), (2, 2), 0).dim == 9
-    zs2 = zs_of(swap_pair())
+    zsk = ZSCategory(trivial_pair(kgraph_k1((3, 3))))
+    assert TruncatedRep(zsk, rot_family(), (2, 2), 0).dim == 9
+    zs2 = ZSCategory(swap_pair())
     triv = ConstantHomotopy(trivial_cocycle(), m=1)
-    assert build_rep(zs2, triv, (2,), 0).dim == 14
-    rep0 = build_rep(zs2, triv, (0,), 0)
+    assert TruncatedRep(zs2, triv, (2,), 0).dim == 14
+    rep0 = TruncatedRep(zs2, triv, (0,), 0)
     assert rep0.dim == 2
     edge = zs2.D.paths("v", (1,))[0]
     assert operator_norm(rep0.path_matrix(edge)) == 0.0
@@ -42,16 +47,16 @@ def test_basis_sizes():
 
 def test_rejects_infinite_basis_and_off_grid():
     with pytest.raises(InfiniteBasisError):
-        build_rep(x_monoid(), ConstantHomotopy(trivial_cocycle(), m=1), 2, 0)
-    zsk = zs_of(trivial_pair(kgraph_k1((3, 3))))
+        TruncatedRep(x_monoid(), ConstantHomotopy(trivial_cocycle(), m=1), 2, 0)
+    zsk = ZSCategory(trivial_pair(kgraph_k1((3, 3))))
     with pytest.raises(OffGridError):
-        build_rep(zsk, rot_family(), (2, 2), 11)
+        TruncatedRep(zsk, rot_family(), (2, 2), 11)
 
 
 def test_relations_k1_trivial_and_rotation():
-    zsk = zs_of(trivial_pair(kgraph_k1((3, 3))))
+    zsk = ZSCategory(trivial_pair(kgraph_k1((3, 3))))
     for fam in (ConstantHomotopy(trivial_cocycle(), m=1), rot_family()):
-        rep = build_rep(zsk, fam, (2, 2), fam.m - 1)
+        rep = TruncatedRep(zsk, fam, (2, 2), fam.m - 1)
         out = check_relations(rep)
         assert out
         assert max(out.details["residuals"].values()) <= PASS_TOL
@@ -60,74 +65,75 @@ def test_relations_k1_trivial_and_rotation():
 def test_nan_residual_fails():
     """A NaN angle gives NaN residuals, which fail the check instead of
     vanishing from the maximum."""
-    zsk = zs_of(trivial_pair(kgraph_k1((3, 3))))
+    zsk = ZSCategory(trivial_pair(kgraph_k1((3, 3))))
     nan_rotation = ConstantHomotopy(Cocycle(RotationForm([[0, 0], [math.nan, 0]])), m=1)
-    out = check_relations(build_rep(zsk, nan_rotation, (1, 1), 0))
+    out = check_relations(TruncatedRep(zsk, nan_rotation, (1, 1), 0))
     assert not out.passed
     assert math.isnan(out.details["residuals"]["partial_isometry"])
     assert math.isnan(out.witness["R1_multiplication"])
 
 
 def test_relations_swap_trivial():
-    zs2 = zs_of(swap_pair())
-    rep = build_rep(zs2, ConstantHomotopy(trivial_cocycle(), m=1), (2,), 0)
+    zs2 = ZSCategory(swap_pair())
+    rep = TruncatedRep(zs2, ConstantHomotopy(trivial_cocycle(), m=1), (2,), 0)
     out = check_relations(rep)
     assert out and max(out.details["residuals"].values()) <= PASS_TOL
 
 
 def test_rotation_relation_value():
-    zsk = zs_of(trivial_pair(kgraph_k1((3, 3))))
-    rep = build_rep(zsk, rot_family(), (2, 2), 10)  # t = 1
+    zsk = ZSCategory(trivial_pair(kgraph_k1((3, 3))))
+    rep = TruncatedRep(zsk, rot_family(), (2, 2), 10)  # t = 1
     D = rep.D
     e = D.paths("v", (1, 0))[0]
     f = D.paths("v", (0, 1))[0]
     fe = D.compose(f, e)
-    lhs = rep.path_matrix(f) @ rep.path_matrix(e)
-    assert operator_norm(lhs - 1j * rep.path_matrix(fe)) <= PASS_TOL
+    lhs = dense(rep.path_matrix(f)) @ dense(rep.path_matrix(e))
+    assert operator_norm(lhs - 1j * dense(rep.path_matrix(fe))) <= PASS_TOL
 
 
 def test_ck_guard_annihilation():
     # the vertex relation at level (1,0) kills exactly the floor subspace
-    zsk = zs_of(trivial_pair(kgraph_k1((3, 3))))
-    rep = build_rep(zsk, rot_family(), (2, 2), 0)
+    zsk = ZSCategory(trivial_pair(kgraph_k1((3, 3))))
+    rep = TruncatedRep(zsk, rot_family(), (2, 2), 0)
     D = rep.D
     e = D.paths("v", (1, 0))[0]
-    pe = rep.path_matrix(e)
-    defect = rep.vertex_matrix("v") - pe @ pe.conj().T
+    pe = dense(rep.path_matrix(e))
+    defect = dense(rep.vertex_matrix("v")) - pe @ pe.conj().T
     guard = rep.degree_floor_guard((1, 0))
-    assert operator_norm(defect @ guard) <= PASS_TOL
+    assert operator_norm(defect[:, guard]) <= PASS_TOL
     # and off the guard it genuinely fails to vanish (Toeplitz behavior)
     assert operator_norm(defect) > 0.5
 
 
 def test_r2_guard_boundary():
-    zs2 = zs_of(swap_pair())
-    rep = build_rep(zs2, ConstantHomotopy(trivial_cocycle(), m=1), (2,), 0)
+    zs2 = ZSCategory(swap_pair())
+    rep = TruncatedRep(zs2, ConstantHomotopy(trivial_cocycle(), m=1), (2,), 0)
     a = rep.D.paths("v", (1,))[0]
-    mat = rep.path_matrix(a)
-    defect = mat.conj().T @ mat - rep.vertex_matrix("v")
-    assert operator_norm(defect @ rep.degree_cap_guard((1,))) <= PASS_TOL
+    mat = dense(rep.path_matrix(a))
+    defect = mat.conj().T @ mat - dense(rep.vertex_matrix("v"))
+    assert operator_norm(defect[:, rep.degree_cap_guard((1,))]) <= PASS_TOL
     assert operator_norm(defect) > 0.5  # full space sees the truncation
 
 
 def test_tail_partial_unitaries():
-    zs2 = zs_of(swap_pair())
-    rep = build_rep(zs2, ConstantHomotopy(trivial_cocycle(), m=1), (2,), 0)
-    g = rep.tail_matrix("g")
-    assert operator_norm(g @ g.conj().T - rep.vertex_matrix("v")) <= PASS_TOL
-    assert operator_norm(g.conj().T @ g - rep.vertex_matrix("v")) <= PASS_TOL
+    zs2 = ZSCategory(swap_pair())
+    rep = TruncatedRep(zs2, ConstantHomotopy(trivial_cocycle(), m=1), (2,), 0)
+    g = dense(rep.tail_matrix("g"))
+    v = dense(rep.vertex_matrix("v"))
+    assert operator_norm(g @ g.conj().T - v) <= PASS_TOL
+    assert operator_norm(g.conj().T @ g - v) <= PASS_TOL
 
 
 def test_join_projection_inclusion_exclusion():
-    p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-    q = np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex)
+    p = np.array([1.0, 1.0, 0.0, 0.0])
+    q = np.array([0.0, 1.0, 1.0, 0.0])
     j = join_projection([p, q])
-    assert operator_norm(j - np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex)) <= PASS_TOL
-    assert join_projection([]) is None
+    assert operator_norm(np.diag(j - np.array([1.0, 1.0, 1.0, 0.0]))) <= PASS_TOL
+    assert join_projection([]) == 0
 
 
 def test_homotopy_relations_all_fibers():
-    zsk = zs_of(trivial_pair(kgraph_k1((3, 3))))
+    zsk = ZSCategory(trivial_pair(kgraph_k1((3, 3))))
     out = check_homotopy_relations(zsk, rot_family(), (2, 2))
     assert out
     assert out.details["fibers"] == 11
@@ -135,27 +141,27 @@ def test_homotopy_relations_all_fibers():
 
 
 def test_fiber_zero_matches_untwisted():
-    zsk = zs_of(trivial_pair(kgraph_k1((3, 3))))
-    rep0 = build_rep(zsk, rot_family(), (2, 2), 0)
-    untw = build_rep(zsk, ConstantHomotopy(trivial_cocycle(), m=1), (2, 2), 0)
+    zsk = ZSCategory(trivial_pair(kgraph_k1((3, 3))))
+    rep0 = TruncatedRep(zsk, rot_family(), (2, 2), 0)
+    untw = TruncatedRep(zsk, ConstantHomotopy(trivial_cocycle(), m=1), (2, 2), 0)
     for c in rep0.basis:
-        assert operator_norm(rep0.matrix(c) - untw.matrix(c)) == 0.0
+        assert operator_norm(dense(rep0.matrix(c)) - dense(untw.matrix(c))) == 0.0
 
 
 def test_represent_vertex_projection():
-    zsk = zs_of(trivial_pair(kgraph_k1((3, 3))))
+    zsk = ZSCategory(trivial_pair(kgraph_k1((3, 3))))
     fam = rot_family()
-    rep = build_rep(zsk, fam, (2, 2), 3)
+    rep = TruncatedRep(zsk, fam, (2, 2), 3)
     model = AlgebraModel(zsk, fam, (6, 6))
     mat = represent_element(rep, model.vertex("v"))
-    assert operator_norm(mat - rep.vertex_matrix("v")) <= PASS_TOL
+    assert operator_norm(mat - dense(rep.vertex_matrix("v"))) <= PASS_TOL
 
 
 def test_represent_flip_permutation():
     # the flip generator permutes basis vectors and twists nothing
-    zs2 = zs_of(swap_pair())
+    zs2 = ZSCategory(swap_pair())
     fam = ConstantHomotopy(trivial_cocycle(), m=1)
-    rep = build_rep(zs2, fam, (2,), 0)
+    rep = TruncatedRep(zs2, fam, (2,), 0)
     model = AlgebraModel(zs2, fam, (6,))
     D = model.D
     a, b = D.paths("v", (1,))
@@ -172,7 +178,7 @@ def test_represent_flip_permutation():
 
 
 def test_cross_model_product_agreement():
-    zsk = zs_of(trivial_pair(kgraph_k1((3, 3))))
+    zsk = ZSCategory(trivial_pair(kgraph_k1((3, 3))))
     fam = rot_family()
     model = AlgebraModel(zsk, fam, (8, 8))
     reps = build_grid_reps(zsk, fam, (2, 2))
@@ -187,9 +193,9 @@ def test_cross_model_product_agreement():
 def test_represent_star_compatible():
     # tails never truncate, so representing the involution is exactly the
     # matrix adjoint -- no guard needed
-    zs2 = zs_of(swap_pair())
+    zs2 = ZSCategory(swap_pair())
     fam = ConstantHomotopy(trivial_cocycle(), m=1)
-    rep = build_rep(zs2, fam, (2,), 0)
+    rep = TruncatedRep(zs2, fam, (2,), 0)
     model = AlgebraModel(zs2, fam, (6,))
     rng = random.Random(23)
     for _ in range(25):
@@ -202,8 +208,8 @@ def test_represent_star_compatible():
 def test_matrices_export_json():
     import json
 
-    zs2 = zs_of(swap_pair())
-    rep = build_rep(zs2, ConstantHomotopy(trivial_cocycle(), m=1), (1,), 0)
+    zs2 = ZSCategory(swap_pair())
+    rep = TruncatedRep(zs2, ConstantHomotopy(trivial_cocycle(), m=1), (1,), 0)
     doc = rep.to_json()
     json.dumps(doc)  # must be serializable as-is
     assert doc["basis"] and doc["bound"] == [1]
@@ -212,3 +218,201 @@ def test_matrices_export_json():
     mat = by_name["g"]["matrix"]
     assert len(mat) == rep.dim and len(mat[0]) == rep.dim
     assert all(len(cell) == 2 for row in mat for cell in row)
+
+
+def random_partial_injection(rng, dim):
+    """A weighted partial injection: an injective target map on a random
+    support, with random moduli and phases."""
+    targets = np.full(dim, -1)
+    support = rng.random(dim) < 0.7
+    targets[support] = rng.permutation(dim)[: support.sum()]
+    weights = rng.uniform(0.1, 3.0, dim) * np.exp(2j * np.pi * rng.random(dim))
+    return targets, weights
+
+
+def test_schur_norm_exact_on_partial_injections_and_diagonals():
+    rng = np.random.default_rng(0)
+    for dim in (1, 2, 5, 17, 40):
+        for _ in range(10):
+            op = random_partial_injection(rng, dim)
+            exact = np.linalg.norm(dense(op), 2)
+            assert operator_norm(op) == pytest.approx(exact, rel=1e-12, abs=0)
+            assert operator_norm(dense(op)) == pytest.approx(exact, rel=1e-12, abs=0)
+            # entries a stack holds twice are summed before the bound
+            twice = (np.vstack([op[0], op[0]]), np.vstack([op[1], op[1]]))
+            assert operator_norm(twice) == pytest.approx(2 * exact, rel=1e-12, abs=0)
+            diagonal = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            exact = np.linalg.norm(np.diag(diagonal), 2)
+            for form in ((np.arange(dim), diagonal), np.diag(diagonal)):
+                assert operator_norm(form) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_schur_norm_bounds_dense_and_non_injective():
+    rng = np.random.default_rng(1)
+    for dim in (2, 5, 17, 40):
+        for _ in range(10):
+            mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            assert operator_norm(mat) >= np.linalg.norm(mat, 2) * (1 - 1e-12)
+            # targets drawn from half the basis: most maps hit a vector twice
+            targets = rng.integers(-1, dim // 2 + 1, size=dim)
+            op = (targets, np.exp(2j * np.pi * rng.random(dim)))
+            assert operator_norm(op) >= np.linalg.norm(dense(op), 2) * (1 - 1e-12)
+
+
+E2 = {
+    "k": 1,
+    "vertices": ["v"],
+    "edges": [
+        {"id": "a", "color": 1, "src": "v", "dst": "v"},
+        {"id": "b", "color": 1, "src": "v", "dst": "v"},
+    ],
+    "squares": [],
+}
+Z2 = {
+    "units": ["v"],
+    "morphisms": [
+        {"id": "v", "src": "v", "dst": "v", "inv": "v"},
+        {"id": "g", "src": "v", "dst": "v", "inv": "g"},
+    ],
+    "compose": [["g", "g", "v"]],
+}
+
+
+NON_LEFT_CANCELLATIVE = {
+    "left": [{"g": "g", "edge": "a", "out": "a"}, {"g": "g", "edge": "b", "out": "a"}],
+    "right": [{"g": "g", "edge": "a", "out": "g"}, {"g": "g", "edge": "b", "out": "g"}],
+}
+BROKEN_FLIP = {
+    "left": [{"g": "g", "edge": "a", "out": "b"}, {"g": "g", "edge": "b", "out": "a"}],
+    "right": [{"g": "g", "edge": "a", "out": "v"}, {"g": "g", "edge": "b", "out": "g"}],
+}
+
+
+def e2_action_workspace(action):
+    return {"kgraph": E2, "groupoid": Z2, "action": action, "bounds": {"degree": [2]}}
+
+
+def rep_check_failures(tmp_path, action):
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(e2_action_workspace(action)))
+    out = tmp_path / "report.json"
+    code = main(["rep-check", "--workspace", str(path), "--out", str(out)])
+    checks = json.loads(out.read_text())["checks"]
+    return code, [(c["fiber"], c["passed"], set(c.get("witness") or ())) for c in checks]
+
+
+def test_rep_check_catches_non_left_cancellative_action(tmp_path):
+    """g sends both edges to a, so T_g hits a basis vector twice and
+    T_g* T_g is not diagonal; the source and tail relations still fail."""
+    code, fibers = rep_check_failures(tmp_path, NON_LEFT_CANCELLATIVE)
+    assert code == 1
+    assert fibers == [
+        (
+            0,
+            False,
+            {"R1_multiplication", "R2_source_guarded", "partial_isometry", "tail_partial_unitary"},
+        )
+    ]
+
+
+def test_rep_check_broken_flip_fails_multiplication_only(tmp_path):
+    code, fibers = rep_check_failures(tmp_path, BROKEN_FLIP)
+    assert code == 1
+    assert fibers == [(0, False, {"R1_multiplication"})]
+
+
+def dense_residuals(rep):
+    """The relation residuals as the dense model took them: the largest
+    singular value of each dense defect matrix."""
+
+    def norm(m):
+        return np.linalg.norm(m, 2) if m.size else 0.0
+
+    def mat(c):
+        return dense(rep.matrix(c))
+
+    def rng(m):
+        return m @ m.conj().T
+
+    def path_rng(p):
+        return rng(dense(rep.path_matrix(p)))
+
+    def on(guard):
+        return np.diag(guard.astype(float))
+
+    zs, eye = rep.zs, np.eye(rep.dim)
+    verts = list(rep.D.vertices)
+    vert = {v: dense(rep.vertex_matrix(v)) for v in verts}
+    out = {
+        "partial_isometry": max(
+            norm(rng(dense(op)) @ dense(op) - dense(op)) for _, _, op in rep.generators()
+        ),
+        "vertex_orthogonality": max(
+            (norm(vert[v] @ vert[w]) for v in verts for w in verts if v < w), default=0.0
+        ),
+        "vertex_sum_identity": norm(sum(vert.values()) - eye),
+    }
+    r1 = []
+    for c1 in rep.basis:
+        for c2 in rep.basis:
+            defect = mat(c1) @ mat(c2)
+            if zs.s(c1) == zs.r(c2):
+                defect -= rep.sigma.phase(c1, c2).complex_value() * mat(zs.compose(c1, c2))
+            r1.append(norm(defect))
+    out["R1_multiplication"] = max(r1)
+    out["R2_source_guarded"] = max(
+        norm(
+            (mat(c).conj().T @ mat(c) - vert[zs.s(c)])
+            @ on(rep.degree_cap_guard(deg_sub(rep.bound, c.path.degree)))
+        )
+        for c in rep.basis
+    )
+    sums, joins = [0.0], [0.0]
+    paths = sorted({x.path for x in rep.basis}, key=rep.D.sort_key)
+    for mu in paths:
+        for nu in paths:
+            lhs = path_rng(mu) @ path_rng(nu)
+            mces = rep.D.mce(mu, nu) if mu.rng == nu.rng else ()
+            ranges = [path_rng(lam) for lam in mces]
+            complement = eye
+            for p in ranges:
+                complement = complement @ (eye - p)
+            sums.append(norm(lhs - sum(ranges, 0 * eye)))
+            joins.append(norm(lhs - (eye - complement)))
+    out["TCK3_mce_sum"], out["R3_independent_join"] = max(sums), max(joins)
+    tails = [0.0]
+    for g in rep.G.morphisms(None):
+        t = dense(rep.tail_matrix(g))
+        tails += [norm(rng(t) - vert[rep.G.r(g)]), norm(t.conj().T @ t - vert[rep.G.s(g)])]
+    out["tail_partial_unitary"] = max(tails)
+    out["CK_level_guarded"] = max(
+        norm(
+            (vert[v] - sum(map(path_rng, rep.D.paths(v, n)), 0 * eye))
+            @ on(rep.degree_floor_guard(n))
+        )
+        for v in verts
+        for n, _ in deg_splits(rep.bound)
+    )
+    return out
+
+
+@pytest.mark.parametrize("case", ["k1-rotation", "swap", "non-left-cancellative", "broken-flip"])
+def test_schur_residuals_bound_dense_residuals(case):
+    """Each family's residual is at least the dense model's operator norm,
+    equal to it up to rounding where it passes, and passes exactly where
+    the dense one does."""
+    if case == "k1-rotation":
+        rep = TruncatedRep(ZSCategory(trivial_pair(kgraph_k1((3, 3)))), rot_family(), (2, 2), 7)
+    elif case == "swap":
+        triv = ConstantHomotopy(trivial_cocycle(), m=1)
+        rep = TruncatedRep(ZSCategory(swap_pair()), triv, (2,), 0)
+    else:
+        action = NON_LEFT_CANCELLATIVE if case == "non-left-cancellative" else BROKEN_FLIP
+        ws = Workspace(e2_action_workspace(action))
+        rep = TruncatedRep(ws.zs, ws.family(), ws.bound, 0)
+    ours = check_relations(rep).details["residuals"]
+    for family, reference in dense_residuals(rep).items():
+        assert ours[family] >= reference * (1 - 1e-12) - 1e-15, family
+        assert (ours[family] <= PASS_TOL) == (reference <= PASS_TOL), family
+        if reference <= PASS_TOL:
+            assert ours[family] == pytest.approx(reference, abs=1e-14), family

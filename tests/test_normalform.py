@@ -30,7 +30,6 @@ from zsalg.fixtures import (
     swap_pair,
     trivial_pair,
     two_orbit_groupoid,
-    zs_of,
 )
 from zsalg.kgraph import KGraphPresentation, validate_kgraph
 from zsalg.normalform import (
@@ -44,18 +43,18 @@ from zsalg.selfsim import ActionTable, MatchedPair, ZSCategory
 
 
 def swap_model(m=1):
-    zs = zs_of(swap_pair())
+    zs = ZSCategory(swap_pair())
     return AlgebraModel(zs, ConstantHomotopy(trivial_cocycle(), m=m), (8,))
 
 
 def rot_model(m=11, theta=Fraction(1, 4)):
-    zs = zs_of(trivial_pair(kgraph_k1((3, 3))))
+    zs = ZSCategory(trivial_pair(kgraph_k1((3, 3))))
     fam = LinearHomotopy(RotationForm([[0, 0], [theta, 0]]), m=m)
     return AlgebraModel(zs, fam, (8, 8))
 
 
 def swap2_model(m=5, theta=Fraction(1, 3)):
-    zs = zs_of(swap2_pair())
+    zs = ZSCategory(swap2_pair())
     fam = LinearHomotopy(RotationForm([[0, 0], [theta, 0]]), m=m)
     return AlgebraModel(zs, fam, (8, 8))
 
@@ -108,7 +107,7 @@ def test_product_range_mismatch_is_zero():
 
 
 def test_window_exceeded():
-    zs = zs_of(swap_pair())
+    zs = ZSCategory(swap_pair())
     model = AlgebraModel(zs, ConstantHomotopy(trivial_cocycle(), m=1), (1,))
     D = model.D
     aa = D.nf(("a", "a"))
@@ -196,7 +195,7 @@ def test_zero_coefficient_noise_dropped():
 
 
 def test_toeplitz_mode_forbids_level_raise():
-    zs = zs_of(swap_pair())
+    zs = ZSCategory(swap_pair())
     model = AlgebraModel(zs, ConstantHomotopy(trivial_cocycle(), m=1), (4,), covariant=False)
     with pytest.raises(NotApplicableError):
         model.level_raise(model.vertex("v"), (1,))
@@ -205,7 +204,7 @@ def test_toeplitz_mode_forbids_level_raise():
 def test_level_raise_needs_no_sources():
     graph = kgraph_source_1graph((3,))
     model = AlgebraModel(
-        zs_of(trivial_pair(graph)), ConstantHomotopy(trivial_cocycle(), m=1), (3,)
+        ZSCategory(trivial_pair(graph)), ConstantHomotopy(trivial_cocycle(), m=1), (3,)
     )
     with pytest.raises(NoSourcesRequiredError):
         model.level_raise(model.vertex("v"), (1,))
@@ -277,7 +276,7 @@ def test_vertex_support_partial():
     # two-vertex graph: the support sum keeps exactly the matching terms
     graph = kgraph_source_1graph((3,))
     model = AlgebraModel(
-        zs_of(trivial_pair(graph)), ConstantHomotopy(trivial_cocycle(), m=1), (3,)
+        ZSCategory(trivial_pair(graph)), ConstantHomotopy(trivial_cocycle(), m=1), (3,)
     )
     e = graph.paths("v", (1,))[0]
     x = model.path_gen(e) + model.vertex("w")

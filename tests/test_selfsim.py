@@ -13,10 +13,10 @@ from zsalg.fixtures import (
     trivial_pair,
     x_elem,
     x_monoid,
-    zs_of,
 )
 from zsalg.kgraph import deg_add
 from zsalg.selfsim import (
+    ZSCategory,
     ZSMorphism,
     check_jointly_faithful,
     check_self_similar,
@@ -72,7 +72,7 @@ def test_verify_trivial_action():
 
 
 def test_zs_compose_examples():
-    zs = zs_of(swap_pair())
+    zs = ZSCategory(swap_pair())
     a = zs.D.nf(("a",))
     b = zs.D.nf(("b",))
     out = zs_compose(zs, ZSMorphism(a, "g"), ZSMorphism(b, "v"))
@@ -101,7 +101,7 @@ def test_x_monoid_composition():
 
 def test_zs_associativity_window():
     for pair, bound in ((swap_pair(), (2,)), (swap2_pair(), (1, 1))):
-        zs = zs_of(pair)
+        zs = ZSCategory(pair)
         window = zs.morphisms(bound)
         for x in window:
             for y in window:
@@ -115,7 +115,7 @@ def test_zs_associativity_window():
 
 
 def test_equal_zs_composites_are_one_object():
-    zs = zs_of(swap_pair())
+    zs = ZSCategory(swap_pair())
     window = zs.morphisms((2,))
     canonical = {m: m for m in window}
     assert all(m is canonical[m] for m in zs.morphisms((1,)))
@@ -128,7 +128,7 @@ def test_equal_zs_composites_are_one_object():
 
 
 def test_zs_degree_additivity():
-    zs = zs_of(swap2_pair())
+    zs = ZSCategory(swap2_pair())
     window = zs.morphisms((1, 1))
     for x in window:
         for y in window:
@@ -138,7 +138,7 @@ def test_zs_degree_additivity():
 
 
 def test_zs_unit_and_inverse_ideal_law():
-    zs = zs_of(swap_pair())
+    zs = ZSCategory(swap_pair())
     validate_category(zs, (2,))
     window = zs.morphisms((2,))
     for x in window:
