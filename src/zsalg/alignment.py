@@ -33,7 +33,7 @@ from .categories import (
 from .errors import CombinatorialBlowupError, NotIndependentError
 from .kgraph import KGraph
 from .report import Report, failing, passing
-from .selfsim import ZSCategory, ZSMorphism
+from .selfsim import ZSCategory
 from . import fixtures
 
 
@@ -143,7 +143,7 @@ def zs_inclusion(sub: ZSCategory, amb: ZSCategory) -> Subcategory:
     inner = path_inclusion(sub.D, amb.D)
 
     def embed(m):
-        return ZSMorphism(inner.embed(m.path), m.tail)
+        return amb.intern(inner.embed(m.path), m.tail)
 
     return Subcategory(sub, amb, embed)
 

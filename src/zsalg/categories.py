@@ -9,18 +9,18 @@ componentwise.
 
 Concrete categories subclass SmallCategory: explicit tables here, path
 categories in kgraph, groupoids in groupoid, product categories in selfsim.
-composable_triples is the one sweep over the composable triples of a
-window: the associativity checks here and in the CLI, and the cocycle,
-homotopy and additive-generator checks in cocycle, all run on it.
-Validated categories are never mutated, so they are safe to share across
-concurrent readers; composition is memoized internally, and the memo caches
-only ever insert values that are deterministic functions of their keys, so
-racing insert-if-absent writes are idempotent.
+The window sweeps here run on the dense int ids of the category's id view
+(SmallCategory.id_view).  composable_triples is the one sweep over the
+composable triples of a window; associativity, cocycle, homotopy and
+additive-generator checks all run on it.  Categories are single-threaded,
+like the verifier: an id is allocated by appending and then reading the
+length back, which is not safe under a race.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import MalformedTableError, UnvalidatedCategoryError
 from .report import Report, failing, passing
@@ -129,6 +129,20 @@ class SmallCategory:
         """The action-table key of an atomic morphism."""
         return m
 
+    # -- the id view every window sweep runs on
+
+    _id_view = None
+
+    def id_view(self):
+        """This category's dense-id view (see MorphismIds).
+
+        The default interns hashable morphisms by value; a category that
+        numbers its own morphisms returns itself.
+        """
+        if self._id_view is None:
+            self._id_view = MorphismIds(self)
+        return self._id_view
+
     # -- divisibility and ideal meets.  The defaults search the window by
     #    brute force; path-like subclasses override them with exact
     #    factorization, which ignores the bound.
@@ -136,15 +150,8 @@ class SmallCategory:
     def divisors_into(self, a, b, bound):
         """All x in the window with a x = b (at most one when
         left-cancellative)."""
-        need = _size_gap(self.size(a), self.size(b))
-        if need is None:
-            return []
-        # sizes are additive in every in-scope category
-        return [
-            x
-            for x in self.morphisms(bound)
-            if self.size(x) == need and self.s(a) == self.r(x) and self.compose(a, x) == b
-        ]
+        ids = self.id_view()
+        return [ids.morphs[x] for x in _divisor_ids(ids, ids.id_of(a), ids.id_of(b), bound)]
 
     def divides(self, a, b, bound) -> bool:
         """b lies in the principal right ideal of a."""
@@ -152,8 +159,10 @@ class SmallCategory:
 
     def meets(self, a, b, bound) -> bool:
         """a C  n  b C is nonempty within the window."""
-        pa = set(principal_ideal(a, self, bound))
-        return any(x in pa for x in principal_ideal(b, self, bound))
+        ids = self.id_view()
+        return not _ideal_ids(ids, ids.id_of(a), bound).isdisjoint(
+            _ideal_ids(ids, ids.id_of(b), bound)
+        )
 
     def meet(self, c1, c2, bound):
         """(F, method): a finite independent F with F C = c1 C  n  c2 C.
@@ -162,22 +171,88 @@ class SmallCategory:
         representative per class of minimal elements.
         """
         self.require_validated()
-        ideal = set(principal_ideal(c1, self, bound)) & set(principal_ideal(c2, self, bound))
+        ids = self.id_view()
+        ideal = _ideal_ids(ids, ids.id_of(c1), bound) & _ideal_ids(ids, ids.id_of(c2), bound)
+
+        def divides(i, j):
+            return i == j or bool(_divisor_ids(ids, i, j, bound))
+
         minimal = [
             m
             for m in ideal
-            if not any(
-                self.divides(m2, m, bound) and not self.divides(m, m2, bound)
-                for m2 in ideal
-                if m2 != m
-            )
+            if not any(divides(m2, m) and not divides(m, m2) for m2 in ideal if m2 != m)
         ]
         # one representative per equivalence class of mutually dividing elements
         chosen = []
-        for m in sorted(minimal, key=self.sort_key):
-            if not any(self.divides(c, m, bound) for c in chosen):
+        for m in sorted(minimal, key=lambda i: self.sort_key(ids.morphs[i])):
+            if not any(divides(c, m) for c in chosen):
                 chosen.append(m)
-        return tuple(chosen), "brute"
+        return tuple(ids.morphs[i] for i in chosen), "brute"
+
+
+class Window:
+    """A window's morphisms and their ids, bucketed by range and by
+    (range, size)."""
+
+    __slots__ = ("members", "ids", "by_range", "buckets")
+
+    def __init__(self, ids, members):
+        self.members = members
+        self.ids = [ids.id_of(m) for m in members]
+        self.by_range, self.buckets = {}, {}
+        for i in self.ids:
+            rng = ids.ranges[i]
+            self.by_range.setdefault(rng, []).append(i)
+            self.buckets.setdefault((rng, ids.sizes[i]), []).append(i)
+
+
+def bound_key(bound):
+    """A bound as a dict key (a list bound reads as the tuple)."""
+    return tuple(bound) if isinstance(bound, list) else bound
+
+
+class MorphismIds:
+    """Dense int ids for the morphisms of a category.
+
+    ``morphs``, ``ranges``, ``sources`` and ``sizes`` are indexed by id;
+    ``compose_ids(i, j)`` is the composite's id or None; ``rows[i].get(j)``
+    answers a composite already stored without a call.  This generic view
+    interns hashable morphisms by value and stores no composite, so the
+    category sees exactly the compositions a sweep makes.
+    """
+
+    _NO_ROW = MappingProxyType({})
+
+    def __init__(self, cat: SmallCategory):
+        self.cat = cat
+        self.morphs, self.ranges, self.sources, self.sizes, self.rows = [], [], [], [], []
+        self._index, self._windows = {}, {}
+
+    def id_of(self, m) -> int:
+        i = self._index.get(m)
+        if i is None:
+            cat = self.cat
+            i = self._index[m] = len(self.morphs)
+            self.morphs.append(m)
+            self.ranges.append(cat.r(m))
+            self.sources.append(cat.s(m))
+            self.sizes.append(cat.size(m))
+            self.rows.append(self._NO_ROW)
+        return i
+
+    def compose_ids(self, i, j):
+        ab = self.cat.compose(self.morphs[i], self.morphs[j])
+        if ab is None:
+            return None
+        k = self._index.get(ab)
+        return self.id_of(ab) if k is None else k
+
+    def window(self, bound) -> Window:
+        key = bound_key(bound)
+        win = self._windows.get(key)
+        if win is None:
+            win = self._windows[key] = Window(self, self.cat.morphisms(bound))
+        return win
 
 
 @dataclass(frozen=True)
@@ -256,6 +331,28 @@ class TableCategory(SmallCategory):
 # relational layer
 
 
+def _id_triples(ids, window):
+    """(i, j, k, ij, jk) over the composable id triples of a window of ids."""
+    ranges, sources, compose = ids.ranges, ids.sources, ids.compose_ids
+    by_range = {}
+    for n, i in enumerate(window):
+        by_range.setdefault(ranges[i], []).append((n, i))
+    rows = [None] * len(window)
+    for i in window:
+        for n, j in by_range.get(sources[i], ()):
+            ij = compose(i, j)
+            row = rows[n]
+            if row is None:
+                row = rows[n] = []
+                for _, k in by_range.get(sources[j], ()):
+                    jk = compose(j, k)
+                    row.append((k, jk))
+                    yield i, j, k, ij, jk
+            else:
+                for k, jk in row:
+                    yield i, j, k, ij, jk
+
+
 def composable_triples(cat: SmallCategory, window):
     """Yield (a, b, c, ab, bc) for every composable triple of the window.
 
@@ -267,23 +364,35 @@ def composable_triples(cat: SmallCategory, window):
     that raises, stops at the same triple as the plain nested loop would.
     Composites may be None where the category is partial.
     """
-    by_range = {}
-    for i, m in enumerate(window):
-        by_range.setdefault(cat.r(m), []).append((i, m))
-    rows = [None] * len(window)
-    for a in window:
-        for i, b in by_range.get(cat.s(a), ()):
-            ab = cat.compose(a, b)
-            row = rows[i]
-            if row is None:
-                row = rows[i] = []
-                for _, c in by_range.get(cat.s(b), ()):
-                    bc = cat.compose(b, c)
-                    row.append((c, bc))
-                    yield a, b, c, ab, bc
-            else:
-                for c, bc in row:
-                    yield a, b, c, ab, bc
+    ids = cat.id_view()
+    morphs = ids.morphs
+    for i, j, k, ij, jk in _id_triples(ids, [ids.id_of(m) for m in window]):
+        ab = None if ij is None else morphs[ij]
+        bc = None if jk is None else morphs[jk]
+        yield morphs[i], morphs[j], morphs[k], ab, bc
+
+
+def associativity_failures(cat: SmallCategory, window):
+    """Yield (a, b, c) for every composable triple of the window whose two
+    association orders (ab)c and a(bc) are both defined and differ.
+
+    The one associativity sweep: validate_category reports the first
+    failure, the zs command the last, and acceptance criterion 4 asks
+    whether there is any.
+    """
+    ids = cat.id_view()
+    compose, morphs, rows = ids.compose_ids, ids.morphs, ids.rows
+    for i, j, k, ij, jk in _id_triples(ids, [ids.id_of(m) for m in window]):
+        if ij is None or jk is None:
+            continue
+        left = rows[ij].get(k)
+        if left is None:
+            left = compose(ij, k)
+        right = rows[i].get(jk)
+        if right is None:
+            right = compose(i, jk)
+        if left != right and left is not None and right is not None:
+            yield morphs[i], morphs[j], morphs[k]
 
 
 def validate_category(cat: SmallCategory, bound) -> Report:
@@ -298,11 +407,8 @@ def validate_category(cat: SmallCategory, bound) -> Report:
         v, w = cat.r(m), cat.s(m)
         if cat.compose(cat.identity(v), m) != m or cat.compose(m, cat.identity(w)) != m:
             return failing("category_axioms", witness=("identity_not_neutral", m), bound=bound)
-    for a, b, c, ab, bc in composable_triples(cat, window):
-        left = cat.compose(ab, c) if ab is not None else None
-        right = cat.compose(a, bc) if bc is not None else None
-        if left is not None and right is not None and left != right:
-            return failing("category_axioms", witness=("associativity", a, b, c), bound=bound)
+    for triple in associativity_failures(cat, window):
+        return failing("category_axioms", witness=("associativity", *triple), bound=bound)
     cat.mark_validated(bound)
     return passing("category_axioms", bound=bound, morphisms=len(window))
 
@@ -310,20 +416,21 @@ def validate_category(cat: SmallCategory, bound) -> Report:
 def check_left_cancellative(cat: SmallCategory, bound) -> Report:
     """Scan for a, b != c with ac = ab within the window."""
     cat.require_validated()
-    window = cat.morphisms(bound)
-    by_range = {}
-    for m in window:
-        by_range.setdefault(cat.r(m), []).append(m)
-    for a in window:
+    ids = cat.id_view()
+    win = ids.window(bound)
+    compose, sources, morphs = ids.compose_ids, ids.sources, ids.morphs
+    for i in win.ids:
         seen = {}
-        for c in by_range.get(cat.s(a), ()):
-            ac = cat.compose(a, c)
-            if ac is None:
+        for k in win.by_range.get(sources[i], ()):
+            ik = compose(i, k)
+            if ik is None:
                 continue
-            if ac in seen and seen[ac] != c:
-                return failing("left_cancellative", witness=(a, c, seen[ac]), bound=bound)
-            seen[ac] = c
-    return passing("left_cancellative", bound=bound, morphisms=len(window))
+            first = seen.setdefault(ik, k)
+            if first != k:
+                return failing(
+                    "left_cancellative", witness=(morphs[i], morphs[k], morphs[first]), bound=bound
+                )
+    return passing("left_cancellative", bound=bound, morphisms=len(win.ids))
 
 
 def invertibles(cat: SmallCategory, bound):
@@ -370,11 +477,29 @@ def equivalent(a, b, cat: SmallCategory, bound) -> bool:
 
 def principal_ideal(a, cat: SmallCategory, bound):
     """The right ideal {ac : composable} truncated to the window, sorted."""
-    out = {a} if size_fits(cat.size(a), bound) else set()
-    for x in cat.morphisms(bound):
-        if cat.s(a) != cat.r(x):
-            continue
-        ax = cat.compose(a, x)
-        if ax is not None and size_fits(cat.size(ax), bound):
+    ids = cat.id_view()
+    ideal = _ideal_ids(ids, ids.id_of(a), bound)
+    return tuple(sorted((ids.morphs[i] for i in ideal), key=cat.sort_key))
+
+
+def _ideal_ids(ids, a, bound):
+    """principal_ideal on ids, as a set."""
+    sizes, compose = ids.sizes, ids.compose_ids
+    out = {a} if size_fits(sizes[a], bound) else set()
+    for x in ids.window(bound).by_range.get(ids.sources[a], ()):
+        ax = compose(a, x)
+        if ax is not None and size_fits(sizes[ax], bound):
             out.add(ax)
-    return tuple(sorted(out, key=cat.sort_key))
+    return out
+
+
+def _divisor_ids(ids, a, b, bound):
+    """The window ids x with a x = b; sizes are additive in every in-scope
+    category, so only one (range, size) bucket can hold them."""
+    need = _size_gap(ids.sizes[a], ids.sizes[b])
+    if need is None:
+        return []
+    compose = ids.compose_ids
+    return [
+        x for x in ids.window(bound).buckets.get((ids.sources[a], need), ()) if compose(a, x) == b
+    ]

@@ -43,7 +43,7 @@ from .alignment import (
     path_inclusion,
     zs_inclusion,
 )
-from .categories import composable_triples, validate_category
+from .categories import associativity_failures, validate_category
 from .cocycle import (
     Cocycle,
     ConstantHomotopy,
@@ -232,13 +232,16 @@ def cmd_zs(ws: Workspace, args):
         check_self_similar(ws.pair, ws.bound).to_json(),
     ]
     window = ws.zs.morphisms(ws.bound)
-    assoc = True
     witness = None  # the last failing triple
-    for x, y, z, xy, yz in composable_triples(ws.zs, window):
-        if ws.zs.compose(xy, z) != ws.zs.compose(x, yz):
-            assoc, witness = False, [str(x), str(y), str(z)]
+    for triple in associativity_failures(ws.zs, window):
+        witness = triple
     checks.append(
-        {"check": "zs_associativity", "passed": assoc, "witness": witness, "window": len(window)}
+        {
+            "check": "zs_associativity",
+            "passed": witness is None,
+            "witness": None if witness is None else [str(m) for m in witness],
+            "window": len(window),
+        }
     )
     for v in ws.graph.vertices:
         checks.append(

@@ -19,7 +19,6 @@ from .selfsim import (
     FreeMonoidCategory,
     MatchedPair,
     ZSCategory,
-    ZSMorphism,
 )
 
 
@@ -365,7 +364,7 @@ def x_monoid():
 def x_elem(cat: ZSCategory, n: int, w: str):
     """The product element n.w of the counterexample monoid."""
     path = cat.D.nf(("1",) * n, rng="*") if n else cat.D.identity("*")
-    return ZSMorphism(path, w)
+    return cat.intern(path, w)
 
 
 # ---------------------------------------------------------------------------

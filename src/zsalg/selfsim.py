@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .categories import SmallCategory, size_fits
+from .categories import SmallCategory, Window, bound_key, size_fits
 from .errors import NotApplicableError, NotComposableError, UndefinedGeneratorError
 from .groupoid import FiniteGroupoid
 from .kgraph import KGraph, Path
@@ -247,13 +247,16 @@ def verify_matched_pair(pair: MatchedPair, bound) -> Report:
 
 @dataclass(frozen=True, eq=False)
 class ZSMorphism:
-    """A product morphism dc: path part first, then tail part."""
+    """A product morphism dc: path part first, then tail part.  One that a
+    ZSCategory handed out carries its owner token and id there."""
 
     path: Path
     tail: object
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.path, self.tail)))
+        object.__setattr__(self, "_owner", None)
+        object.__setattr__(self, "_id", None)
 
     def __hash__(self):
         return self._hash
@@ -277,6 +280,11 @@ class ZSCategory(SmallCategory):
     gauge and the divisibility answers alike.  With a groupoid tail the
     gauge is the path-part degree; otherwise it is the total scalar size of
     both parts, which is what the monoid counterexample needs.
+
+    The category is its own id view (categories.MorphismIds): each
+    morphism it hands out is interned with a dense id, and ``rows[i][j]``
+    stores the composite of each composable pair.  id_of looks a morphism
+    it did not intern up by value, so no other category's id reads a row.
     """
 
     def __init__(self, pair: MatchedPair):
@@ -284,18 +292,18 @@ class ZSCategory(SmallCategory):
         self.D = pair.acted
         self.C = pair.acting
         self._groupoid_tailed = isinstance(self.C, FiniteGroupoid)
-        self._compose_memo = {}
-        self._window_memo = {}
-        # hash-consing: one canonical object per product morphism, so that
-        # memo hits and equality tests of windows and composites are
-        # identity checks
         self._interned = {}
+        # stamped on interned morphisms; not self, so that they hold no
+        # reference cycle back to the category
+        self._token = object()
+        self.morphs, self.ranges, self.sources, self.sizes, self.rows = [], [], [], [], []
+        self._tails, self._windows = {}, {}
 
     def objects(self):
         return tuple(sorted(self.D.objects()))
 
     def identity(self, v):
-        return ZSMorphism(self.D.identity(v), self.C.identity(v))
+        return self.from_tail(self.C.identity(v))
 
     def is_identity(self, m):
         return self.D.is_identity(m.path) and self.C.is_identity(m.tail)
@@ -307,58 +315,82 @@ class ZSCategory(SmallCategory):
         return self.C.s(m.tail)
 
     def size(self, m):
-        if self._groupoid_tailed:
-            return self.D.size(m.path)
-        d = self.D.size(m.path)
-        d = sum(d) if isinstance(d, tuple) else d
-        return d + self.C.size(m.tail)
+        return self.sizes[self.id_of(m)]
 
     def morphisms(self, bound):
-        key = tuple(bound) if isinstance(bound, (tuple, list)) else bound
-        cached = self._window_memo.get(key)
-        if cached is not None:
-            return list(cached)
+        return list(self.window(bound).members)
+
+    def window(self, bound) -> Window:
+        key = bound_key(bound)
+        win = self._windows.get(key)
+        if win is not None:
+            return win
         out = []
         if self._groupoid_tailed:
             for d in self.D.morphisms(bound):
                 for c in self.C.morphisms(None):
                     if self.C.r(c) == self.D.s(d):
-                        out.append(self._intern(d, c))
+                        out.append(self.intern(d, c))
         else:
             for d in self.D.morphisms(self._scalar_tuple(bound)):
                 dsize = self.D.size(d)
                 dsize = sum(dsize) if isinstance(dsize, tuple) else dsize
                 for c in self.C.morphisms(bound - dsize):
                     if self.C.r(c) == self.D.s(d):
-                        out.append(self._intern(d, c))
+                        out.append(self.intern(d, c))
         out.sort(key=self.sort_key)
-        self._window_memo[key] = out
-        return list(out)
+        win = self._windows[key] = Window(self, out)
+        return win
 
     def _scalar_tuple(self, bound):
         probe = self.D.identity(next(iter(self.D.objects())))
         dsize = self.D.size(probe)
         return (bound,) * len(dsize) if isinstance(dsize, tuple) else bound
 
-    def _intern(self, path, tail) -> ZSMorphism:
-        """The one ZSMorphism with these parts."""
+    # -- ids
+
+    def intern(self, path, tail) -> ZSMorphism:
+        """The one ZSMorphism of this category with these parts."""
         key = (path, tail)
         m = self._interned.get(key)
         if m is None:
             m = self._interned[key] = ZSMorphism(path, tail)
+            object.__setattr__(m, "_owner", self._token)
+            object.__setattr__(m, "_id", len(self.morphs))
+            self.morphs.append(m)
+            self.ranges.append(self.D.r(path))
+            self.sources.append(self.C.s(tail))
+            size = self.D.size(path)
+            if not self._groupoid_tailed:
+                size = (sum(size) if isinstance(size, tuple) else size) + self.C.size(tail)
+            self.sizes.append(size)
+            self.rows.append({})
         return m
 
-    def compose(self, x: ZSMorphism, y: ZSMorphism):
-        key = (x, y)
-        out = self._compose_memo.get(key)
-        if out is None:
-            # only composable pairs are memoized, so a hit needs no test
-            if self.s(x) != self.r(y):
+    def id_of(self, m: ZSMorphism) -> int:
+        if m._owner is self._token:
+            return m._id
+        return self.intern(m.path, m.tail)._id
+
+    def id_view(self):
+        return self
+
+    def compose_ids(self, i, j):
+        row = self.rows[i]
+        k = row.get(j)
+        if k is None:
+            # only composable pairs are stored, so a hit needs no test
+            if self.sources[i] != self.ranges[j]:
                 return None
+            x, y = self.morphs[i], self.morphs[j]
             moved, tail = self.pair.extend(x.tail, y.path)
-            out = self._intern(self.D.compose(x.path, moved), self.C.compose(tail, y.tail))
-            self._compose_memo[key] = out
-        return out
+            composite = self.intern(self.D.compose(x.path, moved), self.C.compose(tail, y.tail))
+            k = row[j] = composite._id
+        return k
+
+    def compose(self, x: ZSMorphism, y: ZSMorphism):
+        k = self.compose_ids(self.id_of(x), self.id_of(y))
+        return None if k is None else self.morphs[k]
 
     def sort_key(self, m):
         return (self.D.sort_key(m.path), self.C.sort_key(m.tail))
@@ -366,10 +398,13 @@ class ZSCategory(SmallCategory):
     # -- conveniences used throughout the algebra layers
 
     def from_path(self, p: Path):
-        return ZSMorphism(p, self.C.identity(self.D.s(p)))
+        return self.intern(p, self.C.identity(self.D.s(p)))
 
     def from_tail(self, c):
-        return ZSMorphism(self.D.identity(self.C.r(c)), c)
+        m = self._tails.get(c)
+        if m is None:
+            m = self._tails[c] = self.intern(self.D.identity(self.C.r(c)), c)
+        return m
 
     def is_groupoid_tailed(self):
         return self._groupoid_tailed
@@ -394,7 +429,7 @@ class ZSCategory(SmallCategory):
         xc = self.C.compose(self.C.inverse(self.pair.right_act(a.tail, xd)), b.tail)
         if xc is None:
             return []
-        x = ZSMorphism(xd, xc)
+        x = self.intern(xd, xc)
         return [x] if self.compose(a, x) == b else []
 
     def divides(self, a: ZSMorphism, b: ZSMorphism, bound) -> bool:

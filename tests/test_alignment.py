@@ -28,7 +28,7 @@ from zsalg.fixtures import (
     x_monoid,
 )
 from zsalg.kgraph import sub_kgraph, validate_kgraph
-from zsalg.selfsim import ZSCategory, restrict_pair
+from zsalg.selfsim import ZSCategory, ZSMorphism, restrict_pair
 
 
 def test_independent_examples():
@@ -124,8 +124,6 @@ def test_tail_invariance_of_meets():
     b = zs.D.nf(("b",))
     for tail1 in ("v", "g"):
         for tail2 in ("v", "g"):
-            from zsalg.selfsim import ZSMorphism
-
             got = meet_ideal(ZSMorphism(a, tail1), ZSMorphism(b, tail2), zs, (3,))
             plain = meet_ideal(zs.from_path(a), zs.from_path(b), zs, (3,))
             if got.generators or plain.generators:
@@ -181,6 +179,29 @@ def test_concordant_zs_inclusion():
     inc = zs_inclusion(sub, amb)
     assert check_concordant(inc, (2,), (2, 2))
     assert check_exhaustive_lifting(inc, (2,), (2, 2))
+
+
+def test_zs_inclusion_morphisms_get_ambient_answers():
+    """A morphism interned by the subcategory is looked up in the ambient
+    category by value: it never reads the composition row or size that the
+    ambient category keeps under the same integer id."""
+    swap2 = swap2_pair()
+    amb = ZSCategory(swap2)
+    validate_category(amb, (1, 1))  # fills amb's rows for its low ids
+    gamma, _ = validate_kgraph(sub_kgraph(swap2.acted, [1]), (2,))
+    sub = ZSCategory(restrict_pair(swap2, gamma))
+    inc = zs_inclusion(sub, amb)
+    sub_window = sub.morphisms((2,))
+    amb_window = amb.morphisms((1, 1))
+    # the same integers name other morphisms in amb
+    assert any(amb.morphs[sub.id_of(m)] != m for m in sub_window)
+    for m in sub_window:
+        by_value = ZSMorphism(m.path, m.tail)
+        assert amb.size(m) == amb.size(by_value) == m.path.degree
+        assert amb.id_of(inc.embed(m)) == amb.id_of(ZSMorphism(inc.embed(m).path, m.tail))
+        for y in amb_window:
+            assert amb.compose(m, y) == amb.compose(by_value, y)
+            assert amb.compose(y, m) == amb.compose(y, by_value)
 
 
 def test_counterexample_transcript():

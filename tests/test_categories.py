@@ -3,19 +3,24 @@
 import pytest
 
 from zsalg.categories import (
+    SmallCategory,
     TableCategory,
+    associativity_failures,
     check_left_cancellative,
     composable_triples,
     equivalent,
     invertibles,
     principal_ideal,
+    size_fits,
     validate_category,
 )
 from zsalg.errors import UnvalidatedCategoryError
 from zsalg.fixtures import (
+    badswap_pair,
     kgraph_e2,
     kgraph_k1,
     pair_groupoid_2,
+    swap2_pair,
     swap_pair,
     x_elem,
     x_monoid,
@@ -147,21 +152,86 @@ def partial_two_object_table():
     )
 
 
+def _nested_associativity_failures(cat, window):
+    for a, b, c, ab, bc in _nested_triples(cat, window):
+        left = cat.compose(ab, c) if ab is not None else None
+        right = cat.compose(a, bc) if bc is not None else None
+        if left is not None and right is not None and left != right:
+            yield a, b, c
+
+
+def _nested_left_cancellative(cat, window):
+    """check_left_cancellative's (passed, witness), by the plain loop."""
+    for a in window:
+        seen = {}
+        for c in window:
+            if cat.s(a) != cat.r(c):
+                continue
+            ac = cat.compose(a, c)
+            if ac is None:
+                continue
+            if ac in seen and seen[ac] != c:
+                return False, (a, c, seen[ac])
+            seen[ac] = c
+    return True, None
+
+
+def _nested_principal_ideal(cat, a, window, bound):
+    out = {a} if size_fits(cat.size(a), bound) else set()
+    for x in window:
+        if cat.s(a) == cat.r(x):
+            ax = cat.compose(a, x)
+            if ax is not None and size_fits(cat.size(ax), bound):
+                out.add(ax)
+    return tuple(sorted(out, key=cat.sort_key))
+
+
+def _nested_divisors(cat, a, b, window):
+    """The brute divisor search: sizes are additive in every in-scope
+    category, so a divisor x of b by a has size(b) - size(a)."""
+    sa, sb = cat.size(a), cat.size(b)
+    need = tuple(y - x for x, y in zip(sa, sb)) if isinstance(sa, tuple) else sb - sa
+    return [
+        x
+        for x in window
+        if cat.size(x) == need and cat.s(a) == cat.r(x) and cat.compose(a, x) == b
+    ]
+
+
 @pytest.mark.parametrize(
-    "cat, bound",
+    "cat, bound, associative_fails",
     [
-        (kgraph_k1((2, 2)), (2, 2)),
-        (ZSCategory(swap_pair()), (2,)),
-        (partial_two_object_table(), 1),
+        (kgraph_k1((2, 2)), (2, 2), False),
+        (ZSCategory(swap_pair()), (2,), False),
+        (ZSCategory(swap2_pair()), (1, 1), False),
+        (x_monoid(), 4, False),
+        (ZSCategory(badswap_pair()), (2,), True),
+        (partial_two_object_table(), 1, False),
     ],
-    ids=["k1", "swap", "partial-table"],
+    ids=["k1", "swap", "swap2", "x-monoid", "badswap", "partial-table"],
 )
-def test_composable_triples_match_nested_loop(cat, bound):
+def test_composable_triples_match_nested_loop(cat, bound, associative_fails):
+    """The id-level sweeps give the answers of plain loops over cat.compose:
+    triples, associativity failures, left cancellativity, principal ideals
+    and the brute-force divisor search."""
     window = cat.morphisms(bound)
     got = list(composable_triples(cat, window))
     assert got == list(_nested_triples(cat, window))
     if isinstance(cat, TableCategory):
         assert any(ab is None for *_, ab, _ in got) and any(bc is None for *_, bc in got)
+
+    failures = list(associativity_failures(cat, window))
+    assert failures == list(_nested_associativity_failures(cat, window))
+    assert bool(failures) == associative_fails
+    cat.mark_validated(bound)
+    report = check_left_cancellative(cat, bound)
+    assert (report.passed, report.witness) == _nested_left_cancellative(cat, window)
+    for a in window:
+        assert principal_ideal(a, cat, bound) == _nested_principal_ideal(cat, a, window, bound)
+        for b in window:
+            assert SmallCategory.divisors_into(cat, a, b, bound) == _nested_divisors(
+                cat, a, b, window
+            )
 
 
 def test_composable_triples_raise_where_the_nested_loop_would():

@@ -125,6 +125,13 @@ def test_equal_zs_composites_are_one_object():
     # a fresh but equal pair hits the same memo entry
     x, y = window[1], window[2]
     assert zs.compose(ZSMorphism(x.path, x.tail), y) is zs.compose(x, y)
+    # the conveniences hand out the canonical objects too
+    a = zs.D.nf(("a",))
+    assert zs.identity("v") is canonical[zs.identity("v")]
+    assert zs.from_path(a) is canonical[ZSMorphism(a, "v")]
+    assert zs.from_tail("g") is canonical[ZSMorphism(zs.D.identity("v"), "g")]
+    assert zs.divisors_into(zs.identity("v"), x, (2,)) == [x]
+    assert zs.divisors_into(zs.identity("v"), x, (2,))[0] is x
 
 
 def test_zs_degree_additivity():
