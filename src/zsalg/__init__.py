@@ -57,6 +57,7 @@ from .alignment import (
 )
 from .cocycle import (
     Cocycle,
+    CocycleFamily,
     ConstantHomotopy,
     GridFunction,
     LinearHomotopy,

@@ -54,11 +54,12 @@ class SmallCategory:
     that a subclass overrides when it knows its own factorizations.
     """
 
-    #: invertible morphisms are guaranteed to have size 0 (true for every
-    #: in-scope category: groupoids, k-graphs, their products).  Explicit
-    #: table categories may clear this, in which case the invertibility scan
-    #: widens to the whole window.
-    invertibles_size_zero = True
+    #: size(a b) = size(a) + size(b) for every composable pair (true for
+    #: groupoids, k-graphs, free monoids and their products), so invertibles
+    #: have size 0 and a divisor x of b by a has size(b) - size(a).  Explicit
+    #: table categories clear this, and the invertibility and divisor
+    #: searches widen to the whole window.
+    additive_sizes = True
 
     def objects(self):
         raise NotImplementedError
@@ -88,7 +89,7 @@ class SmallCategory:
         """a after b -- defined when s(a) = r(b); None otherwise.
 
         The composite is computed exactly even when its size exceeds any
-        window (sizes are additive in every concrete subclass here).
+        window.
         """
         raise NotImplementedError
 
@@ -151,7 +152,7 @@ class SmallCategory:
         """All x in the window with a x = b (at most one when
         left-cancellative)."""
         ids = self.id_view()
-        return [ids.morphs[x] for x in _divisor_ids(ids, ids.id_of(a), ids.id_of(b), bound)]
+        return [ids.morphs[x] for x in _divisor_ids(self, ids.id_of(a), ids.id_of(b), bound)]
 
     def divides(self, a, b, bound) -> bool:
         """b lies in the principal right ideal of a."""
@@ -175,7 +176,7 @@ class SmallCategory:
         ideal = _ideal_ids(ids, ids.id_of(c1), bound) & _ideal_ids(ids, ids.id_of(c2), bound)
 
         def divides(i, j):
-            return i == j or bool(_divisor_ids(ids, i, j, bound))
+            return i == j or bool(_divisor_ids(self, i, j, bound))
 
         minimal = [
             m
@@ -272,7 +273,7 @@ class TableCategory(SmallCategory):
     fixtures.
     """
 
-    invertibles_size_zero = False
+    additive_sizes = False
 
     def __init__(self, objects, morphisms, r_map, s_map, compose_table):
         self._objects = tuple(sorted(objects))
@@ -436,11 +437,11 @@ def check_left_cancellative(cat: SmallCategory, bound) -> Report:
 def invertibles(cat: SmallCategory, bound):
     """Morphisms with a two-sided inverse in the window.
 
-    For gauge categories invertibles all have size 0 (declared by the
-    subclass), so the scan is restricted there; for explicit tables the whole
-    window is scanned.  Identities are always included.
+    With additive sizes invertibles all have size 0, so the scan is
+    restricted there; for explicit tables the whole window is scanned.
+    Identities are always included.
     """
-    if cat.invertibles_size_zero:
+    if cat.additive_sizes:
         zero = [m for m in cat.morphisms(bound) if _is_zero(cat.size(m))]
     else:
         zero = cat.morphisms(bound)
@@ -493,13 +494,18 @@ def _ideal_ids(ids, a, bound):
     return out
 
 
-def _divisor_ids(ids, a, b, bound):
-    """The window ids x with a x = b; sizes are additive in every in-scope
-    category, so only one (range, size) bucket can hold them."""
-    need = _size_gap(ids.sizes[a], ids.sizes[b])
-    if need is None:
-        return []
+def _divisor_ids(cat: SmallCategory, a, b, bound):
+    """The window ids x with a x = b.  With additive sizes only the
+    (range, size(b) - size(a)) bucket can hold them; otherwise the whole
+    range bucket is searched."""
+    ids = cat.id_view()
+    win = ids.window(bound)
+    if cat.additive_sizes:
+        need = _size_gap(ids.sizes[a], ids.sizes[b])
+        if need is None:
+            return []
+        candidates = win.buckets.get((ids.sources[a], need), ())
+    else:
+        candidates = win.by_range.get(ids.sources[a], ())
     compose = ids.compose_ids
-    return [
-        x for x in ids.window(bound).buckets.get((ids.sources[a], need), ()) if compose(a, x) == b
-    ]
+    return [x for x in candidates if compose(a, x) == b]

@@ -99,10 +99,11 @@ class Workspace:
             raise ZsalgError("workspace needs a 'kgraph' section")
         self.pres = _section(fixtures.parse_kgraph, kg)
         self.k = self.pres.k
-        bounds = doc.get("bounds", {})
-        self.bound = tuple(bound or bounds.get("degree") or (2,) * max(self.k, 1))[: self.k]
-        if self.k == 0:
-            self.bound = ()
+        if bound is None:
+            bound = doc.get("bounds", {}).get("degree", (2,) * self.k)
+        self.bound = _section(tuple, bound)
+        if len(self.bound) != self.k:
+            raise ZsalgError(f"degree bound {list(self.bound)} does not match the rank {self.k}")
         self.graph, self.graph_report = validate_kgraph(self.pres, self.bound)
 
         gp = doc.get("groupoid")
@@ -119,7 +120,7 @@ class Workspace:
         self.pair = MatchedPair(self.groupoid, self.graph, table)
         self.zs = ZSCategory(self.pair)
 
-        self.grid = int(grid or doc.get("homotopy", {}).get("grid", 11))
+        self.grid = int(grid if grid is not None else doc.get("homotopy", {}).get("grid", 11))
         # a copy: --budget writes here, and builtin documents are shared
         self.budgets = dict(doc.get("budgets", {}))
 
@@ -254,6 +255,9 @@ def cmd_concordance(ws: Workspace, args):
     split = args.split if args.split is not None else ws.k - 1
     if not 0 <= split < ws.k:
         raise ZsalgError(f"--split must be in 0..{ws.k - 1}")
+    budget = int(ws.budgets.get("antichain", 6))
+    if budget < 1:
+        raise ZsalgError(f"the antichain budget must be at least 1, not {budget}")
     colors = list(range(1, split + 1))
     gamma, grep = validate_kgraph(sub_kgraph(ws.graph, colors), ws.bound[:split])
     validate_category(gamma, ws.bound[:split])
@@ -272,7 +276,7 @@ def cmd_concordance(ws: Workspace, args):
             inc,
             ws.bound[:split],
             ws.bound,
-            max_size=int(ws.budgets.get("antichain", 6)),
+            max_size=budget,
             window_cap=int(ws.budgets.get("window", 200)),
         ).to_json()
     )
@@ -418,7 +422,7 @@ def main(argv=None) -> int:
                 ws = Workspace(doc, bound=bound, grid=args.grid)
             else:
                 ws = builtin_workspace(args.fixture or "k1", bound=bound, grid=args.grid)
-            if args.budget:
+            if args.budget is not None:
                 ws.budgets["antichain"] = args.budget
         body = fn(ws, args)
     except (ZsalgError, KeyError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -6,11 +6,17 @@ Fraction arithmetic and comparisons are exact; any float input degrades the
 affected values to double precision with a 1e-12 comparison tolerance.
 
 Coefficients of the exact algebra model are finite sums of phases
-(PhaseSum); a homotopy of cocycles is sampled on the grid t_j = j/(M-1) and
-its per-pair sample vector is a GridFunction.  Only linear homotopies
-exp(2*pi*i*t*q) are constructible here; arbitrary per-fiber tables can be
-verified but not built.  Continuity between grid samples cannot be certified
-from samples and is reported as a stated limitation.
+(PhaseSum).  A sum is exact or float, never both: a float operand collapses
+a sum or product to its complex value.
+
+Every cocycle family is one CocycleFamily: an exponent form q and one scale
+s_j per grid point, fiber j being exp(2*pi*i*s_j*q).  A cocycle is the
+one-fiber family at scale 1 (Cocycle), a linear homotopy the family on the
+grid t_j = j/(M-1) (LinearHomotopy), and a constant family repeats its
+cocycle's scale (ConstantHomotopy); a pair's per-fiber samples form a
+GridFunction.  Families of arbitrary per-fiber tables can be verified by
+overriding phase_vec, but not built here.  Continuity between grid samples
+cannot be certified from samples and is reported as a stated limitation.
 """
 
 from __future__ import annotations
@@ -76,11 +82,13 @@ def _same_product(p1: Phase, p2: Phase, p3: Phase, p4: Phase) -> bool:
 
 
 class PhaseSum:
-    """A finite rational combination of exact phases plus a float remainder.
+    """A finite rational combination of exact phases, or a float.
 
     Supports the coefficient arithmetic of the normal-form algebra: sums,
-    products, conjugation.  Zero testing is exact on the rational part and
-    numeric (1e-12) once floats are involved.
+    products, conjugation.  A sum is exact (``terms``, with ``rem`` zero) or
+    float (``rem`` alone), never both: any sum or product with a float
+    operand collapses to its complex value in ``rem``.  Zero testing is
+    numeric (1e-12).
     """
 
     __slots__ = ("terms", "rem")
@@ -109,10 +117,12 @@ class PhaseSum:
         return PhaseSum(rem=p.complex_value())
 
     def __add__(self, other):
+        if self.rem or other.rem:
+            return PhaseSum(rem=self.value() + other.value())
         merged = dict(self.terms)
         for ph, c in other.terms.items():
             merged[ph] = merged.get(ph, Fraction(0)) + c
-        return PhaseSum(merged, self.rem + other.rem)
+        return PhaseSum(merged)
 
     def __neg__(self):
         return PhaseSum({ph: -c for ph, c in self.terms.items()}, -self.rem)
@@ -123,17 +133,14 @@ class PhaseSum:
     def __mul__(self, other):
         if isinstance(other, Phase):
             other = PhaseSum.from_phase(other)
+        if self.rem or other.rem:
+            return PhaseSum(rem=self.value() * other.value())
         out = {}
-        rem = self.rem * other.rem
         for p1, c1 in self.terms.items():
             for p2, c2 in other.terms.items():
                 key = (p1 + p2) % 1
                 out[key] = out.get(key, Fraction(0)) + c1 * c2
-        if other.rem:
-            rem += self.value(exact_only=True) * other.rem
-        if self.rem:
-            rem += other.value(exact_only=True) * self.rem
-        return PhaseSum(out, rem)
+        return PhaseSum(out)
 
     def scale(self, q):
         if isinstance(q, (int, Fraction)):
@@ -156,12 +163,10 @@ class PhaseSum:
             )
         return PhaseSum(rem=self.value() * p.complex_value())
 
-    def value(self, exact_only=False):
-        total = 0j
+    def value(self):
+        total = self.rem
         for ph, c in self.terms.items():
             total += complex(c) * cmath.exp(2j * cmath.pi * float(ph))
-        if not exact_only:
-            total += self.rem
         return total
 
     @property
@@ -323,18 +328,45 @@ class TableForm(ExponentForm):
         return self.table.get((c1, c2), Fraction(0))
 
 
-class Cocycle:
-    """A circle-valued 2-cocycle presented by an exponent form."""
+class CocycleFamily:
+    """A grid-sampled family of circle-valued 2-cocycles: fiber j is
+    exp(2*pi*i * scales[j] * q) for the exponent form q."""
 
-    def __init__(self, form: ExponentForm, name="cocycle"):
+    def __init__(self, form: ExponentForm, scales, name):
         self.form = form
+        self.scales = tuple(scales)
+        self.m = len(self.scales)
         self.name = name
 
+    def exponent(self, c1, c2):
+        """Additive exponent of the pair; fiber j has phase scale_j * exponent."""
+        return self.form.exponent(c1, c2)
+
+    def grid_scales(self):
+        """Per-fiber multipliers of the exponent."""
+        return self.scales
+
     def phase(self, c1, c2) -> Phase:
-        return Phase(self.form.exponent(c1, c2))
+        """The pair's phase in the first fiber, which is the only one of a cocycle."""
+        return Phase(self.scales[0] * self.form.exponent(c1, c2))
+
+    def phase_vec(self, c1, c2):
+        """The per-grid-point phases of the pair, as a tuple."""
+        q = self.form.exponent(c1, c2)
+        return tuple(Phase(s * q) for s in self.scales)
+
+    def cocycle_at(self, j) -> "CocycleFamily":
+        """Fiber j, as the one-fiber family at its scale."""
+        s = self.scales[j]
+        return CocycleFamily(self.form, (s,), f"{self.name}@t={s}")
 
     def restrict(self, embed):
-        return Cocycle(_RestrictedForm(self.form, embed), f"{self.name}|sub")
+        return CocycleFamily(_RestrictedForm(self.form, embed), self.scales, f"{self.name}|sub")
+
+
+def Cocycle(form: ExponentForm, name="cocycle") -> CocycleFamily:
+    """A circle-valued 2-cocycle presented by an exponent form."""
+    return CocycleFamily(form, (Fraction(1),), name)
 
 
 class _RestrictedForm(ExponentForm):
@@ -350,12 +382,12 @@ def trivial_cocycle():
     return Cocycle(TableForm({}), name="trivial")
 
 
-def restrict_cocycle(sigma: Cocycle, embed) -> Cocycle:
+def restrict_cocycle(sigma: CocycleFamily, embed) -> CocycleFamily:
     """The same cocycle read along a subcategory embedding."""
     return sigma.restrict(embed)
 
 
-def rotation_cocycle(theta, cat: SmallCategory, check_bound=None) -> Cocycle:
+def rotation_cocycle(theta, cat: SmallCategory, check_bound=None) -> CocycleFamily:
     """The rotation cocycle of an angle matrix on a degree-additive category.
 
     Degree additivity of path parts is spot-checked on a small window;
@@ -374,28 +406,29 @@ def rotation_cocycle(theta, cat: SmallCategory, check_bound=None) -> Cocycle:
     return sigma
 
 
-def verify_cocycle(sigma: Cocycle, cat: SmallCategory, bound) -> Report:
+def verify_cocycle(sigma: CocycleFamily, cat: SmallCategory, bound) -> Report:
     """Normalization and the 2-cocycle identity, exhaustively on the window.
 
     Phases compare exactly in rational mode, within 1e-12 otherwise.
     """
-    _, witness, checked = _sweep_fibers(lambda c1, c2: (sigma.phase(c1, c2),), 1, cat, bound)
+    _, witness, checked = _sweep_fibers(sigma, cat, bound)
     if witness is not None:
         return failing(f"cocycle[{sigma.name}]", witness=witness, bound=bound)
     return passing(f"cocycle[{sigma.name}]", bound=bound, triples=checked)
 
 
-def _sweep_fibers(phase_vec, m, cat: SmallCategory, bound):
-    """verify_cocycle for a family of m cocycles at once, in one sweep.
+def _sweep_fibers(family: CocycleFamily, cat: SmallCategory, bound):
+    """verify_cocycle for every fiber of a family at once, in one sweep.
 
-    ``phase_vec(c1, c2)`` gives the pair's phase in every fiber; it is
-    computed once per pair.  Returns ``(fiber, witness, triples)``: the
+    ``family.phase_vec(c1, c2)`` gives the pair's phase in every fiber; it
+    is computed once per pair.  Returns ``(fiber, witness, triples)``: the
     lowest failing fiber with the witness verify_cocycle gives for that
     fiber alone; the witness is None when every fiber passes.
     Only fibers below the lowest failure found so far can change the
     answer, so the sweep watches those and stops once fiber 0 fails.
     """
     window = cat.morphisms(bound)
+    phase_vec = family.phase_vec
     memo = {}
 
     def vec(c1, c2):
@@ -404,7 +437,7 @@ def _sweep_fibers(phase_vec, m, cat: SmallCategory, bound):
             out = memo[c1, c2] = phase_vec(c1, c2)
         return out
 
-    low, witness = m, None
+    low, witness = family.m, None
     for c in window:
         for kind, pair in (
             ("normalization_left", (cat.identity(cat.r(c)), c)),
@@ -435,77 +468,18 @@ def _sweep_fibers(phase_vec, m, cat: SmallCategory, bound):
 # homotopies
 
 
-class Homotopy:
-    """A grid-sampled family of cocycles; continuity between samples is a
-    stated limitation of the model, not a verified property."""
-
-    def __init__(self, m):
-        if m < 2:
-            raise ValueError("homotopy grids need at least the two endpoints")
-        self.m = m
-
-    def cocycle_at(self, j) -> Cocycle:
-        raise NotImplementedError
-
-    def exponent(self, c1, c2):
-        """Additive exponent of the pair; fiber j has phase scale_j * exponent."""
-        raise NotImplementedError
-
-    def grid_scales(self):
-        """Per-fiber multipliers of the exponent."""
-        raise NotImplementedError
-
-    def phase_vec(self, c1, c2):
-        """The per-grid-point phases of the pair, as a tuple."""
-        q = self.exponent(c1, c2)
-        return tuple(Phase(s * q) for s in self.grid_scales())
+def LinearHomotopy(generator: ExponentForm, m=11) -> CocycleFamily:
+    """Sigma_t = exp(2*pi*i*t*q) for an additive generator q, sampled on the
+    grid t_j = j/(m-1)."""
+    if m < 2:
+        raise ValueError("homotopy grids need at least the two endpoints")
+    return CocycleFamily(generator, (Fraction(j, m - 1) for j in range(m)), "linear")
 
 
-class LinearHomotopy(Homotopy):
-    """Sigma_t = exp(2*pi*i*t*q) for an additive generator q."""
-
-    def __init__(self, generator: ExponentForm, m=11):
-        super().__init__(m)
-        self.generator = generator
-
-    def cocycle_at(self, j) -> Cocycle:
-        t = Fraction(j, self.m - 1)
-        return Cocycle(_ScaledForm(self.generator, t), name=f"linear@t={t}")
-
-    def exponent(self, c1, c2):
-        return self.generator.exponent(c1, c2)
-
-    def grid_scales(self):
-        return tuple(Fraction(j, self.m - 1) for j in range(self.m))
-
-
-class _ScaledForm(ExponentForm):
-    def __init__(self, inner, t):
-        self.inner = inner
-        self.t = t
-
-    def exponent(self, c1, c2):
-        return self.t * self.inner.exponent(c1, c2)
-
-
-class ConstantHomotopy(Homotopy):
-    """A single cocycle viewed as a (possibly one-point) constant family."""
-
-    def __init__(self, sigma: Cocycle, m=1):
-        self.m = m  # m = 1 is allowed: a plain twisted model, no homotopy
-        self.sigma = sigma
-
-    def cocycle_at(self, j) -> Cocycle:
-        return self.sigma
-
-    def exponent(self, c1, c2):
-        return self.sigma.form.exponent(c1, c2)
-
-    def grid_scales(self):
-        return (Fraction(1),) * self.m
-
-    def phase_vec(self, c1, c2):
-        return (self.sigma.phase(c1, c2),) * self.m
+def ConstantHomotopy(sigma: CocycleFamily, m=1) -> CocycleFamily:
+    """A cocycle (a one-fiber family) repeated on m grid points; m = 1 is a
+    plain twisted model, no homotopy."""
+    return CocycleFamily(sigma.form, sigma.scales * m, sigma.name)
 
 
 def _check_additive_generator(generator: ExponentForm, cat: SmallCategory, bound) -> Report:
@@ -530,7 +504,7 @@ def _check_additive_generator(generator: ExponentForm, cat: SmallCategory, bound
     return passing("additive_generator", bound=bound)
 
 
-def linear_homotopy(generator: ExponentForm, cat: SmallCategory, bound, m=11) -> LinearHomotopy:
+def linear_homotopy(generator: ExponentForm, cat: SmallCategory, bound, m=11) -> CocycleFamily:
     """Build the linear homotopy of an additive generator.
 
     The generator must solve the additive cocycle identity and vanish on
@@ -538,23 +512,25 @@ def linear_homotopy(generator: ExponentForm, cat: SmallCategory, bound, m=11) ->
     automatically a solution as well.  Otherwise BadGeneratorError, whose
     ``report`` is the failing check with its witness.
     """
+    hom = LinearHomotopy(generator, m)
     rep = _check_additive_generator(generator, cat, bound)
     if not rep:
         raise BadGeneratorError(f"generator is not an additive cocycle: {rep.witness}", rep)
-    return LinearHomotopy(generator, m)
+    return hom
 
 
-def verify_homotopy(h: Homotopy, cat: SmallCategory, bound) -> Report:
-    """Every grid fiber is a cocycle; endpoint Sigma_0 = 1 for linear families.
+def verify_homotopy(h: CocycleFamily, cat: SmallCategory, bound) -> Report:
+    """Every grid fiber is a cocycle; endpoint Sigma_0 = 1 when the first
+    scale is 0, as for linear homotopies.
 
     One sweep of the window serves all fibers: each pair's phase vector is
     computed once, and the report names the lowest failing fiber with the
     witness verify_cocycle gives for it.
     """
-    fiber, witness, _ = _sweep_fibers(h.phase_vec, h.m, cat, bound)
+    fiber, witness, _ = _sweep_fibers(h, cat, bound)
     if witness is not None:
         return failing("homotopy_fibers", witness={"fiber": fiber, "inner": witness}, bound=bound)
-    if isinstance(h, LinearHomotopy):
+    if h.scales[0] == 0:
         sigma0 = h.cocycle_at(0)
         window = cat.morphisms(bound)
         for c1 in window:

@@ -38,7 +38,7 @@ import itertools
 
 import numpy as np
 
-from .cocycle import Cocycle, Homotopy
+from .cocycle import CocycleFamily
 from .errors import InfiniteBasisError, OffGridError
 from .kgraph import deg_join, deg_le, deg_splits, deg_sub
 from .normalform import Element
@@ -126,7 +126,7 @@ def nan_max(worst, r):
 class TruncatedRep:
     """Operators of a fiber of the sampled cocycle family on the degree window."""
 
-    def __init__(self, zs: ZSCategory, family: Homotopy, bound, grid_index):
+    def __init__(self, zs: ZSCategory, family: CocycleFamily, bound, grid_index):
         if not zs.is_groupoid_tailed():
             raise InfiniteBasisError("matrix model needs a finite groupoid tail")
         if not isinstance(grid_index, int) or not 0 <= grid_index < family.m:
@@ -136,7 +136,7 @@ class TruncatedRep:
         self.G = zs.C
         self.family = family
         self.grid_index = grid_index
-        self.sigma: Cocycle = family.cocycle_at(grid_index)
+        self.sigma: CocycleFamily = family.cocycle_at(grid_index)
         self.bound = tuple(bound)
         self.basis = zs.morphisms(self.bound)
         self.index = {x: i for i, x in enumerate(self.basis)}
@@ -209,7 +209,7 @@ class TruncatedRep:
         }
 
 
-def build_grid_reps(zs: ZSCategory, family: Homotopy, bound):
+def build_grid_reps(zs: ZSCategory, family: CocycleFamily, bound):
     return [TruncatedRep(zs, family, bound, j) for j in range(family.m)]
 
 
@@ -318,7 +318,7 @@ def check_relations(rep: TruncatedRep, exhaustive_sets=None) -> Report:
     return passing("matrix_relations", bound=rep.bound, residuals=residuals, dim=rep.dim)
 
 
-def check_homotopy_relations(zs: ZSCategory, family: Homotopy, bound) -> Report:
+def check_homotopy_relations(zs: ZSCategory, family: CocycleFamily, bound) -> Report:
     """Per-fiber relation checks plus the grid-family layer.
 
     The vertex maps of the family act per fiber as f(t_j) times the vertex

@@ -20,7 +20,7 @@ algebra: level raising certifies every identity this toolkit asserts.
 
 from __future__ import annotations
 
-from .cocycle import GridFunction, Homotopy, Phase
+from .cocycle import CocycleFamily, GridFunction, Phase
 from .errors import (
     DegreeMismatchError,
     NoSourcesRequiredError,
@@ -122,7 +122,7 @@ class AlgebraModel:
     matters only for which rewrites are legal, the product is the same.
     """
 
-    def __init__(self, zs: ZSCategory, family: Homotopy, level_bound, covariant=True):
+    def __init__(self, zs: ZSCategory, family: CocycleFamily, level_bound, covariant=True):
         if not zs.is_groupoid_tailed():
             raise NotApplicableError("the normal-form model needs a groupoid tail")
         self.zs = zs
@@ -144,9 +144,9 @@ class AlgebraModel:
 
     # -- cocycle samples on product-category pairs
     #
-    # The configured families (linear homotopies, constant cocycles) expose a
-    # scalar additive exponent per pair, so coefficient twists accumulate as
-    # one scalar and expand to grid phases once per emitted term.
+    # A family has one additive exponent per pair and one scale per grid
+    # point, so coefficient twists accumulate as one scalar and expand to
+    # grid phases once per emitted term.
 
     def _e(self, x: ZSMorphism, y: ZSMorphism):
         memo = self._e_memo
@@ -164,24 +164,6 @@ class AlgebraModel:
             out = tuple(Phase(s * exponent) for s in self._scales)
             memo[exponent] = out
         return out
-
-    def _zs_path(self, p: Path) -> ZSMorphism:
-        return self.zs.from_path(p)
-
-    def _zs_tail(self, g) -> ZSMorphism:
-        return self.zs.from_tail(g)
-
-    def e_pp(self, p, q):
-        return self._e(self._zs_path(p), self._zs_path(q))
-
-    def e_pt(self, p, g):
-        return self._e(self._zs_path(p), self._zs_tail(g))
-
-    def e_tp(self, g, p):
-        return self._e(self._zs_tail(g), self._zs_path(p))
-
-    def e_tt(self, g, h):
-        return self._e(self._zs_tail(g), self._zs_tail(h))
 
     # -- constructors
 
@@ -234,6 +216,7 @@ class AlgebraModel:
         extension is appended to it, with the data every coefficient factor
         came from.
         """
+        e, path, tail = self._e, self.zs.from_path, self.zs.from_tail
         for (l1, g1, m1), f1 in xterms:
             for (l2, g2, m2), f2 in yterms:
                 if self.D.r(m1) != self.D.r(l2):
@@ -254,22 +237,22 @@ class AlgebraModel:
                     # adjoint-sandwich expansion over the common extension,
                     # then push g1 through alpha and absorb into l1
                     tw = (
-                        -self.e_pp(m1, alpha)
-                        + self.e_pp(l2, beta)
-                        + self.e_tp(g1, alpha)
-                        - self.e_pt(a_moved, g1_res)
-                        + self.e_pp(l1, a_moved)
+                        -e(path(m1), path(alpha))
+                        + e(path(l2), path(beta))
+                        + e(tail(g1), path(alpha))
+                        - e(path(a_moved), tail(g1_res))
+                        + e(path(l1), path(a_moved))
                     )
                     # convert S_beta* S_g2 via the inverse tail, merge the
                     # tails and the adjoint-side paths
                     tw = (
                         tw
-                        + self.e_tt(g2inv, g2)
-                        - self.e_tp(g2inv, beta)
-                        + self.e_pt(b_moved, h)
-                        - self.e_tt(h, hinv)
-                        + self.e_tt(g1_res, hinv)
-                        - self.e_pp(m2, b_moved)
+                        + e(tail(g2inv), tail(g2))
+                        - e(tail(g2inv), path(beta))
+                        + e(path(b_moved), tail(h))
+                        - e(tail(h), tail(hinv))
+                        + e(tail(g1_res), tail(hinv))
+                        - e(path(m2), path(b_moved))
                     )
                     key = (
                         self.D.compose(l1, a_moved),
@@ -305,7 +288,8 @@ class AlgebraModel:
         out = {}
         for (lam, g, mu), f in x.terms.items():
             ginv = self.G.inverse(g)
-            coeff = f.conj().times_phases(self._expand(-self.e_tt(g, ginv)))
+            tw = -self._e(self.zs.from_tail(g), self.zs.from_tail(ginv))
+            coeff = f.conj().times_phases(self._expand(tw))
             key = (mu, ginv, lam)
             out[key] = out[key] + coeff if key in out else coeff
         return Element(self, out)
@@ -321,6 +305,7 @@ class AlgebraModel:
             raise NoSourcesRequiredError("level raising needs no sources on the window")
         if not deg_le(n, self.level_bound):
             raise WindowExceededError(f"level {n} exceeds window {self.level_bound}")
+        e, path, tail = self._e, self.zs.from_path, self.zs.from_tail
         out = {}
         for (lam, g, mu), f in x.terms.items():
             if not deg_le(lam.degree, n):
@@ -329,10 +314,10 @@ class AlgebraModel:
             for alpha in self.D.paths(self.G.s(g), gap):
                 a_moved, g_res = self.pair.extend(g, alpha)
                 tw = (
-                    self.e_pp(lam, a_moved)
-                    + self.e_tp(g, alpha)
-                    - self.e_pt(a_moved, g_res)
-                    - self.e_pp(mu, alpha)
+                    e(path(lam), path(a_moved))
+                    + e(tail(g), path(alpha))
+                    - e(path(a_moved), tail(g_res))
+                    - e(path(mu), path(alpha))
                 )
                 coeff = f.times_phases(self._expand(tw))
                 key = (self.D.compose(lam, a_moved), g_res, self.D.compose(mu, alpha))
@@ -346,8 +331,6 @@ class AlgebraModel:
     # -- fibers
 
     def fiber_model(self, j) -> "AlgebraModel":
-        from .cocycle import ConstantHomotopy
-
         if not isinstance(j, int) or not 0 <= j < self.m:
             raise OffGridError(f"grid index {j} outside 0..{self.m - 1}")
         cached = getattr(self, "_fiber_cache", None)
@@ -356,10 +339,7 @@ class AlgebraModel:
             self._fiber_cache = cached
         if j not in cached:
             cached[j] = AlgebraModel(
-                self.zs,
-                ConstantHomotopy(self.family.cocycle_at(j), m=1),
-                self.level_bound,
-                self.covariant,
+                self.zs, self.family.cocycle_at(j), self.level_bound, self.covariant
             )
         return cached[j]
 

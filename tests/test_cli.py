@@ -255,3 +255,56 @@ def test_wrongly_typed_value_is_malformed(tmp_path, command, ws):
     code, report = run(tmp_path, command, "--workspace", str(path))
     assert code == 2
     assert report["error"] == "ZsalgError" and "malformed workspace section" in report["message"]
+
+
+def _workspace(tmp_path, fixture, **sections):
+    from zsalg.fixtures import FIXTURE_DOCS
+
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps({**FIXTURE_DOCS[fixture], **sections}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--fixture", "k1", "--bound", "2"],
+        ["rep-check", "--fixture", "swap", "--bound", "1,5"],
+        ["validate", "--workspace", "{ws}"],
+    ],
+    ids=["short-flag", "long-flag", "workspace-degree"],
+)
+def test_bound_of_the_wrong_length_is_malformed(tmp_path, argv):
+    """A degree bound needs one entry per color; any other length is
+    malformed input, never cut or padded."""
+    ws = _workspace(tmp_path, "k1", bounds={"degree": [2, 2, 2]})
+    code, report = run(tmp_path, *[ws if arg == "{ws}" else arg for arg in argv])
+    assert code == 2
+    assert report["error"] == "ZsalgError" and "rank" in report["message"]
+
+
+def test_rank_zero_bound_is_empty(tmp_path):
+    ws = {"kgraph": {"k": 0, "vertices": ["v"], "edges": [], "squares": []}}
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(ws))
+    code, report = run(tmp_path, "validate", "--workspace", str(path))
+    assert code == 0 and report["bound"] == []
+
+
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_homotopy_grid_below_two_is_malformed(tmp_path, grid):
+    code, report = run(tmp_path, "homotopy-check", "--fixture", "k1", "--grid", grid)
+    assert code == 2
+    assert report["error"] == "ValueError" and "endpoints" in report["message"]
+
+
+@pytest.mark.parametrize("where", ["flag", "workspace"])
+def test_antichain_budget_below_one_is_malformed(tmp_path, where):
+    """A given budget of 0 is honoured, and it is malformed input."""
+    if where == "flag":
+        argv = ["--fixture", "swap2", "--budget", "0"]
+    else:
+        argv = ["--workspace", _workspace(tmp_path, "e2", budgets={"antichain": 0})]
+    code, report = run(tmp_path, "concordance", *argv)
+    assert code == 2
+    assert report["error"] == "ZsalgError" and "antichain budget" in report["message"]

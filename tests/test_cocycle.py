@@ -8,9 +8,9 @@ import pytest
 
 from zsalg.cocycle import (
     Cocycle,
+    CocycleFamily,
     ConstantHomotopy,
     GridFunction,
-    Homotopy,
     LinearHomotopy,
     Phase,
     PhaseSum,
@@ -48,6 +48,15 @@ def test_phase_sum_algebra():
     assert i.conj().same_as(mi)
     assert not (i + PhaseSum.one()).is_zero()
     assert i.is_unimodular() and not (i + PhaseSum.one()).is_unimodular()
+
+
+def test_float_operand_collapses_phase_sum():
+    """A phase sum is exact or float, never both."""
+    exact = PhaseSum.from_phase(Phase(Fraction(1, 4))) + PhaseSum.one()
+    i_float = PhaseSum.from_phase(Phase(0.25))
+    for mixed, value in ((exact + i_float, 1 + 2j), (exact * i_float, -1 + 1j)):
+        assert not mixed.terms and abs(mixed.rem - value) <= 1e-12
+    assert exact.terms and not exact.rem
 
 
 def test_grid_function_star_algebra_laws():
@@ -218,11 +227,12 @@ def test_bad_generator_error_carries_witness():
     assert info.value.report.witness == ("identity", a, a, b)
 
 
-class TableFamily(Homotopy):
-    """Fiber j is the table cocycle of tables[j]."""
+class TableFamily(CocycleFamily):
+    """Fiber j is the table cocycle of tables[j]: a family that is verified,
+    never built from one form."""
 
     def __init__(self, tables):
-        super().__init__(len(tables))
+        super().__init__(TableForm({}), (Fraction(1),) * len(tables), "tables")
         self.fibers = [Cocycle(TableForm(t), name=f"fiber{j}") for j, t in enumerate(tables)]
 
     def cocycle_at(self, j):

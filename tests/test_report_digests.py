@@ -1,0 +1,112 @@
+"""Pinned CLI reports: every command but `all` gives the report it gave when
+the digests were taken, so a simplification that changes any verdict,
+witness or report field fails here.
+
+Each case runs in process at --seed 0.  Its digest is the SHA-256 of the
+exit code and the report, with every float rounded to 12 decimals.  Runs
+that take over about a second are left out (`homotopy-check` on e2, swap and
+swap2, `cocycle-check` on swap2, `nf-mult` at its default 1000 triples);
+`nf-mult` runs at 20 triples instead.  To re-pin after an intended report
+change, print `digest(argv, tmp_path)` for the changed cases.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from zsalg.cli import main
+
+#: k1 with its rotation generator given as a float: the tolerance path
+FLOAT_K1 = {
+    "kgraph": {
+        "k": 2,
+        "vertices": ["v"],
+        "edges": [
+            {"id": "e", "color": 1, "src": "v", "dst": "v"},
+            {"id": "f", "color": 2, "src": "v", "dst": "v"},
+        ],
+        "squares": [{"ef": ["e", "f"], "fe": ["f", "e"]}],
+    },
+    "homotopy": {"generator": {"rotation": [[0, 0], [0.25, 0]]}, "grid": 11},
+    "bounds": {"degree": [2, 2]},
+}
+
+_QUICK = ["validate", "enumerate", "mce", "zs", "concordance", "cocycle-check", "rep-check"]
+_NF = ["nf-mult", "--triples", "20"]
+
+CASES = {
+    **{f"{cmd}-{fx}": [cmd, "--fixture", fx] for fx in ("k1", "e2", "swap") for cmd in _QUICK},
+    **{f"{cmd}-swap2": [cmd, "--fixture", "swap2"] for cmd in _QUICK if cmd != "cocycle-check"},
+    **{f"nf-mult-{fx}": [*_NF, "--fixture", fx] for fx in ("k1", "e2", "swap", "swap2")},
+    "homotopy-check-k1": ["homotopy-check", "--fixture", "k1"],
+    "mce-k1-e-f": ["mce", "--fixture", "k1", "--mu", "e", "--nu", "f"],
+    "homotopy-check-float-k1": ["homotopy-check", "--workspace", "{float_k1}"],
+    "nf-mult-float-k1": ["nf-mult", "--triples", "5", "--workspace", "{float_k1}"],
+    "counterexample": ["counterexample"],
+}
+
+DIGESTS = {
+    "cocycle-check-e2": "ec9add7de3dc9bb0eee6dea30f69dda665ff683b639f0c4785ddfff6509ddd20",
+    "cocycle-check-k1": "198c14476e6699ef6aab1e8b16766721e14d99708013bbfd62958eaa6ec3d72a",
+    "cocycle-check-swap": "e4171a8fcb35ac31da91a13d317cc568369d3d1da9d1a70c40708a59c9239718",
+    "concordance-e2": "0d49bb1acf42113523cb59838b8323993cd67ac7e06e0f83486cecc667efff4d",
+    "concordance-k1": "64b12db3d4488def49d70f7ad374365c76b9fb40d46cfb3964253ccdbc54e420",
+    "concordance-swap": "62b71db3054b0bb83160046aa66d0ace2a8ddb3557624865bceeba969bd8b938",
+    "concordance-swap2": "3427b87971d529df9a8d655e880353a176c336a7189a08aededa62b65771662c",
+    "counterexample": "7448a97c464e91aa15ac142283a2a0743ea355a95845b1f72f3b15f649cf2bb7",
+    "enumerate-e2": "5e3200303dd73fe00f6984f545e9e5db1ebac6a498ea6e8ff32cf6a10efcc3ca",
+    "enumerate-k1": "a199399937c5acb9c2810251386dec94d9385fd0ffc47ab2ff78a5009977db8a",
+    "enumerate-swap": "5e3200303dd73fe00f6984f545e9e5db1ebac6a498ea6e8ff32cf6a10efcc3ca",
+    "enumerate-swap2": "e106c5d950bc9215e8de671c2d82b506f662c68bbb5bd9ba71d0eb155cd48e8e",
+    "homotopy-check-float-k1": "c6a44c3b018c5e9b1d084d7a4b95ea5575eb9f10a4452862762fdd6a09da4d61",
+    "homotopy-check-k1": "c6a44c3b018c5e9b1d084d7a4b95ea5575eb9f10a4452862762fdd6a09da4d61",
+    "mce-e2": "7337a19244cbd44e47c3590a1f716709fc167aa0dd6813d2b9a612475eff8eb3",
+    "mce-k1": "7337a19244cbd44e47c3590a1f716709fc167aa0dd6813d2b9a612475eff8eb3",
+    "mce-k1-e-f": "62de10919f7d8eae1a0c0fce4902fc83f3e48b693de62e5a13d7dadee90788c3",
+    "mce-swap": "7337a19244cbd44e47c3590a1f716709fc167aa0dd6813d2b9a612475eff8eb3",
+    "mce-swap2": "7337a19244cbd44e47c3590a1f716709fc167aa0dd6813d2b9a612475eff8eb3",
+    "nf-mult-e2": "872c2e041f15b886ef60d7768a48347f60ecda43ae1d140daaa6ec701d0a3304",
+    "nf-mult-float-k1": "1ed594133c013d9e93c6d69286fbba449ace86fb5848fc2099d95cfd8932b369",
+    "nf-mult-k1": "4bbd4e311eaccc504555f34b771f824f6970c053ab81ba69f392284b320c5718",
+    "nf-mult-swap": "872c2e041f15b886ef60d7768a48347f60ecda43ae1d140daaa6ec701d0a3304",
+    "nf-mult-swap2": "4bbd4e311eaccc504555f34b771f824f6970c053ab81ba69f392284b320c5718",
+    "rep-check-e2": "547cde17068b382cebdfb91cfd96c54eba59ffbccd6e716b3536a3a2618cb054",
+    "rep-check-k1": "7f56f348c707d216f49126a13661bae8fefb489e68e8503cad70a2c63fb51375",
+    "rep-check-swap": "412ee6edbed99deb61f653b75fc7e63abf34687b9e74128d817b900d52f8f015",
+    "rep-check-swap2": "e34d37ab51b1bb31f4e1d12c81091df5e0ecae8db8f16d2cb9d43f511eceea80",
+    "validate-e2": "6052385ccf15aa2172723bf72eced4c566e6d5e4e036ed5619c7679389a07bfb",
+    "validate-k1": "0565f858bfb556f832d05b9f8373f9fd41072e02139096a95cc7060f1465205d",
+    "validate-swap": "c75ab0f7db2826e0feced7710b627bf0e4b63725bf6134619aebb5b94e7835eb",
+    "validate-swap2": "2d1513dc91acd6158c95284138397d286258925827420db0d7d3389470ac5fc7",
+    "zs-e2": "b165ef0b6aacb140eb4fd542d7bcfaf58a7a331509a2f22f75a9e40b6a742442",
+    "zs-k1": "c9566a8ab4e03b24b69148baec669660878c3910741bfa5efe23f0222aa59fbf",
+    "zs-swap": "744e4cdb1f83581d203e63988be101f28bc4cc4f80fb7260c18ba3f6803846de",
+    "zs-swap2": "1bbd4b8d429f49cc04a8947f6b60c7c27a1190cf32e5cdb8b21af8775733283f",
+}
+
+
+def _rounded(x):
+    if isinstance(x, float):
+        return round(x, 12)
+    if isinstance(x, list):
+        return [_rounded(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _rounded(v) for k, v in x.items()}
+    return x
+
+
+def digest(argv, tmp_path):
+    ws = tmp_path / "float_k1.json"
+    ws.write_text(json.dumps(FLOAT_K1))
+    out = tmp_path / "report.json"
+    argv = [str(ws) if arg == "{float_k1}" else arg for arg in argv]
+    code = main([*argv, "--seed", "0", "--out", str(out)])
+    report = _rounded(json.loads(out.read_text()))
+    text = f"{code}\n{json.dumps(report, sort_keys=True)}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_digest_is_pinned(name, tmp_path):
+    assert digest(CASES[name], tmp_path) == DIGESTS[name]
