@@ -102,8 +102,8 @@ class Workspace:
         if bound is None:
             bound = doc.get("bounds", {}).get("degree", (2,) * self.k)
         self.bound = _section(tuple, bound)
-        if len(self.bound) != self.k:
-            raise ZsalgError(f"degree bound {list(self.bound)} does not match the rank {self.k}")
+        if len(self.bound) != self.k or not all(type(b) is int and b >= 0 for b in self.bound):
+            raise ZsalgError(f"degree bound {list(self.bound)}: need rank {self.k} integers >= 0")
         self.graph, self.graph_report = validate_kgraph(self.pres, self.bound)
 
         gp = doc.get("groupoid")
@@ -303,6 +303,8 @@ def cmd_homotopy_check(ws: Workspace, args):
 def cmd_nf_mult(ws: Workspace, args):
     import random as _random
 
+    if args.triples < 1:
+        raise ZsalgError(f"--triples must be at least 1, not {args.triples}")
     rng = _random.Random(args.seed)
     wide = tuple(4 * b + 4 for b in ws.bound)
     model = AlgebraModel(ws.zs, ws.family(), wide)
@@ -412,8 +414,8 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     fn, needs_ws = COMMANDS[args.command]
-    bound = tuple(int(x) for x in args.bound.split(",")) if args.bound else None
     try:
+        bound = tuple(int(x) for x in args.bound.split(",")) if args.bound else None
         ws = None
         if needs_ws or args.workspace or args.fixture:
             if args.workspace:

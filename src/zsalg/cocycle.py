@@ -14,9 +14,15 @@ s_j per grid point, fiber j being exp(2*pi*i*s_j*q).  A cocycle is the
 one-fiber family at scale 1 (Cocycle), a linear homotopy the family on the
 grid t_j = j/(M-1) (LinearHomotopy), and a constant family repeats its
 cocycle's scale (ConstantHomotopy); a pair's per-fiber samples form a
-GridFunction.  Families of arbitrary per-fiber tables can be verified by
-overriding phase_vec, but not built here.  Continuity between grid samples
-cannot be certified from samples and is reported as a stated limitation.
+GridFunction.
+
+Every cocycle check reads one window sweep, _defects: the exponent of each
+identity pair, then the additive defect
+delta = q(b,c) + q(a,bc) - q(a,b) - q(ab,c) of each composable triple.
+Fiber j is a cocycle iff exp(2*pi*i*s_j*delta) = 1 for every item, and q is
+an additive generator iff every item is zero.  Continuity between grid
+samples cannot be certified from samples and is reported as a stated
+limitation.
 """
 
 from __future__ import annotations
@@ -71,14 +77,6 @@ class Phase:
 
 
 ONE = Phase(Fraction(0))
-
-
-def _same_product(p1: Phase, p2: Phase, p3: Phase, p4: Phase) -> bool:
-    """p1 p2 == p3 p4, as (p1 * p2).same_as(p3 * p4) decides it; in rational
-    mode the exponents differ by an integer, so no product is built."""
-    if p1.exact and p2.exact and p3.exact and p4.exact:
-        return (p1.value + p2.value - p3.value - p4.value).denominator == 1
-    return (p1 * p2).same_as(p3 * p4)
 
 
 class PhaseSum:
@@ -342,18 +340,9 @@ class CocycleFamily:
         """Additive exponent of the pair; fiber j has phase scale_j * exponent."""
         return self.form.exponent(c1, c2)
 
-    def grid_scales(self):
-        """Per-fiber multipliers of the exponent."""
-        return self.scales
-
     def phase(self, c1, c2) -> Phase:
         """The pair's phase in the first fiber, which is the only one of a cocycle."""
         return Phase(self.scales[0] * self.form.exponent(c1, c2))
-
-    def phase_vec(self, c1, c2):
-        """The per-grid-point phases of the pair, as a tuple."""
-        q = self.form.exponent(c1, c2)
-        return tuple(Phase(s * q) for s in self.scales)
 
     def cocycle_at(self, j) -> "CocycleFamily":
         """Fiber j, as the one-fiber family at its scale."""
@@ -417,48 +406,50 @@ def verify_cocycle(sigma: CocycleFamily, cat: SmallCategory, bound) -> Report:
     return passing(f"cocycle[{sigma.name}]", bound=bound, triples=checked)
 
 
+def _defects(form: ExponentForm, cat: SmallCategory, bound):
+    """The one window sweep of every cocycle check: yields (witness, delta).
+
+    First, for each window morphism c, the exponents of the identity pairs
+    (id_r(c), c) and (c, id_s(c)); then, for each composable triple, the
+    additive defect q(b,c) + q(a,bc) - q(a,b) - q(ab,c).  Exponents are
+    memoized per pair.
+    """
+    window = cat.morphisms(bound)
+    memo = {}
+
+    def q(c1, c2):
+        out = memo.get((c1, c2))
+        if out is None:
+            out = memo[c1, c2] = form.exponent(c1, c2)
+        return out
+
+    for c in window:
+        yield ("normalization_left", c), q(cat.identity(cat.r(c)), c)
+        yield ("normalization_right", c), q(c, cat.identity(cat.s(c)))
+    for c1, c2, c3, c12, c23 in composable_triples(cat, window):
+        yield ("identity", c1, c2, c3), (q(c2, c3) + q(c1, c23)) - (q(c1, c2) + q(c12, c3))
+
+
 def _sweep_fibers(family: CocycleFamily, cat: SmallCategory, bound):
     """verify_cocycle for every fiber of a family at once, in one sweep.
 
-    ``family.phase_vec(c1, c2)`` gives the pair's phase in every fiber; it
-    is computed once per pair.  Returns ``(fiber, witness, triples)``: the
-    lowest failing fiber with the witness verify_cocycle gives for that
-    fiber alone; the witness is None when every fiber passes.
-    Only fibers below the lowest failure found so far can change the
-    answer, so the sweep watches those and stops once fiber 0 fails.
+    Fiber j fails at a defect delta iff exp(2*pi*i*scale_j*delta) != 1.
+    Returns ``(fiber, witness, triples)``: the lowest failing fiber with the
+    witness verify_cocycle gives for that fiber alone; the witness is None
+    when every fiber passes.  Only fibers below the lowest failure found so
+    far can change the answer, so the sweep watches those and stops once
+    fiber 0 fails.
     """
-    window = cat.morphisms(bound)
-    phase_vec = family.phase_vec
-    memo = {}
-
-    def vec(c1, c2):
-        out = memo.get((c1, c2))
-        if out is None:
-            out = memo[c1, c2] = phase_vec(c1, c2)
-        return out
-
-    low, witness = family.m, None
-    for c in window:
-        for kind, pair in (
-            ("normalization_left", (cat.identity(cat.r(c)), c)),
-            ("normalization_right", (c, cat.identity(cat.s(c)))),
-        ):
-            phases = vec(*pair)
-            j = next((j for j in range(low) if not phases[j].is_one()), None)
-            if j is not None:
-                low, witness = j, (kind, c)
-                if j == 0:
-                    return 0, witness, 0
-    checked = 0
-    for c1, c2, c3, c12, c23 in composable_triples(cat, window):
-        v23, v1_23, v12, v12_3 = vec(c2, c3), vec(c1, c23), vec(c1, c2), vec(c12, c3)
-        checked += 1
-        j = next(
-            (j for j in range(low) if not _same_product(v23[j], v1_23[j], v12[j], v12_3[j])),
-            None,
-        )
+    scales = family.scales
+    low, witness, checked = family.m, None, 0
+    for item, delta in _defects(family.form, cat, bound):
+        if item[0] == "identity":
+            checked += 1
+        if delta == 0:
+            continue
+        j = next((j for j in range(low) if not Phase(scales[j] * delta).is_one()), None)
         if j is not None:
-            low, witness = j, ("identity", c1, c2, c3)
+            low, witness = j, item
             if j == 0:
                 break
     return low, witness, checked
@@ -483,24 +474,12 @@ def ConstantHomotopy(sigma: CocycleFamily, m=1) -> CocycleFamily:
 
 
 def _check_additive_generator(generator: ExponentForm, cat: SmallCategory, bound) -> Report:
-    """linear_homotopy's precondition as a report; witnesses read as
-    verify_cocycle's."""
-    window = cat.morphisms(bound)
-    for c in window:
-        if generator.exponent(cat.identity(cat.r(c)), c):
-            return failing("additive_generator", witness=("normalization_left", c), bound=bound)
-        if generator.exponent(c, cat.identity(cat.s(c))):
-            return failing("additive_generator", witness=("normalization_right", c), bound=bound)
-    for c1, c2, c3, c12, c23 in composable_triples(cat, window):
-        lhs = generator.exponent(c2, c3) + generator.exponent(c1, c23)
-        rhs = generator.exponent(c1, c2) + generator.exponent(c12, c3)
-        if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
-            bad = lhs != rhs
-        else:
-            # written so that a NaN exponent fails
-            bad = not abs(float(lhs) - float(rhs)) <= TOL
-        if bad:
-            return failing("additive_generator", witness=("identity", c1, c2, c3), bound=bound)
+    """linear_homotopy's precondition as a report: every defect is zero,
+    exactly for a Fraction, within 1e-12 for a float (so a NaN fails);
+    witnesses read as verify_cocycle's."""
+    for item, delta in _defects(generator, cat, bound):
+        if (delta != 0) if isinstance(delta, Fraction) else not abs(delta) <= TOL:
+            return failing("additive_generator", witness=item, bound=bound)
     return passing("additive_generator", bound=bound)
 
 
@@ -520,23 +499,14 @@ def linear_homotopy(generator: ExponentForm, cat: SmallCategory, bound, m=11) ->
 
 
 def verify_homotopy(h: CocycleFamily, cat: SmallCategory, bound) -> Report:
-    """Every grid fiber is a cocycle; endpoint Sigma_0 = 1 when the first
-    scale is 0, as for linear homotopies.
+    """Every grid fiber is a cocycle.
 
-    One sweep of the window serves all fibers: each pair's phase vector is
+    One sweep of the window serves all fibers: each triple's defect is
     computed once, and the report names the lowest failing fiber with the
-    witness verify_cocycle gives for it.
+    witness verify_cocycle gives for it.  At a scale of 0, as at the start
+    of a linear homotopy, a finite exponent gives the phase 1 exactly.
     """
     fiber, witness, _ = _sweep_fibers(h, cat, bound)
     if witness is not None:
         return failing("homotopy_fibers", witness={"fiber": fiber, "inner": witness}, bound=bound)
-    if h.scales[0] == 0:
-        sigma0 = h.cocycle_at(0)
-        window = cat.morphisms(bound)
-        for c1 in window:
-            for c2 in window:
-                if cat.s(c1) != cat.r(c2):
-                    continue
-                if not sigma0.phase(c1, c2).is_one():
-                    return failing("homotopy_fibers", witness=("endpoint", c1, c2), bound=bound)
     return passing("homotopy_fibers", bound=bound, fibers=h.m)

@@ -135,7 +135,7 @@ class AlgebraModel:
         self.covariant = covariant
         self._e_memo = {}
         self._expand_memo = {}
-        self._scales = family.grid_scales()
+        self._scales = family.scales
         self._no_sources = all(
             self.D.edges_at.get((v, i))
             for v in self.D.vertices

@@ -308,3 +308,43 @@ def test_antichain_budget_below_one_is_malformed(tmp_path, where):
     code, report = run(tmp_path, "concordance", *argv)
     assert code == 2
     assert report["error"] == "ZsalgError" and "antichain budget" in report["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--fixture", "k1", "--bound=-1,2"],
+        ["--fixture", "k1", "--bound", "1,x"],
+        ["--workspace", {"degree": "22"}],
+        ["--workspace", {"degree": [1.5, 2]}],
+    ],
+    ids=["negative", "not-a-number", "workspace-string", "workspace-float"],
+)
+def test_bound_must_be_non_negative_integers(tmp_path, argv):
+    """A degree bound is one non-negative integer per color.  A negative
+    entry used to give an empty window, on which every check passes."""
+    if argv[0] == "--workspace":
+        argv = ["--workspace", _workspace(tmp_path, "k1", bounds=argv[1])]
+    code, report = run(tmp_path, "validate", *argv)
+    assert code == 2
+    assert report["error"] in ("ZsalgError", "ValueError")
+
+
+@pytest.mark.parametrize("triples", ["-3", "0"])
+def test_nf_mult_needs_at_least_one_triple(tmp_path, triples):
+    code, report = run(tmp_path, "nf-mult", "--fixture", "k1", "--triples", triples)
+    assert code == 2
+    assert report["error"] == "ZsalgError" and "--triples" in report["message"]
+
+
+@pytest.mark.parametrize("command", ["cocycle-check", "homotopy-check"])
+def test_float_identity_pair_phase_within_tolerance_passes(tmp_path, command):
+    """One zero rule for every defect: an identity pair's float exponent of
+    1e-20 is zero within 1e-12, as a triple's defect of 1e-20 is."""
+    table = {"table": [{"c1": {"vertex": "v"}, "c2": ["a"], "phase": 1e-20}]}
+    section = {"cocycle": table}
+    if command == "homotopy-check":
+        section = {"homotopy": {"generator": table}}
+    ws = _workspace(tmp_path, "e2", bounds={"degree": [2]}, **section)
+    code, report = run(tmp_path, command, "--workspace", ws)
+    assert code == 0 and report["verdict"] == "pass"

@@ -16,6 +16,7 @@ from zsalg.cocycle import (
     PhaseSum,
     RotationForm,
     TableForm,
+    _check_additive_generator,
     linear_homotopy,
     rotation_cocycle,
     trivial_cocycle,
@@ -155,7 +156,7 @@ def test_constant_homotopy():
     fam = ConstantHomotopy(rot_theta(Fraction(1, 4)), m=3)
     f = k1.paths("v", (0, 1))[0]
     e = k1.paths("v", (1, 0))[0]
-    assert [p.value for p in fam.phase_vec(f, e)] == [Fraction(1, 4)] * 3
+    assert [fam.cocycle_at(j).phase(f, e).value for j in range(fam.m)] == [Fraction(1, 4)] * 3
     assert verify_homotopy(fam, k1, (2, 2))
 
 
@@ -180,7 +181,7 @@ def test_zero_generator_constant_trivial():
     e2 = kgraph_e2((2,))
     hom = linear_homotopy(TableForm({}), e2, (2,), m=4)
     a, b = e2.paths("v", (1,))
-    assert all(p.is_one() for p in hom.phase_vec(a, b))
+    assert all(hom.cocycle_at(j).phase(a, b).is_one() for j in range(hom.m))
 
 
 def test_sampled_continuity_bound():
@@ -194,7 +195,7 @@ def test_sampled_continuity_bound():
             if k1.s(c1) != k1.r(c2):
                 continue
             max_q = max(max_q, abs(float(gen.exponent(c1, c2))))
-            vec = hom.phase_vec(c1, c2)
+            vec = [hom.cocycle_at(j).phase(c1, c2) for j in range(hom.m)]
             for j in range(10):
                 step = abs(vec[j + 1].complex_value() - vec[j].complex_value())
                 assert step <= 2 * cmath.pi * max_q / 10 + 1e-12
@@ -227,27 +228,54 @@ def test_bad_generator_error_carries_witness():
     assert info.value.report.witness == ("identity", a, a, b)
 
 
-class TableFamily(CocycleFamily):
-    """Fiber j is the table cocycle of tables[j]: a family that is verified,
-    never built from one form."""
-
-    def __init__(self, tables):
-        super().__init__(TableForm({}), (Fraction(1),) * len(tables), "tables")
-        self.fibers = [Cocycle(TableForm(t), name=f"fiber{j}") for j, t in enumerate(tables)]
-
-    def cocycle_at(self, j):
-        return self.fibers[j]
-
-    def phase_vec(self, c1, c2):
-        return tuple(sigma.phase(c1, c2) for sigma in self.fibers)
+def _window_triples(cat, window):
+    """Every composable triple of the window, by a plain nested loop."""
+    for a in window:
+        for b in window:
+            if cat.s(a) != cat.r(b):
+                continue
+            for c in window:
+                if cat.s(b) == cat.r(c):
+                    yield a, b, c, cat.compose(a, b), cat.compose(b, c)
 
 
-def fiberwise(h, cat, bound):
-    """The reference: verify_cocycle on each fiber in turn."""
-    for j in range(h.m):
-        rep = verify_cocycle(h.cocycle_at(j), cat, bound)
-        if not rep:
-            return {"fiber": j, "inner": rep.witness}
+def oracle(sigma, cat, bound):
+    """The reference: the definition applied with Phase products, the first
+    failing normalization pair, then the first failing triple; None if
+    sigma is a cocycle on the window."""
+    window = cat.morphisms(bound)
+    for c in window:
+        if not sigma.phase(cat.identity(cat.r(c)), c).is_one():
+            return ("normalization_left", c)
+        if not sigma.phase(c, cat.identity(cat.s(c))).is_one():
+            return ("normalization_right", c)
+    for a, b, c, ab, bc in _window_triples(cat, window):
+        lhs = sigma.phase(b, c) * sigma.phase(a, bc)
+        rhs = sigma.phase(a, b) * sigma.phase(ab, c)
+        if not lhs.same_as(rhs):
+            return ("identity", a, b, c)
+    return None
+
+
+def additive_oracle(form, cat, bound):
+    """The reference for the additive check: each identity pair's exponent
+    and each triple's q(b,c) + q(a,bc) - q(a,b) - q(ab,c) must be zero,
+    exactly in rational mode, within 1e-12 otherwise."""
+
+    def nonzero(x):
+        return x != 0 if isinstance(x, Fraction) else not abs(x) <= 1e-12
+
+    window = cat.morphisms(bound)
+    for c in window:
+        if nonzero(form.exponent(cat.identity(cat.r(c)), c)):
+            return ("normalization_left", c)
+        if nonzero(form.exponent(c, cat.identity(cat.s(c)))):
+            return ("normalization_right", c)
+    for a, b, c, ab, bc in _window_triples(cat, window):
+        lhs = form.exponent(b, c) + form.exponent(a, bc)
+        rhs = form.exponent(a, b) + form.exponent(ab, c)
+        if nonzero(lhs - rhs):
+            return ("identity", a, b, c)
     return None
 
 
@@ -256,26 +284,36 @@ def _families():
     e2 = kgraph_e2((3,))
     a, b = e2.paths("v", (1,))
     bb = e2.nf(("b", "b"))
-    mixed = TableFamily(
-        [
-            {},
-            {(bb, bb): Fraction(1, 7)},  # fails late in the sweep
-            {(a, a): Fraction(1, 5)},  # fails earlier
-            {(e2.identity("v"), a): Fraction(1, 3)},  # fails normalization
-        ]
+    mixed = CocycleFamily(
+        TableForm(
+            {
+                (bb, bb): Fraction(1, 7),  # fiber 1 fails late in the sweep
+                (a, a): Fraction(1, 5),  # fiber 2 fails earlier
+                (e2.identity("v"), a): Fraction(1, 3),  # fiber 3 fails normalization
+            }
+        ),
+        (0, 15, 21, 35),
+        "mixed",
     )
     return [
         ("linear-k1", LinearHomotopy(RotationForm([[0, 0], [Fraction(1, 4), 0]]), m=5), k1, (2, 2)),
         ("constant-k1", ConstantHomotopy(rot_theta(Fraction(1, 4)), m=3), k1, (2, 2)),
         ("linear-non-additive", LinearHomotopy(TableForm({(a, b): Fraction(1, 10)}), m=4), e2, (2,)),
         ("mixed-fibers", mixed, e2, (2,)),
+        ("perturbed-float", Cocycle(TableForm({(a, b): 0.1}), name="perturbed"), e2, (2,)),
+        ("nan-rotation", LinearHomotopy(RotationForm([[0, 0], [math.nan, 0]]), m=3), k1, (1, 1)),
     ]
 
 
 @pytest.mark.parametrize("name, h, cat, bound", _families(), ids=[f[0] for f in _families()])
 def test_homotopy_sweep_matches_fiberwise_check(name, h, cat, bound):
+    expected = None
+    for j in range(h.m):
+        inner = oracle(h.cocycle_at(j), cat, bound)
+        assert verify_cocycle(h.cocycle_at(j), cat, bound).witness == inner
+        if inner is not None and expected is None:
+            expected = {"fiber": j, "inner": inner}
     rep = verify_homotopy(h, cat, bound)
-    expected = fiberwise(h, cat, bound)
     if expected is None:
         assert rep
     else:
@@ -287,3 +325,13 @@ def test_homotopy_sweep_matches_fiberwise_check(name, h, cat, bound):
         # though fibers 2 and 3 fail earlier in the sweep
         assert expected["fiber"] == 1
         assert verify_cocycle(h.cocycle_at(2), cat, bound).witness != expected["inner"]
+    if name in ("perturbed-float", "nan-rotation"):
+        assert expected["fiber"] == 0
+
+
+@pytest.mark.parametrize("name, h, cat, bound", _families(), ids=[f[0] for f in _families()])
+def test_additive_check_matches_exponent_oracle(name, h, cat, bound):
+    assert _check_additive_generator(h.form, cat, bound).witness == additive_oracle(
+        h.form, cat, bound
+    )
+

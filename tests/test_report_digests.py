@@ -4,10 +4,11 @@ witness or report field fails here.
 
 Each case runs in process at --seed 0.  Its digest is the SHA-256 of the
 exit code and the report, with every float rounded to 12 decimals.  Runs
-that take over about a second are left out (`homotopy-check` on e2, swap and
-swap2, `cocycle-check` on swap2, `nf-mult` at its default 1000 triples);
-`nf-mult` runs at 20 triples instead.  To re-pin after an intended report
-change, print `digest(argv, tmp_path)` for the changed cases.
+that take over about a second are left out: `homotopy-check` on e2, swap
+and swap2 at their default bounds (each runs at a smaller bound instead),
+`cocycle-check` on swap2, and `nf-mult` at its default 1000 triples (it
+runs at 20).  To re-pin after an intended report change, print
+`digest(argv, tmp_path)` for the changed cases.
 """
 
 import hashlib
@@ -32,6 +33,24 @@ FLOAT_K1 = {
     "bounds": {"degree": [2, 2]},
 }
 
+#: the free monoid on {a, b} with phase 1/10 on (a, b) alone: not a cocycle,
+#: and as a homotopy generator not additive
+PERTURBED_E2 = {
+    "kgraph": {
+        "k": 1,
+        "vertices": ["v"],
+        "edges": [
+            {"id": "a", "color": 1, "src": "v", "dst": "v"},
+            {"id": "b", "color": 1, "src": "v", "dst": "v"},
+        ],
+        "squares": [],
+    },
+    "cocycle": {"table": [{"c1": ["a"], "c2": ["b"], "phase": "1/10"}]},
+    "bounds": {"degree": [2]},
+}
+
+WORKSPACES = {"float_k1": FLOAT_K1, "perturbed_e2": PERTURBED_E2}
+
 _QUICK = ["validate", "enumerate", "mce", "zs", "concordance", "cocycle-check", "rep-check"]
 _NF = ["nf-mult", "--triples", "20"]
 
@@ -44,11 +63,17 @@ CASES = {
     "homotopy-check-float-k1": ["homotopy-check", "--workspace", "{float_k1}"],
     "nf-mult-float-k1": ["nf-mult", "--triples", "5", "--workspace", "{float_k1}"],
     "counterexample": ["counterexample"],
+    "cocycle-check-perturbed-e2": ["cocycle-check", "--workspace", "{perturbed_e2}"],
+    "homotopy-check-perturbed-e2": ["homotopy-check", "--workspace", "{perturbed_e2}"],
+    "homotopy-check-swap-2": ["homotopy-check", "--fixture", "swap", "--bound", "2"],
+    "homotopy-check-swap2-1-1": ["homotopy-check", "--fixture", "swap2", "--bound", "1,1"],
+    "homotopy-check-e2-2": ["homotopy-check", "--fixture", "e2", "--bound", "2"],
 }
 
 DIGESTS = {
     "cocycle-check-e2": "ec9add7de3dc9bb0eee6dea30f69dda665ff683b639f0c4785ddfff6509ddd20",
     "cocycle-check-k1": "198c14476e6699ef6aab1e8b16766721e14d99708013bbfd62958eaa6ec3d72a",
+    "cocycle-check-perturbed-e2": "23da8ad6dca142f806fe3b696c60d93751ad1d5d155e01b59d7ed5e5513f5402",
     "cocycle-check-swap": "e4171a8fcb35ac31da91a13d317cc568369d3d1da9d1a70c40708a59c9239718",
     "concordance-e2": "0d49bb1acf42113523cb59838b8323993cd67ac7e06e0f83486cecc667efff4d",
     "concordance-k1": "64b12db3d4488def49d70f7ad374365c76b9fb40d46cfb3964253ccdbc54e420",
@@ -59,8 +84,12 @@ DIGESTS = {
     "enumerate-k1": "a199399937c5acb9c2810251386dec94d9385fd0ffc47ab2ff78a5009977db8a",
     "enumerate-swap": "5e3200303dd73fe00f6984f545e9e5db1ebac6a498ea6e8ff32cf6a10efcc3ca",
     "enumerate-swap2": "e106c5d950bc9215e8de671c2d82b506f662c68bbb5bd9ba71d0eb155cd48e8e",
+    "homotopy-check-e2-2": "52b04ad70f427e56e8fdf953252c4f29e4cc6e9e4aca2f7c6488b1881fdc67c4",
     "homotopy-check-float-k1": "c6a44c3b018c5e9b1d084d7a4b95ea5575eb9f10a4452862762fdd6a09da4d61",
     "homotopy-check-k1": "c6a44c3b018c5e9b1d084d7a4b95ea5575eb9f10a4452862762fdd6a09da4d61",
+    "homotopy-check-perturbed-e2": "a549fd48d6c1ab7f80fe585b5d0a01f1588aa46040f3ea22d6723274e7cfa2cb",
+    "homotopy-check-swap-2": "52b04ad70f427e56e8fdf953252c4f29e4cc6e9e4aca2f7c6488b1881fdc67c4",
+    "homotopy-check-swap2-1-1": "327827eb059a38809c16c27131a1c692d2bdba856f488ef26fb4b5058209c4d8",
     "mce-e2": "7337a19244cbd44e47c3590a1f716709fc167aa0dd6813d2b9a612475eff8eb3",
     "mce-k1": "7337a19244cbd44e47c3590a1f716709fc167aa0dd6813d2b9a612475eff8eb3",
     "mce-k1-e-f": "62de10919f7d8eae1a0c0fce4902fc83f3e48b693de62e5a13d7dadee90788c3",
@@ -97,10 +126,12 @@ def _rounded(x):
 
 
 def digest(argv, tmp_path):
-    ws = tmp_path / "float_k1.json"
-    ws.write_text(json.dumps(FLOAT_K1))
+    paths = {}
+    for name, doc in WORKSPACES.items():
+        paths["{" + name + "}"] = path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
     out = tmp_path / "report.json"
-    argv = [str(ws) if arg == "{float_k1}" else arg for arg in argv]
+    argv = [str(paths[arg]) if arg in paths else arg for arg in argv]
     code = main([*argv, "--seed", "0", "--out", str(out)])
     report = _rounded(json.loads(out.read_text()))
     text = f"{code}\n{json.dumps(report, sort_keys=True)}"
