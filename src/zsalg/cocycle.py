@@ -14,15 +14,17 @@ s_j per grid point, fiber j being exp(2*pi*i*s_j*q).  A cocycle is the
 one-fiber family at scale 1 (Cocycle), a linear homotopy the family on the
 grid t_j = j/(M-1) (LinearHomotopy), and a constant family repeats its
 cocycle's scale (ConstantHomotopy); a pair's per-fiber samples form a
-GridFunction.
+GridFunction.  Every layer that prices a pair reads the family's two memos:
+exponent(c1, c2) per pair, and phases(q), the M fiber phases, per exponent.
 
 Every cocycle check reads one window sweep, _defects: the exponent of each
 identity pair, then the additive defect
-delta = q(b,c) + q(a,bc) - q(a,b) - q(ab,c) of each composable triple.
-Fiber j is a cocycle iff exp(2*pi*i*s_j*delta) = 1 for every item, and q is
-an additive generator iff every item is zero.  Continuity between grid
-samples cannot be certified from samples and is reported as a stated
-limitation.
+delta = q(b,c) + q(a,bc) - q(a,b) - q(ab,c) of each composable triple.  One
+zero rule decides a defect: exactly for a Fraction, within 1e-12 for a
+float, and a NaN is never zero.  q is an additive generator iff every item
+is zero; fiber j is a cocycle iff every item is zero or has
+exp(2*pi*i*s_j*delta) = 1.  Continuity between grid samples cannot be
+certified from samples and is reported as a stated limitation.
 """
 
 from __future__ import annotations
@@ -335,14 +337,27 @@ class CocycleFamily:
         self.scales = tuple(scales)
         self.m = len(self.scales)
         self.name = name
+        self._exponents = {}
+        self._phases = {}
 
     def exponent(self, c1, c2):
-        """Additive exponent of the pair; fiber j has phase scale_j * exponent."""
-        return self.form.exponent(c1, c2)
+        """Additive exponent of the pair, memoized per pair."""
+        out = self._exponents.get((c1, c2))
+        if out is None:
+            out = self._exponents[c1, c2] = self.form.exponent(c1, c2)
+        return out
+
+    def phases(self, q):
+        """The fiber phases exp(2*pi*i*scale_j*q) of an exponent, memoized per
+        exponent."""
+        out = self._phases.get(q)
+        if out is None:
+            out = self._phases[q] = tuple(Phase(s * q) for s in self.scales)
+        return out
 
     def phase(self, c1, c2) -> Phase:
         """The pair's phase in the first fiber, which is the only one of a cocycle."""
-        return Phase(self.scales[0] * self.form.exponent(c1, c2))
+        return self.phases(self.exponent(c1, c2))[0]
 
     def cocycle_at(self, j) -> "CocycleFamily":
         """Fiber j, as the one-fiber family at its scale."""
@@ -406,23 +421,22 @@ def verify_cocycle(sigma: CocycleFamily, cat: SmallCategory, bound) -> Report:
     return passing(f"cocycle[{sigma.name}]", bound=bound, triples=checked)
 
 
-def _defects(form: ExponentForm, cat: SmallCategory, bound):
+def _is_zero(delta):
+    """The one zero rule for an exponent defect: exactly for a Fraction,
+    within 1e-12 for a float, and a NaN is never zero."""
+    return delta == 0 if isinstance(delta, Fraction) else abs(delta) <= TOL
+
+
+def _defects(family: CocycleFamily, cat: SmallCategory, bound):
     """The one window sweep of every cocycle check: yields (witness, delta).
 
     First, for each window morphism c, the exponents of the identity pairs
     (id_r(c), c) and (c, id_s(c)); then, for each composable triple, the
-    additive defect q(b,c) + q(a,bc) - q(a,b) - q(ab,c).  Exponents are
-    memoized per pair.
+    additive defect q(b,c) + q(a,bc) - q(a,b) - q(ab,c), with q the family's
+    memoized exponent.
     """
     window = cat.morphisms(bound)
-    memo = {}
-
-    def q(c1, c2):
-        out = memo.get((c1, c2))
-        if out is None:
-            out = memo[c1, c2] = form.exponent(c1, c2)
-        return out
-
+    q = family.exponent
     for c in window:
         yield ("normalization_left", c), q(cat.identity(cat.r(c)), c)
         yield ("normalization_right", c), q(c, cat.identity(cat.s(c)))
@@ -433,21 +447,21 @@ def _defects(form: ExponentForm, cat: SmallCategory, bound):
 def _sweep_fibers(family: CocycleFamily, cat: SmallCategory, bound):
     """verify_cocycle for every fiber of a family at once, in one sweep.
 
-    Fiber j fails at a defect delta iff exp(2*pi*i*scale_j*delta) != 1.
-    Returns ``(fiber, witness, triples)``: the lowest failing fiber with the
-    witness verify_cocycle gives for that fiber alone; the witness is None
-    when every fiber passes.  Only fibers below the lowest failure found so
-    far can change the answer, so the sweep watches those and stops once
-    fiber 0 fails.
+    Fiber j fails at a defect delta iff delta is not zero and
+    exp(2*pi*i*scale_j*delta) != 1.  Returns ``(fiber, witness, triples)``:
+    the lowest failing fiber with the witness verify_cocycle gives for that
+    fiber alone; the witness is None when every fiber passes.  Only fibers
+    below the lowest failure found so far can change the answer, so the
+    sweep watches those and stops once fiber 0 fails.
     """
-    scales = family.scales
     low, witness, checked = family.m, None, 0
-    for item, delta in _defects(family.form, cat, bound):
+    for item, delta in _defects(family, cat, bound):
         if item[0] == "identity":
             checked += 1
-        if delta == 0:
+        if _is_zero(delta):
             continue
-        j = next((j for j in range(low) if not Phase(scales[j] * delta).is_one()), None)
+        phases = family.phases(delta)
+        j = next((j for j in range(low) if not phases[j].is_one()), None)
         if j is not None:
             low, witness = j, item
             if j == 0:
@@ -473,12 +487,12 @@ def ConstantHomotopy(sigma: CocycleFamily, m=1) -> CocycleFamily:
     return CocycleFamily(sigma.form, sigma.scales * m, sigma.name)
 
 
-def _check_additive_generator(generator: ExponentForm, cat: SmallCategory, bound) -> Report:
-    """linear_homotopy's precondition as a report: every defect is zero,
-    exactly for a Fraction, within 1e-12 for a float (so a NaN fails);
-    witnesses read as verify_cocycle's."""
-    for item, delta in _defects(generator, cat, bound):
-        if (delta != 0) if isinstance(delta, Fraction) else not abs(delta) <= TOL:
+def _check_additive_generator(family: CocycleFamily, cat: SmallCategory, bound) -> Report:
+    """linear_homotopy's precondition as a report: every defect of the
+    family's form is zero by the one zero rule; witnesses read as
+    verify_cocycle's."""
+    for item, delta in _defects(family, cat, bound):
+        if not _is_zero(delta):
             return failing("additive_generator", witness=item, bound=bound)
     return passing("additive_generator", bound=bound)
 
@@ -492,7 +506,7 @@ def linear_homotopy(generator: ExponentForm, cat: SmallCategory, bound, m=11) ->
     ``report`` is the failing check with its witness.
     """
     hom = LinearHomotopy(generator, m)
-    rep = _check_additive_generator(generator, cat, bound)
+    rep = _check_additive_generator(hom, cat, bound)
     if not rep:
         raise BadGeneratorError(f"generator is not an additive cocycle: {rep.witness}", rep)
     return hom

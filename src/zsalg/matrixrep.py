@@ -136,7 +136,6 @@ class TruncatedRep:
         self.G = zs.C
         self.family = family
         self.grid_index = grid_index
-        self.sigma: CocycleFamily = family.cocycle_at(grid_index)
         self.bound = tuple(bound)
         self.basis = zs.morphisms(self.bound)
         self.index = {x: i for i, x in enumerate(self.basis)}
@@ -145,19 +144,26 @@ class TruncatedRep:
 
     # -- operators
 
+    def weight(self, c1, c2) -> complex:
+        """The pair's cocycle value in this fiber, read from the family's memos."""
+        return self.family.phases(self.family.exponent(c1, c2))[self.grid_index].complex_value()
+
     def matrix(self, c: ZSMorphism):
         """The truncated action of a product-category morphism, as its
-        (targets, weights) pair."""
+        (targets, weights) pair.  The path of c x starts with that of c, so
+        a morphism outside the window acts as the zero operator."""
         cached = self._mat_memo.get(c)
         if cached is not None:
             return cached
         targets = np.full(self.dim, -1)
         weights = np.zeros(self.dim, dtype=complex)
+        if not deg_le(c.path.degree, self.bound):
+            return targets, weights
         for i, x in enumerate(self.basis):
             out = self.index.get(self.zs.compose(c, x))  # None unless composable
             if out is not None:
                 targets[i] = out
-                weights[i] = self.sigma.phase(c, x).complex_value()
+                weights[i] = self.weight(c, x)
         self._mat_memo[c] = targets, weights
         return targets, weights
 
@@ -248,10 +254,9 @@ def check_relations(rep: TruncatedRep, exhaustive_sets=None) -> Report:
         m1 = rep.matrix(c1)
         for c2 in rep.basis:
             prod = _compose(m1, rep.matrix(c2))
-            if rep.zs.s(c1) == rep.zs.r(c2):
-                c12 = rep.zs.compose(c1, c2)
-                phase = rep.sigma.phase(c1, c2).complex_value()
-                prod = _minus(prod, _times(phase, rep.matrix(c12)))
+            c12 = rep.zs.compose(c1, c2)  # None unless composable; T_c12 = 0 off the window
+            if c12 in rep.index:
+                prod = _minus(prod, _times(rep.weight(c1, c2), rep.matrix(c12)))
             worst = nan_max(worst, operator_norm(prod))
     residuals["R1_multiplication"] = worst
 

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .kgraph import Path, deg_le, deg_sub
 from .report import Report, failing, passing
-from .selfsim import ZSCategory, ZSMorphism
+from .selfsim import ZSCategory
 
 
 class Element:
@@ -133,37 +133,12 @@ class AlgebraModel:
         self.m = family.m
         self.level_bound = tuple(level_bound)
         self.covariant = covariant
-        self._e_memo = {}
-        self._expand_memo = {}
-        self._scales = family.scales
+        self._fiber_cache = {}
         self._no_sources = all(
             self.D.edges_at.get((v, i))
             for v in self.D.vertices
             for i in range(1, self.D.k + 1)
         )
-
-    # -- cocycle samples on product-category pairs
-    #
-    # A family has one additive exponent per pair and one scale per grid
-    # point, so coefficient twists accumulate as one scalar and expand to
-    # grid phases once per emitted term.
-
-    def _e(self, x: ZSMorphism, y: ZSMorphism):
-        memo = self._e_memo
-        key = (x, y)
-        out = memo.get(key)
-        if out is None:
-            out = self.family.exponent(x, y)
-            memo[key] = out
-        return out
-
-    def _expand(self, exponent):
-        memo = self._expand_memo
-        out = memo.get(exponent)
-        if out is None:
-            out = tuple(Phase(s * exponent) for s in self._scales)
-            memo[exponent] = out
-        return out
 
     # -- constructors
 
@@ -216,7 +191,8 @@ class AlgebraModel:
         extension is appended to it, with the data every coefficient factor
         came from.
         """
-        e, path, tail = self._e, self.zs.from_path, self.zs.from_tail
+        e, phases = self.family.exponent, self.family.phases
+        path, tail = self.zs.from_path, self.zs.from_tail
         for (l1, g1, m1), f1 in xterms:
             for (l2, g2, m2), f2 in yterms:
                 if self.D.r(m1) != self.D.r(l2):
@@ -273,7 +249,7 @@ class AlgebraModel:
                                 "result": [str(part) for part in key],
                             }
                         )
-                    yield key, base.times_phases(self._expand(tw))
+                    yield key, base.times_phases(phases(tw))
 
     def explain_product(self, x: Element, y: Element):
         """Audit transcript of the reduction: one record per term pair and
@@ -288,8 +264,8 @@ class AlgebraModel:
         out = {}
         for (lam, g, mu), f in x.terms.items():
             ginv = self.G.inverse(g)
-            tw = -self._e(self.zs.from_tail(g), self.zs.from_tail(ginv))
-            coeff = f.conj().times_phases(self._expand(tw))
+            tw = -self.family.exponent(self.zs.from_tail(g), self.zs.from_tail(ginv))
+            coeff = f.conj().times_phases(self.family.phases(tw))
             key = (mu, ginv, lam)
             out[key] = out[key] + coeff if key in out else coeff
         return Element(self, out)
@@ -305,7 +281,7 @@ class AlgebraModel:
             raise NoSourcesRequiredError("level raising needs no sources on the window")
         if not deg_le(n, self.level_bound):
             raise WindowExceededError(f"level {n} exceeds window {self.level_bound}")
-        e, path, tail = self._e, self.zs.from_path, self.zs.from_tail
+        e, path, tail = self.family.exponent, self.zs.from_path, self.zs.from_tail
         out = {}
         for (lam, g, mu), f in x.terms.items():
             if not deg_le(lam.degree, n):
@@ -319,7 +295,7 @@ class AlgebraModel:
                     - e(path(a_moved), tail(g_res))
                     - e(path(mu), path(alpha))
                 )
-                coeff = f.times_phases(self._expand(tw))
+                coeff = f.times_phases(self.family.phases(tw))
                 key = (self.D.compose(lam, a_moved), g_res, self.D.compose(mu, alpha))
                 out[key] = out[key] + coeff if key in out else coeff
         return Element(self, out)
@@ -333,15 +309,11 @@ class AlgebraModel:
     def fiber_model(self, j) -> "AlgebraModel":
         if not isinstance(j, int) or not 0 <= j < self.m:
             raise OffGridError(f"grid index {j} outside 0..{self.m - 1}")
-        cached = getattr(self, "_fiber_cache", None)
-        if cached is None:
-            cached = {}
-            self._fiber_cache = cached
-        if j not in cached:
-            cached[j] = AlgebraModel(
+        if j not in self._fiber_cache:
+            self._fiber_cache[j] = AlgebraModel(
                 self.zs, self.family.cocycle_at(j), self.level_bound, self.covariant
             )
-        return cached[j]
+        return self._fiber_cache[j]
 
     def evaluate_fiber(self, x: Element, j) -> Element:
         """Evaluate every coefficient at grid point j (a one-point grid)."""
@@ -376,8 +348,6 @@ def random_element(model: AlgebraModel, rng, gen_degree=None):
     """A random two-term element with unit-phase grid coefficients (seeded,
     exact); the terms may coincide and add up."""
     from fractions import Fraction
-
-    from .cocycle import Phase
 
     D, G = model.D, model.G
     if gen_degree is None:

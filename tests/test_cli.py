@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from zsalg.cli import main
+from zsalg.cli import Workspace, main
+from zsalg.cocycle import linear_homotopy, verify_homotopy
 
 
 def run(tmp_path, *argv):
@@ -348,3 +349,58 @@ def test_float_identity_pair_phase_within_tolerance_passes(tmp_path, command):
     ws = _workspace(tmp_path, "e2", bounds={"degree": [2]}, **section)
     code, report = run(tmp_path, command, "--workspace", ws)
     assert code == 0 and report["verdict"] == "pass"
+
+
+
+def _ab(phase):
+    """A table with a float phase on (a, b) alone."""
+    return {"table": [{"c1": ["a"], "c2": ["b"], "phase": phase}]}
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("homotopy-check", {"homotopy": {"generator": _ab(1e-12)}}),
+        ("cocycle-check", {"cocycle": _ab(5e-13)}),
+    ],
+)
+def test_defect_within_tolerance_is_zero_for_every_fiber(tmp_path, command, section):
+    """One zero rule: a defect of at most 1e-12 is zero in the generator
+    check and in every fiber, whatever the fiber's scale."""
+    ws = _workspace(tmp_path, "e2", bounds={"degree": [2]}, **section)
+    code, report = run(tmp_path, command, "--workspace", ws)
+    assert code == 0 and report["verdict"] == "pass"
+
+
+def test_defect_above_tolerance_fails_with_its_witness(tmp_path):
+    ws = _workspace(tmp_path, "e2", bounds={"degree": [2]}, cocycle=_ab(2e-12))
+    code, report = run(tmp_path, "cocycle-check", "--workspace", ws)
+    assert code == 1
+    [check] = report["checks"]
+    assert check["witness"] == ["identity", "(a|'v')", "(a|'v')", "(b|'v')"]
+
+
+@pytest.mark.parametrize(
+    "fixture, sections, bound",
+    [
+        ("k1", {}, None),
+        ("k1", {"homotopy": {"generator": {"rotation": [[0, 0], [0.25, 0]]}, "grid": 11}}, None),
+        ("e2", {"homotopy": {"generator": _ab(1e-12)}}, (2,)),
+        ("swap2", {}, (1, 1)),
+    ],
+    ids=["k1", "float-k1", "e2-1e-12", "swap2-1-1"],
+)
+def test_homotopy_fibers_entry_is_the_verify_homotopy_report(tmp_path, fixture, sections, bound):
+    """homotopy-check certifies its fibers through the generator's sweep; the
+    entry it prints is the report verify_homotopy gives after its own sweep,
+    and it passes, since linear_homotopy accepted the generator."""
+    path = _workspace(tmp_path, fixture, **sections)
+    argv = ["--bound", ",".join(map(str, bound))] if bound else []
+    code, report = run(tmp_path, "homotopy-check", "--workspace", path, *argv)
+    with open(path) as fh:
+        ws = Workspace(json.load(fh), bound=bound)
+    hom = linear_homotopy(ws.generator_form(), ws.zs, ws.bound, m=ws.grid)
+    expected = json.loads(json.dumps(verify_homotopy(hom, ws.zs, ws.bound).to_json()))
+    [entry] = [c for c in report["checks"] if c["check"] == "homotopy_fibers"]
+    assert entry == expected and entry["passed"]
+    assert code == 0

@@ -331,7 +331,7 @@ def test_homotopy_sweep_matches_fiberwise_check(name, h, cat, bound):
 
 @pytest.mark.parametrize("name, h, cat, bound", _families(), ids=[f[0] for f in _families()])
 def test_additive_check_matches_exponent_oracle(name, h, cat, bound):
-    assert _check_additive_generator(h.form, cat, bound).witness == additive_oracle(
+    assert _check_additive_generator(h, cat, bound).witness == additive_oracle(
         h.form, cat, bound
     )
 

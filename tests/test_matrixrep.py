@@ -352,12 +352,12 @@ def dense_residuals(rep):
         ),
         "vertex_sum_identity": norm(sum(vert.values()) - eye),
     }
-    r1 = []
+    r1, phase = [], rep.family.cocycle_at(rep.grid_index).phase
     for c1 in rep.basis:
         for c2 in rep.basis:
             defect = mat(c1) @ mat(c2)
             if zs.s(c1) == zs.r(c2):
-                defect -= rep.sigma.phase(c1, c2).complex_value() * mat(zs.compose(c1, c2))
+                defect -= phase(c1, c2).complex_value() * mat(zs.compose(c1, c2))
             r1.append(norm(defect))
     out["R1_multiplication"] = max(r1)
     out["R2_source_guarded"] = max(
@@ -416,3 +416,36 @@ def test_schur_residuals_bound_dense_residuals(case):
         assert (ours[family] <= PASS_TOL) == (reference <= PASS_TOL), family
         if reference <= PASS_TOL:
             assert ours[family] == pytest.approx(reference, abs=1e-14), family
+
+
+def test_operator_outside_the_window_is_zero_without_composing():
+    """d(c x) >= d(c), so T_c = 0 once d(c) leaves the window: matrix(c) is
+    the zero map, built without composing c with the basis."""
+    zs = ZSCategory(swap_pair())
+    rep = TruncatedRep(zs, ConstantHomotopy(trivial_cocycle(), m=1), (2,), 0)
+    c = zs.from_path(zs.D.paths("v", (3,))[0])
+    interned = len(zs.morphs)
+    targets, weights = rep.matrix(c)
+    assert (targets == -1).all() and not weights.any()
+    assert len(zs.morphs) == interned
+
+
+class CountingRotation(RotationForm):
+    """A rotation form that counts its exponent evaluations per pair."""
+
+    def __init__(self, theta):
+        super().__init__(theta)
+        self.calls = {}
+
+    def exponent(self, c1, c2):
+        self.calls[c1, c2] = self.calls.get((c1, c2), 0) + 1
+        return super().exponent(c1, c2)
+
+
+def test_fibers_share_one_exponent_per_pair():
+    """The M fibers of one family read its exponent memo: each distinct
+    pair's exponent is computed once, not once per fiber."""
+    form = CountingRotation([[0, 0], [Fraction(1, 4), 0]])
+    zsk = ZSCategory(trivial_pair(kgraph_k1((3, 3))))
+    assert check_homotopy_relations(zsk, LinearHomotopy(form, m=11), (1, 1))
+    assert form.calls and set(form.calls.values()) == {1}

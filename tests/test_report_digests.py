@@ -4,10 +4,9 @@ witness or report field fails here.
 
 Each case runs in process at --seed 0.  Its digest is the SHA-256 of the
 exit code and the report, with every float rounded to 12 decimals.  Runs
-that take over about a second are left out: `homotopy-check` on e2, swap
-and swap2 at their default bounds (each runs at a smaller bound instead),
-`cocycle-check` on swap2, and `nf-mult` at its default 1000 triples (it
-runs at 20).  To re-pin after an intended report change, print
+that take over about a second are left out: `homotopy-check` on swap and
+swap2 at their default bounds (each runs at a smaller bound instead), and
+`nf-mult` at its default 1000 triples (it runs at 20).  To re-pin after an intended report change, print
 `digest(argv, tmp_path)` for the changed cases.
 """
 
@@ -56,7 +55,7 @@ _NF = ["nf-mult", "--triples", "20"]
 
 CASES = {
     **{f"{cmd}-{fx}": [cmd, "--fixture", fx] for fx in ("k1", "e2", "swap") for cmd in _QUICK},
-    **{f"{cmd}-swap2": [cmd, "--fixture", "swap2"] for cmd in _QUICK if cmd != "cocycle-check"},
+    **{f"{cmd}-swap2": [cmd, "--fixture", "swap2"] for cmd in _QUICK},
     **{f"nf-mult-{fx}": [*_NF, "--fixture", fx] for fx in ("k1", "e2", "swap", "swap2")},
     "homotopy-check-k1": ["homotopy-check", "--fixture", "k1"],
     "mce-k1-e-f": ["mce", "--fixture", "k1", "--mu", "e", "--nu", "f"],
@@ -68,6 +67,7 @@ CASES = {
     "homotopy-check-swap-2": ["homotopy-check", "--fixture", "swap", "--bound", "2"],
     "homotopy-check-swap2-1-1": ["homotopy-check", "--fixture", "swap2", "--bound", "1,1"],
     "homotopy-check-e2-2": ["homotopy-check", "--fixture", "e2", "--bound", "2"],
+    "homotopy-check-e2": ["homotopy-check", "--fixture", "e2"],
 }
 
 DIGESTS = {
@@ -75,6 +75,7 @@ DIGESTS = {
     "cocycle-check-k1": "198c14476e6699ef6aab1e8b16766721e14d99708013bbfd62958eaa6ec3d72a",
     "cocycle-check-perturbed-e2": "23da8ad6dca142f806fe3b696c60d93751ad1d5d155e01b59d7ed5e5513f5402",
     "cocycle-check-swap": "e4171a8fcb35ac31da91a13d317cc568369d3d1da9d1a70c40708a59c9239718",
+    "cocycle-check-swap2": "a49a1d8f9961299b046993bd5239be4606c9868bc4832f88eb99ae3abf28a9bc",
     "concordance-e2": "0d49bb1acf42113523cb59838b8323993cd67ac7e06e0f83486cecc667efff4d",
     "concordance-k1": "64b12db3d4488def49d70f7ad374365c76b9fb40d46cfb3964253ccdbc54e420",
     "concordance-swap": "62b71db3054b0bb83160046aa66d0ace2a8ddb3557624865bceeba969bd8b938",
@@ -84,6 +85,7 @@ DIGESTS = {
     "enumerate-k1": "a199399937c5acb9c2810251386dec94d9385fd0ffc47ab2ff78a5009977db8a",
     "enumerate-swap": "5e3200303dd73fe00f6984f545e9e5db1ebac6a498ea6e8ff32cf6a10efcc3ca",
     "enumerate-swap2": "e106c5d950bc9215e8de671c2d82b506f662c68bbb5bd9ba71d0eb155cd48e8e",
+    "homotopy-check-e2": "a0e7b1ab551c51ddcb41339f9ab7427d4faa197c65c8eb6b5e8b6cf765aa1272",
     "homotopy-check-e2-2": "52b04ad70f427e56e8fdf953252c4f29e4cc6e9e4aca2f7c6488b1881fdc67c4",
     "homotopy-check-float-k1": "c6a44c3b018c5e9b1d084d7a4b95ea5575eb9f10a4452862762fdd6a09da4d61",
     "homotopy-check-k1": "c6a44c3b018c5e9b1d084d7a4b95ea5575eb9f10a4452862762fdd6a09da4d61",
