@@ -28,7 +28,6 @@ from .categories import (
     invertibles,
     principal_ideal,
     size_fits,
-    validate_category,
 )
 from .errors import CombinatorialBlowupError, NotIndependentError
 from .kgraph import KGraph
@@ -349,8 +348,6 @@ def builtin_counterexample() -> dict:
     size_bound, formula_size = 4, 3
     X = fixtures.x_monoid()
     transcript = {"bound": size_bound}
-    validate_category(X, size_bound)
-    validate_category(X.C, size_bound)
     lc = check_left_cancellative(X, size_bound)
     transcript["left_cancellative"] = lc.to_json()
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .errors import MalformedTableError, UnvalidatedCategoryError
+from .errors import MalformedTableError
 from .report import Report, failing, passing
 
 
@@ -96,19 +96,6 @@ class SmallCategory:
     def sort_key(self, m):
         return str(m)
 
-    # -- validation bookkeeping
-
-    _validated_bound = None
-
-    def mark_validated(self, bound):
-        self._validated_bound = bound
-
-    def require_validated(self):
-        if self._validated_bound is None:
-            raise UnvalidatedCategoryError(
-                f"{type(self).__name__} has not been validated; run validate_category first"
-            )
-
     # -- conveniences
 
     def morphisms_from(self, v, bound):
@@ -171,7 +158,6 @@ class SmallCategory:
         The default intersects the two windowed ideals and keeps one
         representative per class of minimal elements.
         """
-        self.require_validated()
         ids = self.id_view()
         ideal = _ideal_ids(ids, ids.id_of(c1), bound) & _ideal_ids(ids, ids.id_of(c2), bound)
 
@@ -410,13 +396,11 @@ def validate_category(cat: SmallCategory, bound) -> Report:
             return failing("category_axioms", witness=("identity_not_neutral", m), bound=bound)
     for triple in associativity_failures(cat, window):
         return failing("category_axioms", witness=("associativity", *triple), bound=bound)
-    cat.mark_validated(bound)
     return passing("category_axioms", bound=bound, morphisms=len(window))
 
 
 def check_left_cancellative(cat: SmallCategory, bound) -> Report:
     """Scan for a, b != c with ac = ab within the window."""
-    cat.require_validated()
     ids = cat.id_view()
     win = ids.window(bound)
     compose, sources, morphs = ids.compose_ids, ids.sources, ids.morphs

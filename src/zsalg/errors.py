@@ -5,12 +5,9 @@ class ZsalgError(Exception):
     """Base class for toolkit errors."""
 
 
-class UnvalidatedCategoryError(ZsalgError):
-    """An operation requiring a validated category was called before validation."""
-
-
 class MalformedSquaresError(ZsalgError):
-    """The commuting-square table is not a bijection or has inconsistent endpoints."""
+    """A malformed k-graph presentation: an edge off the declared colors or
+    vertices, or a square table that is not a bijection of matching squares."""
 
 
 class MalformedTableError(ZsalgError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import MalformedSquaresError
+from .errors import MalformedSquaresError, ZsalgError
 from .groupoid import GroupoidPresentation, validate_groupoid
 from .kgraph import Edge, KGraph, KGraphPresentation, validate_kgraph
 from .selfsim import (
@@ -113,14 +113,25 @@ FIXTURE_DOCS = {
 }
 
 
+def json_int(x, field):
+    """A workspace integer field, taken as given: a float is not truncated,
+    and a bool is not an integer."""
+    if type(x) is not int:
+        raise ZsalgError(f"malformed workspace section: {field} must be an integer, not {x!r}")
+    return x
+
+
 def parse_kgraph(section) -> KGraphPresentation:
     """A workspace "kgraph" section; edges run from src to dst (the range)."""
-    edges = [Edge(e["id"], int(e["color"]), e["dst"], e["src"]) for e in section.get("edges", [])]
+    edges = [
+        Edge(e["id"], json_int(e["color"], "color"), e["dst"], e["src"])
+        for e in section.get("edges", [])
+    ]
     squares = [
         ((sq["ef"][0], sq["ef"][1]), (sq["fe"][0], sq["fe"][1]))
         for sq in section.get("squares", [])
     ]
-    return KGraphPresentation(int(section["k"]), list(section["vertices"]), edges, squares)
+    return KGraphPresentation(json_int(section["k"], "k"), list(section["vertices"]), edges, squares)
 
 
 def parse_groupoid(section) -> GroupoidPresentation:

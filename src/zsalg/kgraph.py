@@ -428,7 +428,8 @@ class KGraph(SmallCategory):
 def validate_kgraph(pres: KGraphPresentation, bound=None) -> tuple:
     """Certify the factorization property; returns (KGraph, Report).
 
-    Raises MalformedSquaresError for structural table defects.  The report
+    Raises MalformedSquaresError for structural defects: an edge color
+    outside 1..k, an undeclared endpoint, a broken square table.  The report
     fails with a witness path if rewriting is not confluent.  Confluence is
     certified for every degree via the critical color-descending triples;
     additionally all paths of degree <= bound (default 3 per color) with at
@@ -439,10 +440,13 @@ def validate_kgraph(pres: KGraphPresentation, bound=None) -> tuple:
         bound = (3,) * pres.k
     if pres.k < 0:
         raise MalformedSquaresError("rank must be >= 0")
-    if pres.k == 0 and pres.edges:
-        raise MalformedSquaresError("a 0-graph has no edges")
     if pres.k == 1 and pres.squares:
         raise MalformedSquaresError("a 1-graph has no squares")
+    for e in pres.edges:
+        if not 1 <= e.color <= pres.k:
+            raise MalformedSquaresError(f"edge {e.name!r} has color {e.color}, not in 1..{pres.k}")
+        if e.rng not in graph.vertices or e.src not in graph.vertices:
+            raise MalformedSquaresError(f"edge {e.name!r} joins an undeclared vertex")
     graph.check_squares()
     bound = tuple(bound)
 
@@ -521,7 +525,6 @@ def validate_kgraph(pres: KGraphPresentation, bound=None) -> tuple:
                     witness=("factorization_not_unique", mu, nu, lam),
                     bound=bound,
                 )
-    graph.mark_validated(bound)
     return graph, passing(
         "kgraph_factorization", bound=bound, swept_paths=len(checked), critical_triples=True
     )
@@ -591,7 +594,6 @@ def skeleton_split(graph: KGraph, p: int, q: int):
     ``left[(a, d)]`` / ``right[(a, d)]`` give the generator-level actions
     obtained from the factorization ad = (a |> d)(a <| d).
     """
-    graph.require_validated()
     if p + q != graph.k or p < 0 or q < 0:
         raise DegreeMismatchError(f"p+q={p}+{q} != k={graph.k}")
     acting = sub_kgraph(graph, range(1, p + 1))

@@ -52,7 +52,6 @@ def test_equivalent_sets():
     a, b = e2.paths("v", (1,))
     assert not equivalent_sets([a], [b], e2, (3,))
     gpd = pair_groupoid_2()
-    gpd.mark_validated(0)
     assert equivalent_sets(["m_uw"], ["u"], gpd, 0)
     with pytest.raises(NotIndependentError):
         equivalent_sets([a, e2.compose(a, a)], [b], e2, (3,))

@@ -7,6 +7,7 @@ import pytest
 
 from zsalg.cli import Workspace, main
 from zsalg.cocycle import linear_homotopy, verify_homotopy
+from zsalg.fixtures import FIXTURE_DOCS
 
 
 def run(tmp_path, *argv):
@@ -259,8 +260,6 @@ def test_wrongly_typed_value_is_malformed(tmp_path, command, ws):
 
 
 def _workspace(tmp_path, fixture, **sections):
-    from zsalg.fixtures import FIXTURE_DOCS
-
     path = tmp_path / "ws.json"
     path.write_text(json.dumps({**FIXTURE_DOCS[fixture], **sections}))
     return str(path)
@@ -404,3 +403,127 @@ def test_homotopy_fibers_entry_is_the_verify_homotopy_report(tmp_path, fixture, 
     [entry] = [c for c in report["checks"] if c["check"] == "homotopy_fibers"]
     assert entry == expected and entry["passed"]
     assert code == 0
+
+
+_E2_SECTION = FIXTURE_DOCS["e2"]["kgraph"]
+
+#: Z/2 with g's inverse declared as v, although g.g = v
+_BAD_INVERSE_Z2 = {
+    "units": ["v"],
+    "morphisms": [
+        {"id": "v", "src": "v", "dst": "v", "inv": "v"},
+        {"id": "g", "src": "v", "dst": "v", "inv": "v"},
+    ],
+    "compose": [["g", "g", "v"]],
+}
+
+#: test_kgraph.broken_three_graph: the path c b1 a1 has two normal forms
+_BROKEN_THREE_GRAPH = {
+    "k": 3,
+    "vertices": ["v"],
+    "edges": [
+        {"id": name, "color": color, "src": "v", "dst": "v"}
+        for name, color in (("a1", 1), ("a2", 1), ("b1", 2), ("b2", 2), ("c", 3))
+    ],
+    "squares": [
+        {"ef": ef.split(), "fe": fe.split()}
+        for ef, fe in (
+            ("a1 b1", "b1 a1"), ("a1 b2", "b1 a2"), ("a2 b1", "b2 a1"), ("a2 b2", "b2 a2"),
+            ("a1 c", "c a1"), ("a2 c", "c a2"), ("b1 c", "c b2"), ("b2 c", "c b1"),
+        )
+    ],
+}
+
+_WORKSPACE_COMMANDS = [
+    ["validate"],
+    ["enumerate"],
+    ["mce", "--mu", "{edge}", "--nu", "{edge}"],
+    ["zs"],
+    ["concordance"],
+    ["cocycle-check"],
+    ["homotopy-check"],
+    ["nf-mult", "--triples", "5"],
+    ["rep-check"],
+]
+
+
+@pytest.mark.parametrize("command", _WORKSPACE_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize(
+    "doc, edge, failing_check",
+    [
+        ({"kgraph": _E2_SECTION, "groupoid": _BAD_INVERSE_Z2, "bounds": {"degree": [2]}},
+         "a", "groupoid_axioms"),
+        ({"kgraph": _BROKEN_THREE_GRAPH, "bounds": {"degree": [1, 1, 1]}},
+         "c", "kgraph_factorization"),
+    ],
+    ids=["bad-inverse-z2", "broken-3-graph"],
+)
+def test_failed_structure_check_is_every_commands_verdict(
+    tmp_path, command, doc, edge, failing_check
+):
+    """A workspace whose k-graph or groupoid fails its check gets no PASS:
+    validate reports the failure among its checks, and every other command
+    exits 1 with the failing entry as its only check."""
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    argv = [edge if arg == "{edge}" else arg for arg in command]
+    code, report = run(tmp_path, *argv, "--workspace", str(path))
+    assert code == 1 and report["verdict"] == "violation"
+    failed = [c["check"] for c in report["checks"] if not c["passed"]]
+    if command[0] == "validate":
+        assert failing_check in failed
+    else:
+        assert [c["check"] for c in report["checks"]] == failed == [failing_check]
+
+
+def _edge_doc(**edge):
+    return {
+        "kgraph": {
+            "k": 1,
+            "vertices": ["v"],
+            "edges": [{"id": "a", "color": 1, "src": "v", "dst": "v", **edge}],
+            "squares": [],
+        },
+        "bounds": {"degree": [2]},
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_edge_doc(color=0), "color 0"),
+        (_edge_doc(color=2), "color 2"),
+        ([_edge_doc()], "JSON object"),
+        (_edge_doc(dst="w"), "undeclared vertex"),
+    ],
+    ids=["color-0", "color-above-rank", "top-level-array", "undeclared-vertex"],
+)
+def test_malformed_presentation_exits_two(tmp_path, doc, message):
+    """A presentation that names a color outside 1..k or an undeclared
+    vertex, or a document that is not an object, is malformed input: exit 2,
+    not a traceback and not a verdict."""
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(tmp_path, "validate", "--workspace", str(path))
+    assert code == 2
+    assert report["error"] in ("MalformedSquaresError", "ZsalgError")
+    assert message in report["message"]
+
+
+@pytest.mark.parametrize(
+    "command, sections, field",
+    [
+        ("homotopy-check", {"homotopy": {"grid": 2.5}}, "homotopy.grid"),
+        ("concordance", {"budgets": {"antichain": 6.5}}, "budgets.antichain"),
+        ("validate", {"kgraph": _edge_doc(color=1.5)["kgraph"]}, "color"),
+        ("validate", {"kgraph": {**_E2_SECTION, "k": True}}, "k"),
+    ],
+    ids=["grid", "antichain", "color", "bool-rank"],
+)
+def test_integer_field_is_not_truncated(tmp_path, command, sections, field):
+    """An integer field takes a JSON integer: 2.5 is not read as 2, and
+    true is not read as 1."""
+    code, report = run(tmp_path, command, "--workspace", _workspace(tmp_path, "e2", **sections))
+    assert code == 2
+    assert report["error"] == "ZsalgError"
+    assert f"{field} must be an integer" in report["message"]

@@ -6,11 +6,13 @@ import pytest
 
 from zsalg.errors import DegreeMismatchError, MalformedSquaresError
 from zsalg.fixtures import (
+    FIXTURE_DOCS,
     kgraph_convex_with_source,
     kgraph_e2,
     kgraph_k1,
     kgraph_not_locally_convex,
     kgraph_source_1graph,
+    parse_kgraph,
     random_kgraph,
 )
 from zsalg.kgraph import (
@@ -60,8 +62,8 @@ def test_validate_one_square():
 
 
 def test_validate_free_1graph():
-    graph = kgraph_e2((4,))
-    assert graph._validated_bound == (4,)
+    _, rep = validate_kgraph(parse_kgraph(FIXTURE_DOCS["e2"]["kgraph"]), (4,))
+    assert rep.passed and rep.bound == (4,)
 
 
 def test_validate_broken_three_graph_witness():
