@@ -95,6 +95,9 @@ class Workspace:
     def __init__(self, doc, bound=None, grid=None):
         if not isinstance(doc, dict):
             raise ZsalgError(f"a workspace is a JSON object, not {type(doc).__name__}")
+        for name in ("bounds", "homotopy", "budgets"):
+            if not isinstance(doc.get(name, {}), dict):
+                raise ZsalgError(f"workspace section {name!r} must be a JSON object")
         self.doc = doc
         kg = doc.get("kgraph")
         if kg is None:
@@ -214,9 +217,6 @@ def cmd_enumerate(ws: Workspace, args):
 
 
 def cmd_mce(ws: Workspace, args):
-    for flag in ("mu", "nu"):
-        if getattr(args, flag) is None:
-            raise ZsalgError(f"mce needs --{flag}")
     mu = ws.graph.nf(tuple(args.mu.split(",")))
     nu = ws.graph.nf(tuple(args.nu.split(",")))
     got = ws.graph.mce(mu, nu)
@@ -304,8 +304,6 @@ def cmd_homotopy_check(ws: Workspace, args):
 def cmd_nf_mult(ws: Workspace, args):
     import random as _random
 
-    if args.triples < 1:
-        raise ZsalgError(f"--triples must be at least 1, not {args.triples}")
     rng = _random.Random(args.seed)
     wide = tuple(4 * b + 4 for b in ws.bound)
     model = AlgebraModel(ws.zs, ws.family(), wide)
@@ -412,6 +410,17 @@ def build_parser():
     return parser
 
 
+def check_arguments(args):
+    """The argument errors that need no workspace: main raises them before
+    the structure check, whose failure would otherwise stand in for them."""
+    if args.command == "mce":
+        for flag in ("mu", "nu"):
+            if getattr(args, flag) is None:
+                raise ZsalgError(f"mce needs --{flag}")
+    if args.command == "nf-mult" and args.triples < 1:
+        raise ZsalgError(f"--triples must be at least 1, not {args.triples}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     fn, needs_ws = COMMANDS[args.command]
@@ -427,6 +436,7 @@ def main(argv=None) -> int:
                 ws = builtin_workspace(args.fixture or "k1", bound=bound, grid=args.grid)
             if args.budget is not None:
                 ws.budgets["antichain"] = args.budget
+        check_arguments(args)
         # a failed structure check is the verdict of every workspace command
         # but validate, which reports it with its own: no check runs on it
         structure = (ws.graph_report, ws.groupoid_report) if needs_ws else ()

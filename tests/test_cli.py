@@ -527,3 +527,36 @@ def test_integer_field_is_not_truncated(tmp_path, command, sections, field):
     assert code == 2
     assert report["error"] == "ZsalgError"
     assert f"{field} must be an integer" in report["message"]
+
+
+@pytest.mark.parametrize(
+    "command, section, value",
+    [
+        ("homotopy-check", "homotopy", [11]),
+        ("validate", "bounds", [2]),
+        ("concordance", "budgets", [6]),
+    ],
+    ids=["homotopy", "bounds", "budgets"],
+)
+def test_workspace_section_of_the_wrong_type_is_malformed(tmp_path, command, section, value):
+    """A bounds, homotopy or budgets section that is not a JSON object is
+    malformed input (exit 2), named in the message, not a traceback."""
+    path = _workspace(tmp_path, "e2", **{section: value})
+    code, report = run(tmp_path, command, "--workspace", path)
+    assert code == 2
+    assert report["error"] == "ZsalgError" and repr(section) in report["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["mce", "--mu", "a"], "--nu"), (["nf-mult", "--triples", "0"], "--triples")],
+    ids=["mce-without-nu", "nf-mult-no-triples"],
+)
+def test_argument_errors_come_before_the_workspace(tmp_path, argv, flag):
+    """An argument error that needs no workspace exits 2 even on a workspace
+    whose structure check fails, which would otherwise be the verdict."""
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps({"kgraph": _E2_SECTION, "groupoid": _BAD_INVERSE_Z2}))
+    code, report = run(tmp_path, *argv, "--workspace", str(path))
+    assert code == 2
+    assert report["error"] == "ZsalgError" and flag in report["message"]

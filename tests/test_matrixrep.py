@@ -449,3 +449,78 @@ def test_fibers_share_one_exponent_per_pair():
     zsk = ZSCategory(trivial_pair(kgraph_k1((3, 3))))
     assert check_homotopy_relations(zsk, LinearHomotopy(form, m=11), (1, 1))
     assert form.calls and set(form.calls.values()) == {1}
+
+
+def test_operators_compose_only_inside_the_window():
+    """A pair whose composite leaves the window is skipped without being
+    composed, so checking the relations interns nothing but the basis."""
+    zs = ZSCategory(swap_pair())
+    rep = TruncatedRep(zs, ConstantHomotopy(trivial_cocycle(), m=1), (3,), 0)
+    assert check_relations(rep)
+    assert len(zs.morphs) == rep.dim == 30
+
+
+def perturbed_e2_homotopy():
+    """The e2 table with phase 1/10 on (a, b) as a homotopy generator: not
+    a cocycle, so on a window holding aba the multiplication relation fails
+    in every fiber but 0."""
+    table = {"table": [{"c1": ["a"], "c2": ["b"], "phase": "1/10"}]}
+    ws = Workspace({"kgraph": E2, "homotopy": {"generator": table, "grid": 11}}, bound=(3,))
+    return ws.zs, ws.family(), ws.bound
+
+
+@pytest.mark.parametrize("case", ["k1-rotation", "float-k1", "perturbed-e2"])
+def test_grid_fibers_match_standalone_reps(case):
+    """Each fiber of a shared table gets the residuals, float for float, of
+    a one-fiber rep of its own."""
+    zsk = ZSCategory(trivial_pair(kgraph_k1((3, 3))))
+    if case == "k1-rotation":
+        zs, family, bound = zsk, rot_family(), (2, 2)
+    elif case == "float-k1":
+        zs, family, bound = zsk, LinearHomotopy(RotationForm([[0, 0], [0.25, 0]]), m=11), (2, 2)
+    else:
+        zs, family, bound = perturbed_e2_homotopy()
+    reports = [check_relations(rep) for rep in build_grid_reps(zs, family, bound)]
+    assert len(reports) == 11
+    for j, shared in enumerate(reports):
+        alone = check_relations(TruncatedRep(zs, family, bound, j))
+        assert shared.details["residuals"] == alone.details["residuals"]
+        assert shared.passed == alone.passed
+    if case == "perturbed-e2":
+        assert [r.passed for r in reports] == [True] + [False] * 10
+        assert all(set(r.witness) == {"R1_multiplication"} for r in reports[1:])
+
+
+def test_operator_norm_of_a_batch_is_each_stacks_norm():
+    """Leading batch axes give the norm of each stack, bit for bit,
+    including stacks that hold a target twice and one with a NaN weight."""
+    rng = np.random.default_rng(2)
+    dim = 7
+    targets = rng.integers(-1, dim, size=(2, 4, 3, dim))
+    weights = rng.normal(size=targets.shape) + 1j * rng.normal(size=targets.shape)
+    targets[1, 2, 0, 3] = 0
+    weights[1, 2, 0, 3] = np.nan
+    norms = operator_norm((targets, weights))
+    assert norms.shape == (2, 4) and np.isnan(norms).sum() == 1 and np.isnan(norms[1, 2])
+    expected = [[operator_norm((t, w)) for t, w in zip(*pair)] for pair in zip(targets, weights)]
+    np.testing.assert_array_equal(norms, expected)
+    # targets shared by the whole batch broadcast against its weights
+    shared = operator_norm((targets[0, 0], weights[0]))
+    np.testing.assert_array_equal(shared, [operator_norm((targets[0, 0], w)) for w in weights[0]])
+
+
+def test_fibers_share_each_minimal_common_extension(monkeypatch):
+    """The range relation takes each window path pair's MCE once for all 11
+    fibers, not once per fiber."""
+    zsk = ZSCategory(trivial_pair(kgraph_k1((3, 3))))
+    graph_type = type(zsk.D)
+    mce = graph_type.mce
+    calls = []
+
+    def counting_mce(self, mu, nu):
+        calls.append((mu, nu))
+        return mce(self, mu, nu)
+
+    monkeypatch.setattr(graph_type, "mce", counting_mce)
+    assert check_homotopy_relations(zsk, rot_family(), (2, 2))
+    assert len(calls) == len(set(calls)) == 81

@@ -4,10 +4,10 @@ witness or report field fails here.
 
 Each case runs in process at --seed 0.  Its digest is the SHA-256 of the
 exit code and the report, with every float rounded to 12 decimals.  Runs
-that take over about a second are left out: `homotopy-check` on swap and
-swap2 at their default bounds (each runs at a smaller bound instead), and
-`nf-mult` at its default 1000 triples (it runs at 20).  To re-pin after an intended report change, print
-`digest(argv, tmp_path)` for the changed cases.
+that take over about a second are left out: `homotopy-check` on swap2 at
+its default bound (it runs at a smaller bound instead), and `nf-mult` at its
+default 1000 triples (it runs at 20).  To re-pin after an intended report
+change, print `digest(argv, tmp_path)` for the changed cases.
 """
 
 import hashlib
@@ -64,6 +64,7 @@ CASES = {
     "counterexample": ["counterexample"],
     "cocycle-check-perturbed-e2": ["cocycle-check", "--workspace", "{perturbed_e2}"],
     "homotopy-check-perturbed-e2": ["homotopy-check", "--workspace", "{perturbed_e2}"],
+    "homotopy-check-swap": ["homotopy-check", "--fixture", "swap"],
     "homotopy-check-swap-2": ["homotopy-check", "--fixture", "swap", "--bound", "2"],
     "homotopy-check-swap2-1-1": ["homotopy-check", "--fixture", "swap2", "--bound", "1,1"],
     "homotopy-check-e2-2": ["homotopy-check", "--fixture", "e2", "--bound", "2"],
@@ -90,6 +91,7 @@ DIGESTS = {
     "homotopy-check-float-k1": "c6a44c3b018c5e9b1d084d7a4b95ea5575eb9f10a4452862762fdd6a09da4d61",
     "homotopy-check-k1": "c6a44c3b018c5e9b1d084d7a4b95ea5575eb9f10a4452862762fdd6a09da4d61",
     "homotopy-check-perturbed-e2": "a549fd48d6c1ab7f80fe585b5d0a01f1588aa46040f3ea22d6723274e7cfa2cb",
+    "homotopy-check-swap": "a0e7b1ab551c51ddcb41339f9ab7427d4faa197c65c8eb6b5e8b6cf765aa1272",
     "homotopy-check-swap-2": "52b04ad70f427e56e8fdf953252c4f29e4cc6e9e4aca2f7c6488b1881fdc67c4",
     "homotopy-check-swap2-1-1": "327827eb059a38809c16c27131a1c692d2bdba856f488ef26fb4b5058209c4d8",
     "mce-e2": "7337a19244cbd44e47c3590a1f716709fc167aa0dd6813d2b9a612475eff8eb3",

@@ -2,6 +2,9 @@
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -31,3 +34,19 @@ def test_every_traced_name_resolves():
             if not callable(found):
                 missing.append(f"{module_name}.{qual}")
     assert missing == []
+
+
+def test_traced_run_sees_the_matrix_model():
+    """A traced cli-verdicts run still passes through check_relations and
+    TruncatedRep.matrix: a design that went round either would read 0."""
+    root = TRACER.parents[1]
+    out = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "run.py"), "--workload", "cli-verdicts",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=300, check=True,
+    )
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+    assert result["correct"]
+    assert metrics["matrixrep.check_relations.calls"] == 34
+    assert metrics["matrixrep.dim.max"] == 30
