@@ -147,7 +147,7 @@ def _same_range_pairs(graph, cap, budget):
     per_vertex = {}
     total = 0
     for v in graph.vertices:
-        window = [p for p in graph.morphisms(cap) if p.rng == v]
+        window = graph.morphisms_from(v, cap)
         per_vertex[v] = window
         total += len(window) ** 2
         if total > budget:
@@ -211,7 +211,7 @@ def _le_rigidity(graph, bound):
                 for nu in les:
                     if graph.mce(mu, nu) and mu != nu:
                         return False
-            window = [p for p in graph.morphisms(bound) if p.rng == v and deg_le(p.degree, n)]
+            window = [p for p in graph.morphisms_from(v, bound) if deg_le(p.degree, n)]
             for mu in window:
                 for nu in les:
                     if graph.mce(mu, nu) and not graph.extends(nu, mu):

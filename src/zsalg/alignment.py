@@ -158,16 +158,13 @@ def check_concordant(inc: Subcategory, sub_bound, amb_bound) -> Report:
     """
     sub, amb, embed = inc.sub, inc.amb, inc.embed
     window = sub.morphisms(sub_bound)
-    amb_window = amb.morphisms(amb_bound)
     checked_pairs = 0
     for c1, c2 in itertools.combinations_with_replacement(window, 2):
         if sub.r(c1) != sub.r(c2):
             continue
         e1, e2 = embed(c1), embed(c2)
         solutions = []
-        for x1 in amb_window:
-            if amb.s(e1) != amb.r(x1):
-                continue
+        for x1 in amb.morphisms_from(amb.s(e1), amb_bound):
             z = amb.compose(e1, x1)
             if not size_fits(amb.size(z), amb_bound):
                 continue

@@ -9,18 +9,19 @@ componentwise.
 
 Concrete categories subclass SmallCategory: explicit tables here, path
 categories in kgraph, groupoids in groupoid, product categories in selfsim.
-The window sweeps here run on the dense int ids of the category's id view
-(SmallCategory.id_view).  composable_triples is the one sweep over the
-composable triples of a window; associativity, cocycle, homotopy and
-additive-generator checks all run on it.  Categories are single-threaded,
-like the verifier: an id is allocated by appending and then reading the
-length back, which is not safe under a race.
+Every category numbers its own morphisms: dense int ids with cached range,
+source and size, composites memoized by id (compose_ids), and windows
+memoized as id views (window).  The window sweeps here run on those ids.
+composable_triples is the one sweep over the composable triples of a
+window; associativity, cocycle, homotopy and additive-generator checks all
+run on it.  Categories are single-threaded, like the verifier: an id is
+allocated by appending and then reading the length back, which is not safe
+under a race.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from .errors import MalformedTableError
 from .report import Report, failing, passing
@@ -52,7 +53,16 @@ class SmallCategory:
     bounded morphism enumeration and (partial, memoized) composition.  The
     divisibility, meet and generator-splitting methods have generic defaults
     that a subclass overrides when it knows its own factorizations.
+
+    Every category is its own id view, set up by ``__init__``: ``morphs``,
+    ``ranges``, ``sources`` and ``sizes`` are indexed by id, and
+    ``rows[i].get(j)`` answers a composite already stored without a call
+    (None also where the product is undefined).
     """
+
+    def __init__(self):
+        self.morphs, self.ranges, self.sources, self.sizes, self.rows = [], [], [], [], []
+        self._index, self._windows = {}, {}
 
     #: size(a b) = size(a) + size(b) for every composable pair (true for
     #: groupoids, k-graphs, free monoids and their products), so invertibles
@@ -99,8 +109,10 @@ class SmallCategory:
     # -- conveniences
 
     def morphisms_from(self, v, bound):
-        """v-rooted slice of the window: morphisms with range v."""
-        return [m for m in self.morphisms(bound) if self.r(m) == v]
+        """v-rooted slice of the window: morphisms with range v, in window
+        order."""
+        morphs = self.morphs
+        return [morphs[i] for i in self.window(bound).by_range.get(v, ())]
 
     # -- generator splitting, for extending actions from generator tables.
     #    The defaults treat every morphism as atomic and as its own key.
@@ -117,19 +129,41 @@ class SmallCategory:
         """The action-table key of an atomic morphism."""
         return m
 
-    # -- the id view every window sweep runs on
+    # -- the ids every window sweep runs on
 
-    _id_view = None
+    def id_of(self, m) -> int:
+        """The dense id of m; the default interns hashable morphisms by
+        value."""
+        i = self._index.get(m)
+        if i is None:
+            i = self._index[m] = len(self.morphs)
+            self.morphs.append(m)
+            self.ranges.append(self.r(m))
+            self.sources.append(self.s(m))
+            self.sizes.append(self.size(m))
+            self.rows.append({})
+        return i
 
-    def id_view(self):
-        """This category's dense-id view (see MorphismIds).
+    def compose_ids(self, i, j):
+        """The id of morphs[i] after morphs[j], or None where undefined.
+        Each composable pair is composed once; its answer is kept in
+        rows[i]."""
+        row = self.rows[i]
+        k = row.get(j, -1)
+        if k == -1:
+            if self.sources[i] != self.ranges[j]:
+                return None
+            ab = self.compose(self.morphs[i], self.morphs[j])
+            k = row[j] = None if ab is None else self.id_of(ab)
+        return k
 
-        The default interns hashable morphisms by value; a category that
-        numbers its own morphisms returns itself.
-        """
-        if self._id_view is None:
-            self._id_view = MorphismIds(self)
-        return self._id_view
+    def window(self, bound) -> Window:
+        """morphisms(bound) with its ids, enumerated once per bound."""
+        key = bound_key(bound)
+        win = self._windows.get(key)
+        if win is None:
+            win = self._windows[key] = Window(self, self.morphisms(bound))
+        return win
 
     # -- divisibility and ideal meets.  The defaults search the window by
     #    brute force; path-like subclasses override them with exact
@@ -138,8 +172,7 @@ class SmallCategory:
     def divisors_into(self, a, b, bound):
         """All x in the window with a x = b (at most one when
         left-cancellative)."""
-        ids = self.id_view()
-        return [ids.morphs[x] for x in _divisor_ids(self, ids.id_of(a), ids.id_of(b), bound)]
+        return [self.morphs[x] for x in _divisor_ids(self, self.id_of(a), self.id_of(b), bound)]
 
     def divides(self, a, b, bound) -> bool:
         """b lies in the principal right ideal of a."""
@@ -147,9 +180,8 @@ class SmallCategory:
 
     def meets(self, a, b, bound) -> bool:
         """a C  n  b C is nonempty within the window."""
-        ids = self.id_view()
-        return not _ideal_ids(ids, ids.id_of(a), bound).isdisjoint(
-            _ideal_ids(ids, ids.id_of(b), bound)
+        return not _ideal_ids(self, self.id_of(a), bound).isdisjoint(
+            _ideal_ids(self, self.id_of(b), bound)
         )
 
     def meet(self, c1, c2, bound):
@@ -158,8 +190,7 @@ class SmallCategory:
         The default intersects the two windowed ideals and keeps one
         representative per class of minimal elements.
         """
-        ids = self.id_view()
-        ideal = _ideal_ids(ids, ids.id_of(c1), bound) & _ideal_ids(ids, ids.id_of(c2), bound)
+        ideal = _ideal_ids(self, self.id_of(c1), bound) & _ideal_ids(self, self.id_of(c2), bound)
 
         def divides(i, j):
             return i == j or bool(_divisor_ids(self, i, j, bound))
@@ -171,10 +202,10 @@ class SmallCategory:
         ]
         # one representative per equivalence class of mutually dividing elements
         chosen = []
-        for m in sorted(minimal, key=lambda i: self.sort_key(ids.morphs[i])):
+        for m in sorted(minimal, key=lambda i: self.sort_key(self.morphs[i])):
             if not any(divides(c, m) for c in chosen):
                 chosen.append(m)
-        return tuple(ids.morphs[i] for i in chosen), "brute"
+        return tuple(self.morphs[i] for i in chosen), "brute"
 
 
 class Window:
@@ -183,63 +214,19 @@ class Window:
 
     __slots__ = ("members", "ids", "by_range", "buckets")
 
-    def __init__(self, ids, members):
+    def __init__(self, cat: SmallCategory, members):
         self.members = members
-        self.ids = [ids.id_of(m) for m in members]
+        self.ids = [cat.id_of(m) for m in members]
         self.by_range, self.buckets = {}, {}
         for i in self.ids:
-            rng = ids.ranges[i]
+            rng = cat.ranges[i]
             self.by_range.setdefault(rng, []).append(i)
-            self.buckets.setdefault((rng, ids.sizes[i]), []).append(i)
+            self.buckets.setdefault((rng, cat.sizes[i]), []).append(i)
 
 
 def bound_key(bound):
     """A bound as a dict key (a list bound reads as the tuple)."""
     return tuple(bound) if isinstance(bound, list) else bound
-
-
-class MorphismIds:
-    """Dense int ids for the morphisms of a category.
-
-    ``morphs``, ``ranges``, ``sources`` and ``sizes`` are indexed by id;
-    ``compose_ids(i, j)`` is the composite's id or None; ``rows[i].get(j)``
-    answers a composite already stored without a call.  This generic view
-    interns hashable morphisms by value and stores no composite, so the
-    category sees exactly the compositions a sweep makes.
-    """
-
-    _NO_ROW = MappingProxyType({})
-
-    def __init__(self, cat: SmallCategory):
-        self.cat = cat
-        self.morphs, self.ranges, self.sources, self.sizes, self.rows = [], [], [], [], []
-        self._index, self._windows = {}, {}
-
-    def id_of(self, m) -> int:
-        i = self._index.get(m)
-        if i is None:
-            cat = self.cat
-            i = self._index[m] = len(self.morphs)
-            self.morphs.append(m)
-            self.ranges.append(cat.r(m))
-            self.sources.append(cat.s(m))
-            self.sizes.append(cat.size(m))
-            self.rows.append(self._NO_ROW)
-        return i
-
-    def compose_ids(self, i, j):
-        ab = self.cat.compose(self.morphs[i], self.morphs[j])
-        if ab is None:
-            return None
-        k = self._index.get(ab)
-        return self.id_of(ab) if k is None else k
-
-    def window(self, bound) -> Window:
-        key = bound_key(bound)
-        win = self._windows.get(key)
-        if win is None:
-            win = self._windows[key] = Window(self, self.cat.morphisms(bound))
-        return win
 
 
 @dataclass(frozen=True)
@@ -262,6 +249,7 @@ class TableCategory(SmallCategory):
     additive_sizes = False
 
     def __init__(self, objects, morphisms, r_map, s_map, compose_table):
+        super().__init__()
         self._objects = tuple(sorted(objects))
         self._morphs = {name: TableMorphism(name) for name in morphisms}
         for v in self._objects:
@@ -318,9 +306,9 @@ class TableCategory(SmallCategory):
 # relational layer
 
 
-def _id_triples(ids, window):
+def _id_triples(cat: SmallCategory, window):
     """(i, j, k, ij, jk) over the composable id triples of a window of ids."""
-    ranges, sources, compose = ids.ranges, ids.sources, ids.compose_ids
+    ranges, sources, compose = cat.ranges, cat.sources, cat.compose_ids
     by_range = {}
     for n, i in enumerate(window):
         by_range.setdefault(ranges[i], []).append((n, i))
@@ -351,9 +339,8 @@ def composable_triples(cat: SmallCategory, window):
     that raises, stops at the same triple as the plain nested loop would.
     Composites may be None where the category is partial.
     """
-    ids = cat.id_view()
-    morphs = ids.morphs
-    for i, j, k, ij, jk in _id_triples(ids, [ids.id_of(m) for m in window]):
+    morphs = cat.morphs
+    for i, j, k, ij, jk in _id_triples(cat, [cat.id_of(m) for m in window]):
         ab = None if ij is None else morphs[ij]
         bc = None if jk is None else morphs[jk]
         yield morphs[i], morphs[j], morphs[k], ab, bc
@@ -367,9 +354,8 @@ def associativity_failures(cat: SmallCategory, window):
     failure, the zs command the last, and acceptance criterion 4 asks
     whether there is any.
     """
-    ids = cat.id_view()
-    compose, morphs, rows = ids.compose_ids, ids.morphs, ids.rows
-    for i, j, k, ij, jk in _id_triples(ids, [ids.id_of(m) for m in window]):
+    compose, morphs, rows = cat.compose_ids, cat.morphs, cat.rows
+    for i, j, k, ij, jk in _id_triples(cat, [cat.id_of(m) for m in window]):
         if ij is None or jk is None:
             continue
         left = rows[ij].get(k)
@@ -401,9 +387,8 @@ def validate_category(cat: SmallCategory, bound) -> Report:
 
 def check_left_cancellative(cat: SmallCategory, bound) -> Report:
     """Scan for a, b != c with ac = ab within the window."""
-    ids = cat.id_view()
-    win = ids.window(bound)
-    compose, sources, morphs = ids.compose_ids, ids.sources, ids.morphs
+    win = cat.window(bound)
+    compose, sources, morphs = cat.compose_ids, cat.sources, cat.morphs
     for i in win.ids:
         seen = {}
         for k in win.by_range.get(sources[i], ()):
@@ -462,16 +447,15 @@ def equivalent(a, b, cat: SmallCategory, bound) -> bool:
 
 def principal_ideal(a, cat: SmallCategory, bound):
     """The right ideal {ac : composable} truncated to the window, sorted."""
-    ids = cat.id_view()
-    ideal = _ideal_ids(ids, ids.id_of(a), bound)
-    return tuple(sorted((ids.morphs[i] for i in ideal), key=cat.sort_key))
+    ideal = _ideal_ids(cat, cat.id_of(a), bound)
+    return tuple(sorted((cat.morphs[i] for i in ideal), key=cat.sort_key))
 
 
-def _ideal_ids(ids, a, bound):
+def _ideal_ids(cat: SmallCategory, a, bound):
     """principal_ideal on ids, as a set."""
-    sizes, compose = ids.sizes, ids.compose_ids
+    sizes, compose = cat.sizes, cat.compose_ids
     out = {a} if size_fits(sizes[a], bound) else set()
-    for x in ids.window(bound).by_range.get(ids.sources[a], ()):
+    for x in cat.window(bound).by_range.get(cat.sources[a], ()):
         ax = compose(a, x)
         if ax is not None and size_fits(sizes[ax], bound):
             out.add(ax)
@@ -482,14 +466,13 @@ def _divisor_ids(cat: SmallCategory, a, b, bound):
     """The window ids x with a x = b.  With additive sizes only the
     (range, size(b) - size(a)) bucket can hold them; otherwise the whole
     range bucket is searched."""
-    ids = cat.id_view()
-    win = ids.window(bound)
+    win = cat.window(bound)
     if cat.additive_sizes:
-        need = _size_gap(ids.sizes[a], ids.sizes[b])
+        need = _size_gap(cat.sizes[a], cat.sizes[b])
         if need is None:
             return []
-        candidates = win.buckets.get((ids.sources[a], need), ())
+        candidates = win.buckets.get((cat.sources[a], need), ())
     else:
-        candidates = win.by_range.get(ids.sources[a], ())
-    compose = ids.compose_ids
+        candidates = win.by_range.get(cat.sources[a], ())
+    compose = cat.compose_ids
     return [x for x in candidates if compose(a, x) == b]

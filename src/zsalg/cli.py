@@ -72,9 +72,13 @@ from .selfsim import (
 
 def _rat(x):
     """A workspace number: exact for strings and ints, else a finite float.
-    json.load accepts NaN and Infinity, which no check can compare."""
-    if isinstance(x, (str, int)):
-        return Fraction(x)
+    json.load accepts NaN and Infinity, which no check can compare; true and
+    false are not numbers, and "1/0" is none either."""
+    if isinstance(x, (str, int)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ZsalgError(f"zero denominator: {x!r}") from None
     if not isinstance(x, float) or not math.isfinite(x):
         raise ZsalgError(f"not a finite number: {x!r}")
     return x
@@ -148,7 +152,10 @@ class Workspace:
         """A "rotation" angle matrix, or a "table" of phases keyed by product
         morphisms of the path part."""
         if "rotation" in spec:
-            return RotationForm([[_rat(x) for x in row] for row in spec["rotation"]])
+            rows = spec["rotation"]
+            if len(rows) != self.k or any(len(row) != self.k for row in rows):
+                raise ZsalgError(f"a rotation matrix has {self.k} rows of {self.k} entries")
+            return RotationForm([[_rat(x) for x in row] for row in rows])
         return TableForm(
             {
                 (self._decode_pathlike(e["c1"]), self._decode_pathlike(e["c2"])): _rat(e["phase"])

@@ -400,8 +400,9 @@ def rotation_cocycle(theta, cat: SmallCategory, check_bound=None) -> CocycleFami
     form = RotationForm(theta)
     sigma = Cocycle(form, name="rotation")
     if check_bound is not None:
-        for x in cat.morphisms(check_bound):
-            for y in cat.morphisms(check_bound):
+        window = cat.morphisms(check_bound)
+        for x in window:
+            for y in window:
                 if cat.s(x) != cat.r(y):
                     continue
                 xy = cat.compose(x, y)

@@ -153,16 +153,20 @@ def parse_action(section, graph: KGraph) -> ActionTable:
     return ActionTable(left, right)
 
 
+def _checked(obj, report):
+    """obj, when its validation report passed.  A builtin fixture that fails
+    its own validation is an internal bug, not malformed input."""
+    if not report.passed:
+        raise RuntimeError(f"builtin fixture fails validation: {report}")
+    return obj
+
+
 def _doc_kgraph(name, bound):
-    graph, rep = validate_kgraph(parse_kgraph(FIXTURE_DOCS[name]["kgraph"]), bound)
-    assert rep.passed, rep
-    return graph
+    return _checked(*validate_kgraph(parse_kgraph(FIXTURE_DOCS[name]["kgraph"]), bound))
 
 
 def _doc_groupoid(name):
-    gpd, rep = validate_groupoid(parse_groupoid(FIXTURE_DOCS[name]["groupoid"]))
-    assert rep.passed, rep
-    return gpd
+    return _checked(*validate_groupoid(parse_groupoid(FIXTURE_DOCS[name]["groupoid"])))
 
 
 def _doc_pair(name, bound):
@@ -184,17 +188,13 @@ def kgraph_e2(bound=(4,)):
 def kgraph_single_loop():
     """One vertex, one loop: the path category is N, validated up to 6."""
     pres = KGraphPresentation(1, ["*"], [Edge("1", 1, "*", "*")], [])
-    graph, rep = validate_kgraph(pres, (6,))
-    assert rep.passed, rep
-    return graph
+    return _checked(*validate_kgraph(pres, (6,)))
 
 
 def kgraph_source_1graph(bound=(3,)):
     """1-graph v <- w with nothing out of w: a source in color 1."""
     pres = KGraphPresentation(1, ["v", "w"], [Edge("e", 1, "v", "w")], [])
-    graph, rep = validate_kgraph(pres, bound)
-    assert rep.passed, rep
-    return graph
+    return _checked(*validate_kgraph(pres, bound))
 
 
 def kgraph_convex_with_source(bound=(2, 2)):
@@ -206,9 +206,7 @@ def kgraph_convex_with_source(bound=(2, 2)):
         Edge("fw", 2, "w", "w"),
     ]
     squares = [(("e", "fw"), ("fv", "e"))]
-    graph, rep = validate_kgraph(KGraphPresentation(2, verts, edges, squares), bound)
-    assert rep.passed, rep
-    return graph
+    return _checked(*validate_kgraph(KGraphPresentation(2, verts, edges, squares), bound))
 
 
 def kgraph_not_locally_convex(bound=(1, 1)):
@@ -219,9 +217,7 @@ def kgraph_not_locally_convex(bound=(1, 1)):
         [Edge("e", 1, "p", "q"), Edge("f", 2, "p", "x")],
         [],
     )
-    graph, rep = validate_kgraph(pres, bound)
-    assert rep.passed, rep
-    return graph
+    return _checked(*validate_kgraph(pres, bound))
 
 
 def z2_groupoid():
@@ -231,9 +227,7 @@ def z2_groupoid():
 
 def trivial_groupoid(units):
     pres = GroupoidPresentation(units=list(units), morphisms=list(units))
-    gpd, rep = validate_groupoid(pres)
-    assert rep.passed, rep
-    return gpd
+    return _checked(*validate_groupoid(pres))
 
 
 def pair_groupoid_2():
@@ -247,9 +241,7 @@ def pair_groupoid_2():
         inv={uw: wu, wu: uw},
         compose={(uw, wu): "u", (wu, uw): "w"},
     )
-    gpd, rep = validate_groupoid(pres)
-    assert rep.passed, rep
-    return gpd
+    return _checked(*validate_groupoid(pres))
 
 
 def broken_pair_groupoid():
@@ -276,9 +268,7 @@ def two_orbit_groupoid():
         inv={uw: wu, wu: uw, "g": "g"},
         compose={(uw, wu): "u", (wu, uw): "w", ("g", "g"): "z"},
     )
-    gpd, rep = validate_groupoid(pres)
-    assert rep.passed, rep
-    return gpd
+    return _checked(*validate_groupoid(pres))
 
 
 def swap_pair():
@@ -325,9 +315,7 @@ def klein_four_groupoid(unit="v"):
             ("pq", "q"): "p",
         },
     )
-    gpd, rep = validate_groupoid(pres)
-    assert rep.passed, rep
-    return gpd
+    return _checked(*validate_groupoid(pres))
 
 
 def klein_unfaithful_pair():

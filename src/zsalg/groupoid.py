@@ -33,6 +33,7 @@ class FiniteGroupoid(SmallCategory):
     """Validated finite groupoid.  Morphisms are their names (strings)."""
 
     def __init__(self, pres: GroupoidPresentation):
+        super().__init__()
         self.units = tuple(sorted(pres.units))
         self.names = tuple(sorted(pres.morphisms))
         self._r = dict(pres.rng)

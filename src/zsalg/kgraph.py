@@ -117,6 +117,7 @@ class KGraph(SmallCategory):
     """
 
     def __init__(self, pres: KGraphPresentation):
+        super().__init__()
         self.k = pres.k
         self.vertices = tuple(sorted(pres.vertices))
         self.edge = {e.name: e for e in pres.edges}
@@ -142,7 +143,6 @@ class KGraph(SmallCategory):
         self._paths_memo = {}
         self._compose_memo = {}
         self._nf_memo = {}
-        self._window_memo = {}
         self._pres = pres
 
     # -- presentation-level sanity (raises MalformedSquaresError)
@@ -274,14 +274,10 @@ class KGraph(SmallCategory):
         return (m.degree, m.edges, m.src)
 
     def morphisms(self, bound):
-        bound = tuple(bound)
-        out = self._window_memo.get(bound)
-        if out is None:
-            out = []
-            for n in sorted(m for m, _ in deg_splits(bound)):
-                out.extend(self.all_paths(n))
-            self._window_memo[bound] = out
-        return list(out)
+        out = []
+        for n in sorted(m for m, _ in deg_splits(tuple(bound))):
+            out.extend(self.all_paths(n))
+        return out
 
     # -- enumeration
 

@@ -209,10 +209,9 @@ class TruncatedRep:
     window: a view of the family's table at one fiber."""
 
     def __init__(self, zs: ZSCategory, family: CocycleFamily, bound, grid_index):
-        table = _Table(zs, family, bound, (grid_index,))
-        if not isinstance(grid_index, int) or not 0 <= grid_index < family.m:
+        if type(grid_index) is not int or not 0 <= grid_index < family.m:
             raise OffGridError(f"grid index {grid_index} outside 0..{family.m - 1}")
-        self._attach(table, 0)
+        self._attach(_Table(zs, family, bound, (grid_index,)), 0)
 
     def _attach(self, table: _Table, fiber):
         """View a table at one of its fibers, by position, or at all of them

@@ -115,14 +115,10 @@ class Element:
 
 
 class AlgebraModel:
-    """The algebra of a product category twisted by a sampled cocycle family.
+    """The covariant algebra of a product category twisted by a sampled
+    cocycle family: level raising is one of its rewrites."""
 
-    ``covariant`` selects between the Toeplitz-type model (no level
-    rewrites) and the covariant one (level raising enabled); the distinction
-    matters only for which rewrites are legal, the product is the same.
-    """
-
-    def __init__(self, zs: ZSCategory, family: CocycleFamily, level_bound, covariant=True):
+    def __init__(self, zs: ZSCategory, family: CocycleFamily, level_bound):
         if not zs.is_groupoid_tailed():
             raise NotApplicableError("the normal-form model needs a groupoid tail")
         self.zs = zs
@@ -132,7 +128,6 @@ class AlgebraModel:
         self.family = family
         self.m = family.m
         self.level_bound = tuple(level_bound)
-        self.covariant = covariant
         self._fiber_cache = {}
         self._no_sources = all(
             self.D.edges_at.get((v, i))
@@ -270,13 +265,11 @@ class AlgebraModel:
             out[key] = out[key] + coeff if key in out else coeff
         return Element(self, out)
 
-    # -- level raising (covariant model only)
+    # -- level raising
 
     def level_raise(self, x: Element, n) -> Element:
         """Rewrite every term so its first path has degree exactly n."""
         n = tuple(n)
-        if not self.covariant:
-            raise NotApplicableError("level raising is a covariant-model rewrite")
         if not self._no_sources:
             raise NoSourcesRequiredError("level raising needs no sources on the window")
         if not deg_le(n, self.level_bound):
@@ -307,12 +300,11 @@ class AlgebraModel:
     # -- fibers
 
     def fiber_model(self, j) -> "AlgebraModel":
-        if not isinstance(j, int) or not 0 <= j < self.m:
+        if type(j) is not int or not 0 <= j < self.m:
             raise OffGridError(f"grid index {j} outside 0..{self.m - 1}")
         if j not in self._fiber_cache:
-            self._fiber_cache[j] = AlgebraModel(
-                self.zs, self.family.cocycle_at(j), self.level_bound, self.covariant
-            )
+            fiber = self.family.cocycle_at(j)
+            self._fiber_cache[j] = AlgebraModel(self.zs, fiber, self.level_bound)
         return self._fiber_cache[j]
 
     def evaluate_fiber(self, x: Element, j) -> Element:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .categories import SmallCategory, Window, bound_key, size_fits
+from .categories import SmallCategory, size_fits
 from .errors import NotApplicableError, NotComposableError, UndefinedGeneratorError
 from .groupoid import FiniteGroupoid
 from .kgraph import KGraph, Path
@@ -39,6 +39,7 @@ class FreeMonoidCategory(SmallCategory):
     obj = "*"
 
     def __init__(self, letters):
+        super().__init__()
         self.letters = tuple(sorted(letters))
 
     def objects(self):
@@ -281,23 +282,22 @@ class ZSCategory(SmallCategory):
     gauge is the path-part degree; otherwise it is the total scalar size of
     both parts, which is what the monoid counterexample needs.
 
-    The category is its own id view (categories.MorphismIds): each
-    morphism it hands out is interned with a dense id, and ``rows[i][j]``
-    stores the composite of each composable pair.  id_of looks a morphism
-    it did not intern up by value, so no other category's id reads a row.
+    Each morphism the category hands out is interned once, by its parts,
+    and stamped with its id, which id_of reads back; a morphism it did not
+    intern is looked up by value, so no other category's id reads a row.
+    Composites are made through MatchedPair.extend.
     """
 
     def __init__(self, pair: MatchedPair):
+        super().__init__()
         self.pair = pair
         self.D = pair.acted
         self.C = pair.acting
         self._groupoid_tailed = isinstance(self.C, FiniteGroupoid)
-        self._interned = {}
+        self._interned, self._tails = {}, {}
         # stamped on interned morphisms; not self, so that they hold no
         # reference cycle back to the category
         self._token = object()
-        self.morphs, self.ranges, self.sources, self.sizes, self.rows = [], [], [], [], []
-        self._tails, self._windows = {}, {}
 
     def objects(self):
         return tuple(sorted(self.D.objects()))
@@ -318,13 +318,6 @@ class ZSCategory(SmallCategory):
         return self.sizes[self.id_of(m)]
 
     def morphisms(self, bound):
-        return list(self.window(bound).members)
-
-    def window(self, bound) -> Window:
-        key = bound_key(bound)
-        win = self._windows.get(key)
-        if win is not None:
-            return win
         out = []
         if self._groupoid_tailed:
             for d in self.D.morphisms(bound):
@@ -339,8 +332,7 @@ class ZSCategory(SmallCategory):
                     if self.C.r(c) == self.D.s(d):
                         out.append(self.intern(d, c))
         out.sort(key=self.sort_key)
-        win = self._windows[key] = Window(self, out)
-        return win
+        return out
 
     def _scalar_tuple(self, bound):
         probe = self.D.identity(next(iter(self.D.objects())))
@@ -371,9 +363,6 @@ class ZSCategory(SmallCategory):
         if m._owner is self._token:
             return m._id
         return self.intern(m.path, m.tail)._id
-
-    def id_view(self):
-        return self
 
     def compose_ids(self, i, j):
         row = self.rows[i]
@@ -466,8 +455,9 @@ def check_self_similar(pair: MatchedPair, bound) -> Report:
     if not pair.is_self_similar_shape():
         raise NotApplicableError("acting category is not a groupoid over the vertices")
     G, L = pair.acting, pair.acted
+    window = L.morphisms(bound)
     for g in G.morphisms(None):
-        for lam in L.morphisms(bound):
+        for lam in window:
             if G.s(g) != L.r(lam):
                 continue
             if L.size(pair.left_act(g, lam)) != L.size(lam):

@@ -24,7 +24,7 @@ from zsalg.fixtures import (
     x_elem,
     x_monoid,
 )
-from zsalg.selfsim import ZSCategory
+from zsalg.selfsim import FreeMonoidCategory, ZSCategory
 
 
 def three_morphism_counterexample():
@@ -247,3 +247,48 @@ def test_composable_triples_raise_where_the_nested_loop_would():
 
     got = until_raise(composable_triples(cat, window))
     assert got and got == until_raise(_nested_triples(cat, window))
+
+
+@pytest.mark.parametrize(
+    "make, bound",
+    [
+        (lambda: kgraph_k1((2, 2)), (2, 2)),
+        (pair_groupoid_2, None),
+        (lambda: FreeMonoidCategory("ab"), 2),
+        (partial_two_object_table, 1),
+        (lambda: ZSCategory(swap_pair()), (2,)),
+    ],
+    ids=["kgraph", "groupoid", "free-monoid", "partial-table", "product"],
+)
+def test_every_category_is_its_own_id_view(make, bound):
+    """Each kind numbers its own morphisms: window(b) is memoized and holds
+    morphisms(b) in order, and compose_ids composes each pair at most once,
+    an undefined product included, then answers from rows."""
+    cat = make()
+    win = cat.window(bound)
+    assert cat.window(bound) is win
+    assert cat.morphisms(bound) == list(win.members)
+    assert [cat.morphs[i] for i in win.ids] == win.members
+
+    composed, extended = [], []
+
+    def counting(fn, log):
+        def wrapper(*args):
+            log.append(args)
+            return fn(*args)
+
+        return wrapper
+
+    compose = cat.compose
+    cat.compose = counting(compose, composed)
+    if isinstance(cat, ZSCategory):
+        cat.pair.extend = counting(cat.pair.extend, extended)
+    pairs = [(i, j) for i in win.ids for j in win.ids]
+    first = [cat.compose_ids(i, j) for i, j in pairs]
+    assert len(set(composed)) == len(composed) <= len(pairs)
+    del composed[:], extended[:]
+    assert [cat.compose_ids(i, j) for i, j in pairs] == first
+    assert composed == extended == []
+    for (i, j), k in zip(pairs, first):
+        ab = compose(cat.morphs[i], cat.morphs[j])
+        assert k == (None if ab is None else cat.id_of(ab))

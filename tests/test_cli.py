@@ -149,6 +149,35 @@ def test_non_finite_number_is_malformed(tmp_path, command, section):
     assert report["error"] == "ZsalgError" and "not a finite number" in report["message"]
 
 
+@pytest.mark.parametrize(
+    "command, section, message",
+    [
+        ("cocycle-check", {"cocycle": {"rotation": [[0, 0], ["1/0", 0]]}}, "zero denominator"),
+        ("cocycle-check", {"cocycle": {"rotation": [[0]]}}, "2 rows of 2 entries"),
+        (
+            "homotopy-check",
+            {"homotopy": {"generator": {"rotation": [[0, 0, 0]] * 3}, "grid": 3}},
+            "2 rows of 2 entries",
+        ),
+        ("cocycle-check", {"cocycle": {"rotation": [[0, 0], [True, 0]]}}, "not a finite number"),
+    ],
+    ids=["zero-denominator", "short-matrix", "wide-generator", "bool-angle"],
+)
+def test_malformed_angle_matrix_is_malformed(tmp_path, command, section, message):
+    """An angle "1/0", a matrix that is not k by k, and true for an angle
+    are malformed input: no traceback, no verdict, no silent truncation."""
+    ws = {
+        "kgraph": FIXTURE_DOCS["k1"]["kgraph"],
+        "bounds": {"degree": [1, 1]},
+        **section,
+    }
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(ws))
+    code, report = run(tmp_path, command, "--workspace", str(path))
+    assert code == 2
+    assert report["error"] == "ZsalgError" and message in report["message"]
+
+
 def test_zs_broken_flip_witness(tmp_path):
     """The flip action with a <| g = v breaks the interchange law; zs
     reports the last non-associative triple of the product window."""

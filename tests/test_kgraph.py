@@ -227,3 +227,18 @@ def test_skeleton_split():
         assert k1.color(out) == k1.color(d)
     for (a, d), out in right.items():
         assert k1.color(out) == k1.color(a)
+
+
+def test_builtin_fixture_failing_validation_raises(monkeypatch):
+    """A builtin fixture that fails its own validation is an internal bug:
+    it raises RuntimeError naming the report, also under python -O."""
+    from zsalg import fixtures
+    from zsalg.kgraph import KGraph
+    from zsalg.report import failing
+
+    def broken(pres, bound=None):
+        return KGraph(pres), failing("kgraph_factorization", witness="planted", bound=bound)
+
+    monkeypatch.setattr(fixtures, "validate_kgraph", broken)
+    with pytest.raises(RuntimeError, match="kgraph_factorization"):
+        fixtures.kgraph_k1()

@@ -53,6 +53,19 @@ def test_rejects_infinite_basis_and_off_grid():
         TruncatedRep(zsk, rot_family(), (2, 2), 11)
 
 
+@pytest.mark.parametrize("grid_index", [11, -1, True], ids=["past-grid", "negative", "bool"])
+def test_grid_index_is_checked_before_the_window_is_built(grid_index):
+    """An off-grid index interns nothing into the product, and True is not
+    the grid index 1; AlgebraModel.fiber_model applies the same rule."""
+    zs = ZSCategory(trivial_pair(kgraph_k1((3, 3))))
+    with pytest.raises(OffGridError):
+        TruncatedRep(zs, rot_family(), (2, 2), grid_index)
+    assert len(zs.morphs) == 0
+    model = AlgebraModel(zs, rot_family(), (2, 2))
+    with pytest.raises(OffGridError):
+        model.fiber_model(grid_index)
+
+
 def test_relations_k1_trivial_and_rotation():
     zsk = ZSCategory(trivial_pair(kgraph_k1((3, 3))))
     for fam in (ConstantHomotopy(trivial_cocycle(), m=1), rot_family()):

@@ -194,13 +194,6 @@ def test_zero_coefficient_noise_dropped():
     assert noisy.same_as(x) and set(noisy.terms) == set(x.terms)
 
 
-def test_toeplitz_mode_forbids_level_raise():
-    zs = ZSCategory(swap_pair())
-    model = AlgebraModel(zs, ConstantHomotopy(trivial_cocycle(), m=1), (4,), covariant=False)
-    with pytest.raises(NotApplicableError):
-        model.level_raise(model.vertex("v"), (1,))
-
-
 def test_level_raise_needs_no_sources():
     graph = kgraph_source_1graph((3,))
     model = AlgebraModel(
