@@ -1,28 +1,36 @@
 """Circle-valued 2-cocycles, grid-sampled homotopies, and phase arithmetic.
 
-Phases are points of the circle written additively: a value q stands for
-exp(2*pi*i*q).  When every input is rational the whole calculus stays in
-Fraction arithmetic and comparisons are exact; any float input degrades the
-affected values to double precision with a 1e-12 comparison tolerance.
+Phases are points of the circle: exp(2*pi*i*r/N) for an integer residue r
+mod a conductor N when every input is rational, exp(2*pi*i*x) for a float x
+otherwise.  Exact comparisons are integer comparisons; float values compare
+with a 1e-12 tolerance.
 
 Coefficients of the exact algebra model are finite sums of phases
-(PhaseSum).  A sum is exact or float, never both: a float operand collapses
-a sum or product to its complex value.
+(PhaseSum): integer or rational coefficients on the residues mod N, so
+elements of the cyclotomic field Q(zeta_N).  A sum is exact or float, never
+both: a float operand collapses a sum or product to its complex value.  An
+operation on two exact sums lifts both to the lcm of their conductors.  An
+exact sum is zero iff its reduction to a basis of Q(zeta_N) is; a float one
+iff it is within 1e-12 of 0, and a NaN never.
 
 Every cocycle family is one CocycleFamily: an exponent form q and one scale
 s_j per grid point, fiber j being exp(2*pi*i*s_j*q).  A cocycle is the
 one-fiber family at scale 1 (Cocycle), a linear homotopy the family on the
 grid t_j = j/(M-1) (LinearHomotopy), and a constant family repeats its
 cocycle's scale (ConstantHomotopy); a pair's per-fiber samples form a
-GridFunction.  Every layer that prices a pair reads the family's two memos:
-exponent(c1, c2) per pair, and phases(q), the M fiber phases, per exponent.
+GridFunction.  A rational form has a denominator D and gives each pair the
+integer exponent D*q; with rational scales of common denominator S the
+family's conductor is N = D*S, and fiber j's phase of an exponent E is the
+residue S*s_j*E mod N.  A form with a float entry gives float exponents.
+Every layer that prices a pair reads the family's two memos: exponent(c1,
+c2) per pair, and phases(E), the M fiber phases, per exponent.
 
 Every cocycle check reads one window sweep, _defects: the exponent of each
 identity pair, then the additive defect
 delta = q(b,c) + q(a,bc) - q(a,b) - q(ab,c) of each composable triple.  One
-zero rule decides a defect: exactly for a Fraction, within 1e-12 for a
-float, and a NaN is never zero.  q is an additive generator iff every item
-is zero; fiber j is a cocycle iff every item is zero or has
+zero rule decides a defect: an integer is zero iff it is 0, a float iff it
+is within 1e-12 of 0, and a NaN never.  q is an additive generator iff
+every item is zero; fiber j is a cocycle iff every item is zero or has
 exp(2*pi*i*s_j*delta) = 1.  Continuity between grid samples cannot be
 certified from samples and is reported as a stated limitation.
 """
@@ -30,7 +38,9 @@ certified from samples and is reported as a stated limitation.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import functools
+import math
+import sys
 from fractions import Fraction
 
 from .categories import SmallCategory, composable_triples
@@ -40,92 +50,229 @@ from .report import Report, failing, passing
 from .selfsim import ZSMorphism
 
 TOL = 1e-12
+_EPS = sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
+class _Cyclotomic:
+    """Q(zeta_n), computed once per conductor n.
+
+    ``roots[r]`` is the float exp(2*pi*i*r/n).  ``basis[r]`` writes zeta_n^r
+    in a basis of the Zumbroich kind (Bosma, "Canonical bases for cyclotomic
+    fields", 1990) as a tuple of (basis residue, +-1).  For each prime p
+    with p^e exactly dividing n, the p-digit of a residue r is
+    (r mod p^e) // p^(e-1); adding n/p moves that digit through all p
+    values and fixes the other primes' components.  The basis residues have
+    p-digit 0 for p = 2 and a nonzero p-digit for odd p; there are phi(n)
+    of them, and the relations zeta^(r + n/2) = -zeta^r and
+    sum_b zeta^(r + b*n/p) = 0 rewrite every other residue.  Both tables
+    fill on first use, so a large conductor costs only what is read.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.primes = []
+        m, p = n, 2
+        while p * p <= m:
+            if m % p == 0:
+                q = 1
+                while m % p == 0:
+                    m //= p
+                    q *= p
+                self.primes.append((p, q))
+            p += 1
+        if m > 1:
+            self.primes.append((m, m))
+        self.roots = _Memo(lambda r: cmath.exp(2j * cmath.pi * (r / n)))
+        self.basis = _Memo(self._reduce)
+
+    def _reduce(self, r):
+        n, vec = self.n, {r: 1}
+        for p, q in self.primes:
+            top, step, out = q // p, n // p, {}
+            for s, c in vec.items():
+                if (s % q // top == 0) == (p == 2):
+                    out[s] = out.get(s, 0) + c
+                else:
+                    for b in range(1, p):
+                        t = (s + b * step) % n
+                        out[t] = out.get(t, 0) - c
+            vec = out
+        return tuple(vec.items())
+
+    def is_zero(self, terms):
+        """Whether sum c * zeta_n^r over ``terms`` is 0, exactly."""
+        acc = {}
+        for r, c in terms.items():
+            for b, sign in self.basis[r]:
+                acc[b] = acc.get(b, 0) + sign * c
+        return not any(acc.values())
+
+
+class _Memo(dict):
+    """A dict that fills a missing entry from a function of its key."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        out = self[key] = self.fill(key)
+        return out
+
+
+#: the field of each conductor, built once
+_field = functools.cache(_Cyclotomic)
+
+
 class Phase:
-    """A unit complex number exp(2*pi*i*value); exact iff value is a Fraction."""
+    """A unit complex number: exp(2*pi*i*res/cond) when exact, with res an
+    int residue mod the conductor cond; exp(2*pi*i*res) for a float res in
+    [0, 1), with cond None.
 
-    value: object  # Fraction (exact) or float
+    ``Phase(x)`` takes x mod 1 for a Fraction, an int or a float;
+    ``Phase.residue(r, n)`` is exp(2*pi*i*r/n) without a Fraction.
+    """
 
-    def __post_init__(self):
-        if isinstance(self.value, (Fraction, int)):
-            object.__setattr__(self, "value", Fraction(self.value) % 1)
+    __slots__ = ("res", "cond")
+
+    def __init__(self, value):
+        if isinstance(value, (Fraction, int)):
+            value = Fraction(value)
+            self.cond = value.denominator
+            self.res = value.numerator % self.cond
         else:
-            object.__setattr__(self, "value", float(self.value) % 1.0)
+            self.cond = None
+            self.res = float(value) % 1.0
+
+    @staticmethod
+    def residue(res, cond):
+        p = object.__new__(Phase)
+        p.res, p.cond = res % cond, cond
+        return p
 
     @property
-    def exact(self):
-        return isinstance(self.value, Fraction)
+    def value(self):
+        """The phase in [0, 1): a Fraction when exact, else a float."""
+        return self.res if self.cond is None else Fraction(self.res, self.cond)
 
     def __mul__(self, other):
-        return Phase(self.value + other.value)
+        n1, n2 = self.cond, other.cond
+        if n1 is None or n2 is None:
+            return Phase(self.value + other.value)
+        n = n1 if n1 == n2 else math.lcm(n1, n2)
+        return Phase.residue(self.res * (n // n1) + other.res * (n // n2), n)
 
     def conj(self):
-        return Phase(-self.value)
+        if self.cond is None:
+            return Phase(-self.res)
+        return Phase.residue(-self.res, self.cond)
 
     def complex_value(self):
-        return cmath.exp(2j * cmath.pi * float(self.value))
+        if self.cond is None:
+            return cmath.exp(2j * cmath.pi * self.res)
+        return _field(self.cond).roots[self.res]
 
     def is_one(self):
-        if self.exact:
-            return self.value == 0
+        if self.cond is not None:
+            return self.res == 0
         return abs(self.complex_value() - 1.0) <= TOL
 
     def same_as(self, other):
-        if self.exact and other.exact:
-            return self.value == other.value
+        if self.cond is not None and other.cond is not None:
+            return self.res * other.cond == other.res * self.cond
         return abs(self.complex_value() - other.complex_value()) <= TOL
 
+    def __eq__(self, other):
+        return isinstance(other, Phase) and self.value == other.value
 
-ONE = Phase(Fraction(0))
+    def __hash__(self):
+        return hash(self.value)
+
+    def __repr__(self):
+        return f"Phase({self.value})"
+
+
+def _exact(terms, cond):
+    """An exact PhaseSum from a residue -> coefficient dict that is already
+    reduced mod cond and has no zero coefficient."""
+    out = object.__new__(PhaseSum)
+    out.terms, out.rem, out.cond = terms, 0j, cond
+    return out
+
+
+def _lifted(terms, k):
+    return terms if k == 1 else {r * k: c for r, c in terms.items()}
 
 
 class PhaseSum:
     """A finite rational combination of exact phases, or a float.
 
     Supports the coefficient arithmetic of the normal-form algebra: sums,
-    products, conjugation.  A sum is exact (``terms``, with ``rem`` zero) or
-    float (``rem`` alone), never both: any sum or product with a float
-    operand collapses to its complex value in ``rem``.  Zero testing is
-    numeric (1e-12).
+    products, conjugation.  A sum is exact or float, never both.  An exact
+    sum has conductor ``cond`` N and ``terms``, a dict from int residues mod
+    N to nonzero int coefficients (Fractions only after a rational
+    ``scale``), and ``rem`` 0; a float sum has no terms and its complex
+    value in ``rem``.  Any sum or product with a float operand is float.
+
+    Zero testing is exact for an exact sum: an empty sum is zero; a float
+    value larger than its rounding error bound, (k + 32) * eps * sum |c| for
+    k terms, proves the sum nonzero; anything else, a coefficient beyond
+    float range included, is reduced to the basis of Q(zeta_N) and is zero
+    iff every coordinate is.  A float sum is zero within 1e-12, and a NaN
+    never is.
     """
 
-    __slots__ = ("terms", "rem")
+    __slots__ = ("terms", "rem", "cond")
 
-    def __init__(self, terms=None, rem=0j):
+    def __init__(self, terms=None, rem=0j, cond=1):
         self.terms = {}
         if terms:
-            for ph, coeff in terms.items():
-                if coeff:
-                    self.terms[ph] = self.terms.get(ph, Fraction(0)) + coeff
-        self.terms = {ph: c for ph, c in self.terms.items() if c}
+            for r, coeff in terms.items():
+                r %= cond
+                self.terms[r] = self.terms.get(r, 0) + coeff
+        self.terms = {r: c for r, c in self.terms.items() if c}
         self.rem = complex(rem)
+        self.cond = cond
 
     @staticmethod
     def zero():
-        return PhaseSum()
+        return _exact({}, 1)
 
     @staticmethod
     def one():
-        return PhaseSum({Fraction(0): Fraction(1)})
+        return _exact({0: 1}, 1)
 
     @staticmethod
     def from_phase(p: Phase):
-        if p.exact:
-            return PhaseSum({p.value: Fraction(1)})
+        if p.cond is not None:
+            return _exact({p.res: 1}, p.cond)
         return PhaseSum(rem=p.complex_value())
+
+    def _common(self, other):
+        """Both term dicts lifted to the lcm of the two conductors."""
+        n1, n2 = self.cond, other.cond
+        if n1 == n2:
+            return n1, self.terms, other.terms
+        n = math.lcm(n1, n2)
+        return n, _lifted(self.terms, n // n1), _lifted(other.terms, n // n2)
 
     def __add__(self, other):
         if self.rem or other.rem:
             return PhaseSum(rem=self.value() + other.value())
-        merged = dict(self.terms)
-        for ph, c in other.terms.items():
-            merged[ph] = merged.get(ph, Fraction(0)) + c
-        return PhaseSum(merged)
+        n, a, b = self._common(other)
+        merged = dict(a)
+        for r, c in b.items():
+            c = merged.get(r, 0) + c
+            if c:
+                merged[r] = c
+            else:
+                del merged[r]
+        return _exact(merged, n)
 
     def __neg__(self):
-        return PhaseSum({ph: -c for ph, c in self.terms.items()}, -self.rem)
+        if self.rem:
+            return PhaseSum(rem=-self.rem)
+        return _exact({r: -c for r, c in self.terms.items()}, self.cond)
 
     def __sub__(self, other):
         return self + (-other)
@@ -135,38 +282,50 @@ class PhaseSum:
             other = PhaseSum.from_phase(other)
         if self.rem or other.rem:
             return PhaseSum(rem=self.value() * other.value())
+        n, a, b = self._common(other)
         out = {}
-        for p1, c1 in self.terms.items():
-            for p2, c2 in other.terms.items():
-                key = (p1 + p2) % 1
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return PhaseSum(out)
+        for r1, c1 in a.items():
+            for r2, c2 in b.items():
+                r = r1 + r2
+                if r >= n:
+                    r -= n
+                out[r] = out.get(r, 0) + c1 * c2
+        return _exact({r: c for r, c in out.items() if c}, n)
 
     def scale(self, q):
         if isinstance(q, (int, Fraction)):
-            return PhaseSum({ph: c * q for ph, c in self.terms.items()}, self.rem * q)
+            if self.rem:
+                return PhaseSum(rem=self.rem * q)
+            if not q:
+                return _exact({}, self.cond)
+            return _exact({r: c * q for r, c in self.terms.items()}, self.cond)
         return PhaseSum(rem=self.value() * complex(q))
 
     def conj(self):
-        return PhaseSum(
-            {(-ph) % 1: c for ph, c in self.terms.items()}, self.rem.conjugate()
-        )
+        if self.rem:
+            return PhaseSum(rem=self.rem.conjugate())
+        n = self.cond
+        return _exact({-r % n: c for r, c in self.terms.items()}, n)
 
     def times_phase(self, p: Phase):
         """Rotate by a unit phase (cheaper than a general product)."""
-        if p.exact:
-            if p.value == 0:
-                return self
-            return PhaseSum(
-                {(ph + p.value) % 1: c for ph, c in self.terms.items()},
-                self.rem * p.complex_value(),
-            )
-        return PhaseSum(rem=self.value() * p.complex_value())
+        if p.cond is None:
+            return PhaseSum(rem=self.value() * p.complex_value())
+        if self.rem:
+            return PhaseSum(rem=self.rem * p.complex_value())
+        if p.res == 0:
+            return self
+        n1, n2 = self.cond, p.cond
+        n = n1 if n1 == n2 else math.lcm(n1, n2)
+        k, shift = n // n1, p.res * (n // n2)
+        return _exact({(r * k + shift) % n: c for r, c in self.terms.items()}, n)
 
     def value(self):
         total = self.rem
-        for ph, c in self.terms.items():
-            total += complex(c) * cmath.exp(2j * cmath.pi * float(ph))
+        if self.terms:
+            roots = _field(self.cond).roots
+            for r, c in self.terms.items():
+                total += complex(c) * roots[r]
         return total
 
     @property
@@ -174,9 +333,23 @@ class PhaseSum:
         return self.rem == 0
 
     def is_zero(self):
-        if not self.terms and abs(self.rem) <= TOL:
-            return True
-        return abs(self.value()) <= TOL
+        if self.rem:
+            return abs(self.rem) <= TOL
+        terms = self.terms
+        if len(terms) < 2:
+            return not terms
+        field = _field(self.cond)
+        roots, total, size = field.roots, 0j, 0.0
+        try:
+            for r, c in terms.items():
+                c = float(c)
+                total += c * roots[r]
+                size += abs(c)
+        except OverflowError:  # a coefficient beyond float range
+            return field.is_zero(terms)
+        if abs(total) > (len(terms) + 32) * _EPS * size:
+            return False
+        return field.is_zero(terms)
 
     def same_as(self, other):
         return (self - other).is_zero()
@@ -189,7 +362,7 @@ class PhaseSum:
     def __repr__(self):
         if self.is_zero():
             return "PhaseSum(0)"
-        bits = [f"{c}@e({ph})" for ph, c in sorted(self.terms.items())]
+        bits = [f"{c}@e({Fraction(r, self.cond)})" for r, c in sorted(self.terms.items())]
         if self.rem:
             bits.append(f"{self.rem}")
         return "PhaseSum(" + " + ".join(bits) + ")"
@@ -287,18 +460,36 @@ def path_degree(m):
 
 
 class ExponentForm:
-    """A real-valued function on composable pairs; exp(2*pi*i . ) of an
-    *additive* cocycle solution gives a circle-valued cocycle."""
+    """A real-valued function q on composable pairs; exp(2*pi*i . ) of an
+    *additive* cocycle solution gives a circle-valued cocycle.
+
+    ``exponent(c1, c2)`` is the integer D*q(c1, c2) for a rational form with
+    denominator D.  A form with a float entry has denominator 1 and gives
+    the float q(c1, c2), or the int 0 where no entry contributes.
+    """
+
+    denominator = 1
 
     def exponent(self, c1, c2):
         raise NotImplementedError
+
+
+def _numerators(values):
+    """(D, scaled): the lcm D of the denominators and each value times D
+    as an int, when every value is rational; (1, each value as a float)
+    otherwise."""
+    if all(isinstance(x, (Fraction, int)) for x in values):
+        d = math.lcm(*(Fraction(x).denominator for x in values))
+        return d, [int(x * d) for x in values]
+    return 1, [float(x) for x in values]
 
 
 class RotationForm(ExponentForm):
     """Bilinear exponent sum_{i>j} theta[i][j] d(c1)_i d(c2)_j on path degrees.
 
     Bilinearity in additive degrees forces the cocycle identity, and units
-    have degree zero, so normalization is automatic.
+    have degree zero, so normalization is automatic.  The form is rational
+    unless an entry below the diagonal is a nonzero float.
     """
 
     def __init__(self, theta):
@@ -306,15 +497,19 @@ class RotationForm(ExponentForm):
             [x if isinstance(x, (Fraction, int)) else float(x) for x in row]
             for row in theta
         ]
+        # a zero entry never contributes, so a float 0.0 leaves the form rational
+        below = {
+            (i, j): x for i, row in enumerate(self.theta) for j, x in enumerate(row[:i]) if x
+        }
+        self.denominator, scaled = _numerators(list(below.values()))
+        self._coeffs = dict(zip(below, scaled))
 
     def exponent(self, c1, c2):
         d1, d2 = path_degree(c1), path_degree(c2)
-        total = Fraction(0)
-        for i in range(len(d1)):
-            for j in range(i):
-                coeff = self.theta[i][j]
-                if coeff and d1[i] and d2[j]:
-                    total = total + coeff * d1[i] * d2[j]
+        total = 0
+        for (i, j), coeff in self._coeffs.items():
+            if d1[i] and d2[j]:
+                total = total + coeff * d1[i] * d2[j]
         return total
 
 
@@ -323,36 +518,53 @@ class TableForm(ExponentForm):
 
     def __init__(self, table):
         self.table = dict(table)
+        self.denominator, scaled = _numerators(list(self.table.values()))
+        self._scaled = dict(zip(self.table, scaled))
 
     def exponent(self, c1, c2):
-        return self.table.get((c1, c2), Fraction(0))
+        return self._scaled.get((c1, c2), 0)
 
 
 class CocycleFamily:
     """A grid-sampled family of circle-valued 2-cocycles: fiber j is
-    exp(2*pi*i * scales[j] * q) for the exponent form q."""
+    exp(2*pi*i * scales[j] * q) for the exponent form q.
+
+    With rational scales of common denominator S, ``cond`` is the
+    conductor N = D*S and an integer exponent E has the fiber phases
+    S*scales[j]*E mod N; otherwise ``cond`` is None and the phases are
+    floats.
+    """
 
     def __init__(self, form: ExponentForm, scales, name):
         self.form = form
         self.scales = tuple(scales)
         self.m = len(self.scales)
         self.name = name
+        self.cond = None
+        if all(isinstance(s, (Fraction, int)) for s in self.scales):
+            d, self._steps = _numerators(self.scales)
+            self.cond = form.denominator * d
         self._exponents = {}
         self._phases = {}
 
     def exponent(self, c1, c2):
-        """Additive exponent of the pair, memoized per pair."""
+        """The form's exponent of the pair, memoized per pair."""
         out = self._exponents.get((c1, c2))
         if out is None:
             out = self._exponents[c1, c2] = self.form.exponent(c1, c2)
         return out
 
-    def phases(self, q):
-        """The fiber phases exp(2*pi*i*scale_j*q) of an exponent, memoized per
-        exponent."""
-        out = self._phases.get(q)
+    def phases(self, e):
+        """The fiber phases exp(2*pi*i*scale_j*q) of an exponent e = D*q,
+        memoized per exponent."""
+        out = self._phases.get(e)
         if out is None:
-            out = self._phases[q] = tuple(Phase(s * q) for s in self.scales)
+            if type(e) is int and self.cond is not None:
+                out = tuple(Phase.residue(a * e, self.cond) for a in self._steps)
+            else:
+                q = Fraction(e, self.form.denominator) if type(e) is int else e
+                out = tuple(Phase(s * q) for s in self.scales)
+            self._phases[e] = out
         return out
 
     def phase(self, c1, c2) -> Phase:
@@ -377,6 +589,7 @@ class _RestrictedForm(ExponentForm):
     def __init__(self, inner, embed):
         self.inner = inner
         self.embed = embed
+        self.denominator = inner.denominator
 
     def exponent(self, c1, c2):
         return self.inner.exponent(self.embed(c1), self.embed(c2))
@@ -423,9 +636,9 @@ def verify_cocycle(sigma: CocycleFamily, cat: SmallCategory, bound) -> Report:
 
 
 def _is_zero(delta):
-    """The one zero rule for an exponent defect: exactly for a Fraction,
-    within 1e-12 for a float, and a NaN is never zero."""
-    return delta == 0 if isinstance(delta, Fraction) else abs(delta) <= TOL
+    """The one zero rule for an exponent defect: an int is zero iff it is 0,
+    a float iff it is within 1e-12 of 0, and a NaN never."""
+    return delta == 0 if type(delta) is int else abs(delta) <= TOL
 
 
 def _defects(family: CocycleFamily, cat: SmallCategory, bound):

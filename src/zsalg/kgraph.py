@@ -141,7 +141,6 @@ class KGraph(SmallCategory):
             self.fwd[(e, f)] = (f2, e2)
             self.rev[(f2, e2)] = (e, f)
         self._paths_memo = {}
-        self._compose_memo = {}
         self._nf_memo = {}
         self._pres = pres
 
@@ -263,12 +262,7 @@ class KGraph(SmallCategory):
             return q
         if q.is_vertex():
             return p
-        key = (p.edges, q.edges)
-        out = self._compose_memo.get(key)
-        if out is None:
-            out = self.nf(p.edges + q.edges)
-            self._compose_memo[key] = out
-        return out
+        return self.nf(p.edges + q.edges)
 
     def sort_key(self, m):
         return (m.degree, m.edges, m.src)

@@ -339,8 +339,6 @@ class AlgebraModel:
 def random_element(model: AlgebraModel, rng, gen_degree=None):
     """A random two-term element with unit-phase grid coefficients (seeded,
     exact); the terms may coincide and add up."""
-    from fractions import Fraction
-
     D, G = model.D, model.G
     if gen_degree is None:
         gen_degree = (1,) * D.k
@@ -360,7 +358,7 @@ def random_element(model: AlgebraModel, rng, gen_degree=None):
         g = rng.choice(tails[D.s(lam)])
         mu = rng.choice(by_source[G.s(g)])
         coeff = GridFunction.from_phases(
-            [Phase(Fraction(rng.randrange(24), 24)) for _ in range(model.m)]
+            [Phase.residue(rng.randrange(24), 24) for _ in range(model.m)]
         )
         key = (lam, g, mu)
         terms[key] = terms[key] + coeff if key in terms else coeff

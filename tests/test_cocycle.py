@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -194,7 +195,7 @@ def test_sampled_continuity_bound():
         for c2 in window:
             if k1.s(c1) != k1.r(c2):
                 continue
-            max_q = max(max_q, abs(float(gen.exponent(c1, c2))))
+            max_q = max(max_q, abs(gen.exponent(c1, c2) / gen.denominator))
             vec = [hom.cocycle_at(j).phase(c1, c2) for j in range(hom.m)]
             for j in range(10):
                 step = abs(vec[j + 1].complex_value() - vec[j].complex_value())
@@ -335,3 +336,149 @@ def test_additive_check_matches_exponent_oracle(name, h, cat, bound):
         h.form, cat, bound
     )
 
+
+
+def e(value):
+    return PhaseSum.from_phase(Phase(value))
+
+
+def test_rational_zero_test_is_exact():
+    """Zero is decided in Q(zeta_N), not by a float compared with 1e-12."""
+    huge = PhaseSum.zero()
+    for k in range(5):
+        huge = huge + e(Fraction(k, 5)).scale(10**13)
+    assert abs(huge.value()) > 1e-12 and huge.is_zero()
+    assert (PhaseSum.one() + e(Fraction(1, 2))).is_zero()
+    tiny = PhaseSum.one().scale(Fraction(1, 10**13))
+    assert abs(tiny.value()) < 1e-12 and not tiny.is_zero()
+    assert not tiny.same_as(PhaseSum.zero())
+    roots = PhaseSum.zero()
+    for k in range(120):
+        roots = roots + e(Fraction(k, 120))
+    assert roots.is_zero()
+    assert not (roots + e(Fraction(7, 120))).is_zero()
+    beyond = PhaseSum.one().scale(10**400) + e(Fraction(1, 2)).scale(10**400)
+    assert beyond.is_zero() and not (beyond + PhaseSum.one()).is_zero()
+    assert not PhaseSum(rem=complex(math.nan)).is_zero()
+    assert not (PhaseSum(rem=complex(math.nan)) + huge).is_zero()
+
+
+class FractionPhaseSum:
+    """The exact phase-sum arithmetic keyed by Fraction phases mod 1 that
+    the integer residues replaced, kept as the oracle."""
+
+    def __init__(self, terms=None):
+        merged = {}
+        for ph, c in (terms or {}).items():
+            merged[ph % 1] = merged.get(ph % 1, Fraction(0)) + c
+        self.terms = {ph: c for ph, c in merged.items() if c}
+
+    def __add__(self, other):
+        merged = dict(self.terms)
+        for ph, c in other.terms.items():
+            merged[ph] = merged.get(ph, Fraction(0)) + c
+        return FractionPhaseSum(merged)
+
+    def __neg__(self):
+        return FractionPhaseSum({ph: -c for ph, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for p1, c1 in self.terms.items():
+            for p2, c2 in other.terms.items():
+                key = (p1 + p2) % 1
+                out[key] = out.get(key, Fraction(0)) + c1 * c2
+        return FractionPhaseSum(out)
+
+    def scale(self, q):
+        return FractionPhaseSum({ph: c * q for ph, c in self.terms.items()})
+
+    def conj(self):
+        return FractionPhaseSum({(-ph) % 1: c for ph, c in self.terms.items()})
+
+    def times_phase(self, ph):
+        return FractionPhaseSum({(p + ph) % 1: c for p, c in self.terms.items()})
+
+    def value(self):
+        return sum(complex(c) * cmath.exp(2j * cmath.pi * float(ph)) for ph, c in self.terms.items())
+
+
+CONDUCTORS = (1, 5, 16, 24, 40, 120)
+
+
+def _random_pair(rng):
+    """A random exact sum and the same sum as an oracle."""
+    n = rng.choice(CONDUCTORS)
+    terms = {}
+    for _ in range(rng.randrange(6)):
+        coeff = rng.randint(-3, 3)
+        if rng.random() < 0.2:
+            coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        terms[rng.randrange(n)] = coeff
+    return (
+        PhaseSum(terms, cond=n),
+        FractionPhaseSum({Fraction(r, n): c for r, c in terms.items()}),
+    )
+
+
+def _as_fractions(s):
+    return {Fraction(r, s.cond): c for r, c in s.terms.items()}
+
+
+def test_integer_residues_match_fraction_oracle():
+    """Over conductors 1, 5, 16, 24, 40 and 120, mixed ones included, every
+    operation agrees with the Fraction-keyed arithmetic exactly, and the
+    float values agree within 1e-12."""
+    rng = random.Random(14)
+    for _ in range(400):
+        (a, oa), (b, ob) = _random_pair(rng), _random_pair(rng)
+        n = rng.choice(CONDUCTORS)
+        r = rng.randrange(n)
+        q = rng.choice([0, -2, 3, Fraction(2, 3), Fraction(-7, 5)])
+        pairs = [
+            (a + b, oa + ob),
+            (a - b, oa - ob),
+            (a * b, oa * ob),
+            (a.conj(), oa.conj()),
+            (a.times_phase(Phase.residue(r, n)), oa.times_phase(Fraction(r, n))),
+            (a.scale(q), oa.scale(q)),
+        ]
+        for got, want in pairs:
+            assert got.exact and _as_fractions(got) == want.terms
+            assert abs(got.value() - want.value()) <= 1e-12
+            assert got.is_zero() == (not want.terms or abs(want.value()) <= 1e-9)
+        assert (a * b - b * a).is_zero()
+        assert ((a + b) * a).same_as(a * a + b * a)
+
+
+def test_family_conductor_and_integer_exponents():
+    """The k1 rotation 1/4 on an 11-point grid has conductor 4 * 10 = 40 and
+    integer exponents; a 24ths coefficient times a family phase lifts to the
+    lcm, 120."""
+    k1 = kgraph_k1((2, 2))
+    hom = LinearHomotopy(RotationForm([[0, 0], [Fraction(1, 4), 0]]), m=11)
+    e = k1.paths("v", (1, 0))[0]
+    f = k1.paths("v", (0, 1))[0]
+    assert hom.cond == 40 and hom.exponent(f, e) == 1 and type(hom.exponent(e, f)) is int
+    phases = hom.phases(hom.exponent(f, e))
+    assert [(p.res, p.cond) for p in phases[:3]] == [(0, 40), (1, 40), (2, 40)]
+    coeff = PhaseSum.from_phase(Phase.residue(5, 24)).times_phase(phases[1])
+    assert coeff.cond == 120 and _as_fractions(coeff) == {Fraction(5, 24) + Fraction(1, 40): 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 9, 12, 15, 16, 24, 40, 105, 120])
+def test_reduction_writes_each_root_in_a_basis(n):
+    """zeta_n^r reduces to a signed sum of basis roots with the same value,
+    and the basis roots number phi(n) = [Q(zeta_n):Q], so they are a basis."""
+    from zsalg.cocycle import _field
+
+    field = _field(n)
+    basis = {r for r in range(n) if field.basis[r] == ((r, 1),)}
+    assert len(basis) == sum(1 for r in range(n) if math.gcd(r, n) == 1)
+    for r in range(n):
+        assert {b for b, _ in field.basis[r]} <= basis
+        value = sum(sign * field.roots[b] for b, sign in field.basis[r])
+        assert abs(value - cmath.exp(2j * cmath.pi * r / n)) <= 1e-12

@@ -242,3 +242,20 @@ def test_builtin_fixture_failing_validation_raises(monkeypatch):
     monkeypatch.setattr(fixtures, "validate_kgraph", broken)
     with pytest.raises(RuntimeError, match="kgraph_factorization"):
         fixtures.kgraph_k1()
+
+
+def test_compose_reads_the_normal_form_memo():
+    """KGraph keeps one memo of composites by edges, nf's: after a validate
+    run on k1, every composite of the window equals the normal form of the
+    concatenated edges on a fresh graph, and there is no second memo."""
+    from zsalg.cli import build_parser, builtin_workspace, cmd_validate
+
+    ws = builtin_workspace("k1")
+    cmd_validate(ws, build_parser().parse_args(["validate", "--fixture", "k1"]))
+    graph, fresh = ws.graph, kgraph_k1(ws.bound)
+    assert not hasattr(graph, "_compose_memo")
+    window = graph.morphisms(ws.bound)
+    for p in window:
+        for q in window:
+            want = fresh.nf(p.edges + q.edges, rng=p.rng) if p.src == q.rng else None
+            assert graph.compose(p, q) == want
