@@ -12,6 +12,14 @@ categories in kgraph, groupoids in groupoid, product categories in selfsim.
 Every category numbers its own morphisms: dense int ids with cached range,
 source and size, composites memoized by id (compose_ids), and windows
 memoized as id views (window).  The window sweeps here run on those ids.
+The id view also keeps the answers to the path-pair questions.  A category
+whose divisors_into and meet are exact (kgraph, a product with a groupoid
+tail) keeps them in ``answers`` by id pair (kept), since they do not depend
+on the bound.  The brute-force defaults keep theirs on the Window they
+search: principal ideals by id and divisor ids by pair.  So an override and
+the window search, its reference, never read each other's answers.  What
+is kept lives as long as its category, which is one command.
+
 composable_triples is the one sweep over the composable triples of a
 window; associativity, cocycle, homotopy and additive-generator checks all
 run on it.  Categories are single-threaded, like the verifier: an id is
@@ -46,6 +54,10 @@ def _size_gap(sa, sb):
     return sb - sa if sb >= sa else None
 
 
+#: the mark of a question not yet asked (an answer may be falsy)
+_UNASKED = object()
+
+
 class SmallCategory:
     """Interface for truncation-gauged small categories.
 
@@ -57,12 +69,14 @@ class SmallCategory:
     Every category is its own id view, set up by ``__init__``: ``morphs``,
     ``ranges``, ``sources`` and ``sizes`` are indexed by id, and
     ``rows[i].get(j)`` answers a composite already stored without a call
-    (None also where the product is undefined).
+    (None also where the product is undefined).  ``answers`` holds an
+    override's bound-free answers, keyed by (question, id a, id b); see
+    ``kept``.
     """
 
     def __init__(self):
         self.morphs, self.ranges, self.sources, self.sizes, self.rows = [], [], [], [], []
-        self._index, self._windows = {}, {}
+        self._index, self._windows, self.answers = {}, {}, {}
 
     #: size(a b) = size(a) + size(b) for every composable pair (true for
     #: groupoids, k-graphs, free monoids and their products), so invertibles
@@ -157,6 +171,17 @@ class SmallCategory:
             k = row[j] = None if ab is None else self.id_of(ab)
         return k
 
+    def kept(self, question, a, b, answer):
+        """answer(a, b), computed on the first ask of ``question`` about the
+        id pair of (a, b) and kept in ``answers`` for the category's
+        lifetime.  Only for answers that do not depend on the window bound;
+        the brute-force defaults below keep theirs on their Window."""
+        key = (question, self.id_of(a), self.id_of(b))
+        out = self.answers.get(key, _UNASKED)
+        if out is _UNASKED:
+            out = self.answers[key] = answer(a, b)
+        return out
+
     def window(self, bound) -> Window:
         """morphisms(bound) with its ids, enumerated once per bound."""
         key = bound_key(bound)
@@ -166,8 +191,9 @@ class SmallCategory:
         return win
 
     # -- divisibility and ideal meets.  The defaults search the window by
-    #    brute force; path-like subclasses override them with exact
-    #    factorization, which ignores the bound.
+    #    brute force and keep their answers on it; path-like subclasses
+    #    override them with exact factorization, which ignores the bound.
+    #    Called unbound, the defaults are the reference for an override.
 
     def divisors_into(self, a, b, bound):
         """All x in the window with a x = b (at most one when
@@ -176,7 +202,7 @@ class SmallCategory:
 
     def divides(self, a, b, bound) -> bool:
         """b lies in the principal right ideal of a."""
-        return a == b or bool(self.divisors_into(a, b, bound))
+        return a == b or bool(_divisor_ids(self, self.id_of(a), self.id_of(b), bound))
 
     def meets(self, a, b, bound) -> bool:
         """a C  n  b C is nonempty within the window."""
@@ -210,14 +236,16 @@ class SmallCategory:
 
 class Window:
     """A window's morphisms and their ids, bucketed by range and by
-    (range, size)."""
+    (range, size), with the brute-force searches' answers on it: principal
+    ideal ids by id (``ideals``) and divisor ids by id pair
+    (``divisors``)."""
 
-    __slots__ = ("members", "ids", "by_range", "buckets")
+    __slots__ = ("members", "ids", "by_range", "buckets", "ideals", "divisors")
 
     def __init__(self, cat: SmallCategory, members):
         self.members = members
         self.ids = [cat.id_of(m) for m in members]
-        self.by_range, self.buckets = {}, {}
+        self.by_range, self.buckets, self.ideals, self.divisors = {}, {}, {}, {}
         for i in self.ids:
             rng = cat.ranges[i]
             self.by_range.setdefault(rng, []).append(i)
@@ -452,27 +480,32 @@ def principal_ideal(a, cat: SmallCategory, bound):
 
 
 def _ideal_ids(cat: SmallCategory, a, bound):
-    """principal_ideal on ids, as a set."""
-    sizes, compose = cat.sizes, cat.compose_ids
-    out = {a} if size_fits(sizes[a], bound) else set()
-    for x in cat.window(bound).by_range.get(cat.sources[a], ()):
-        ax = compose(a, x)
-        if ax is not None and size_fits(sizes[ax], bound):
-            out.add(ax)
+    """principal_ideal on ids, as a frozenset kept on the window."""
+    win = cat.window(bound)
+    out = win.ideals.get(a)
+    if out is None:
+        sizes, compose = cat.sizes, cat.compose_ids
+        ideal = {a} if size_fits(sizes[a], bound) else set()
+        for x in win.by_range.get(cat.sources[a], ()):
+            ax = compose(a, x)
+            if ax is not None and size_fits(sizes[ax], bound):
+                ideal.add(ax)
+        out = win.ideals[a] = frozenset(ideal)
     return out
 
 
 def _divisor_ids(cat: SmallCategory, a, b, bound):
-    """The window ids x with a x = b.  With additive sizes only the
-    (range, size(b) - size(a)) bucket can hold them; otherwise the whole
-    range bucket is searched."""
+    """The window ids x with a x = b, as a tuple kept on the window.  With
+    additive sizes only the (range, size(b) - size(a)) bucket can hold
+    them; otherwise the whole range bucket is searched."""
     win = cat.window(bound)
-    if cat.additive_sizes:
-        need = _size_gap(cat.sizes[a], cat.sizes[b])
-        if need is None:
-            return []
-        candidates = win.buckets.get((cat.sources[a], need), ())
-    else:
-        candidates = win.by_range.get(cat.sources[a], ())
-    compose = cat.compose_ids
-    return [x for x in candidates if compose(a, x) == b]
+    out = win.divisors.get((a, b))
+    if out is None:
+        if cat.additive_sizes:
+            need = _size_gap(cat.sizes[a], cat.sizes[b])
+            candidates = () if need is None else win.buckets.get((cat.sources[a], need), ())
+        else:
+            candidates = win.by_range.get(cat.sources[a], ())
+        compose = cat.compose_ids
+        out = win.divisors[(a, b)] = tuple(x for x in candidates if compose(a, x) == b)
+    return out

@@ -355,9 +355,13 @@ class PhaseSum:
         return (self - other).is_zero()
 
     def is_unimodular(self):
-        if self.exact and len(self.terms) == 1:
+        """|u| = 1: exactly u conj(u) = 1 for an exact sum, within 1e-12
+        for a float."""
+        if self.rem:
+            return abs(abs(self.rem) - 1.0) <= TOL
+        if len(self.terms) == 1:
             return abs(next(iter(self.terms.values()))) == 1
-        return abs(abs(self.value()) - 1.0) <= TOL
+        return (self * self.conj()).same_as(PhaseSum.one())
 
     def __repr__(self):
         if self.is_zero():

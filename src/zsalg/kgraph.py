@@ -123,6 +123,7 @@ class KGraph(SmallCategory):
         self.edge = {e.name: e for e in pres.edges}
         if len(self.edge) != len(pres.edges):
             raise MalformedSquaresError("duplicate edge names")
+        self._color = {e.name: e.color for e in pres.edges}
         self.edges_by_color = {
             i: tuple(sorted(e.name for e in pres.edges if e.color == i))
             for i in range(1, self.k + 1)
@@ -174,7 +175,7 @@ class KGraph(SmallCategory):
     # -- rewriting
 
     def color(self, name):
-        return self.edge[name].color
+        return self._color[name]
 
     def nf(self, seq, rng=None):
         """Normalize an edge sequence to a color-sorted Path.
@@ -190,18 +191,28 @@ class KGraph(SmallCategory):
         cached = self._nf_memo.get(seq)
         if cached is not None:
             return cached
+        # bubble passes: each swaps every descent it meets, left to right.
+        # Squares keep colors (check_squares), so a swap swaps two colors,
+        # the pairs before the pass's first swap stay sorted, and the
+        # largest color bubbles to its last swap: the next pass scans only
+        # the pairs from one before the first swap to before the last.
         work = list(seq)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(work) - 1):
-                a, b = work[i], work[i + 1]
-                if self.color(a) > self.color(b):
-                    work[i], work[i + 1] = self.rev[(a, b)]
-                    changed = True
+        color, rev = self._color, self.rev
+        cols = [color[name] for name in work]
+        lo, hi = 0, len(work) - 1
+        while lo < hi:
+            first = last = -1
+            for i in range(lo, hi):
+                if cols[i] > cols[i + 1]:
+                    work[i], work[i + 1] = rev[(work[i], work[i + 1])]
+                    cols[i], cols[i + 1] = cols[i + 1], cols[i]
+                    if first < 0:
+                        first = i
+                    last = i
+            lo, hi = max(first - 1, 0), last
         degree = [0] * self.k
-        for name in work:
-            degree[self.color(name) - 1] += 1
+        for c in cols:
+            degree[c - 1] += 1
         path = Path(
             tuple(work),
             self.edge[work[0]].rng,
@@ -381,20 +392,31 @@ class KGraph(SmallCategory):
         return tuple(sorted(left & right, key=self.sort_key))
 
     # -- the SmallCategory divisibility and splitting protocol, answered by
-    #    factorization (exact, so the window bound is not needed)
+    #    factorization.  The answers are exact, so the window bound is not
+    #    needed, and each is kept per id pair (SmallCategory.kept): divides
+    #    reads divisors_into's answer and meets reads meet's.
 
     def divisors_into(self, a: Path, b: Path, bound):
-        if not self.extends(b, a):
-            return []
-        return [self.factorize(b, a.degree, deg_sub(b.degree, a.degree))[1]]
+        return list(self.kept("divisors_into", a, b, self._cofactor))
+
+    def _cofactor(self, a: Path, b: Path):
+        """(x,) with a x = b, else (): one factorization of b, whose head
+        is compared with a."""
+        if a.rng != b.rng or not deg_le(a.degree, b.degree):
+            return ()
+        head, rest = self.factorize(b, a.degree, deg_sub(b.degree, a.degree))
+        return (rest,) if head == a else ()
 
     def divides(self, a: Path, b: Path, bound) -> bool:
-        return a == b or self.extends(b, a)
+        return a == b or bool(self.divisors_into(a, b, bound))
 
     def meets(self, a: Path, b: Path, bound) -> bool:
-        return bool(self.mce(a, b))
+        return bool(self.meet(a, b, bound)[0])
 
     def meet(self, c1: Path, c2: Path, bound):
+        return self.kept("meet", c1, c2, self._mce_meet)
+
+    def _mce_meet(self, c1: Path, c2: Path):
         return self.mce(c1, c2), "MCE"
 
     def peel_right(self, m: Path):

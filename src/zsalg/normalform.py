@@ -188,20 +188,23 @@ class AlgebraModel:
         """
         e, phases = self.family.exponent, self.family.phases
         path, tail = self.zs.from_path, self.zs.from_tail
+        bound = self.level_bound
         for (l1, g1, m1), f1 in xterms:
             for (l2, g2, m2), f2 in yterms:
                 if self.D.r(m1) != self.D.r(l2):
                     continue
                 join = tuple(max(a, b) for a, b in zip(m1.degree, l2.degree))
-                if not deg_le(join, self.level_bound):
+                if not deg_le(join, bound):
                     raise WindowExceededError(
-                        f"needed extension degree {join} exceeds window {self.level_bound}"
+                        f"needed extension degree {join} exceeds window {bound}"
                     )
                 g2inv = self.G.inverse(g2)
                 base = f1 * f2
-                for xi in self.D.mce(m1, l2):
-                    alpha = self.D.factorize(xi, m1.degree, deg_sub(xi.degree, m1.degree))[1]
-                    beta = self.D.factorize(xi, l2.degree, deg_sub(xi.degree, l2.degree))[1]
+                extensions, _ = self.D.meet(m1, l2, bound)
+                for xi in extensions:
+                    # the cofactors xi = m1 alpha = l2 beta
+                    alpha = self.D.divisors_into(m1, xi, bound)[0]
+                    beta = self.D.divisors_into(l2, xi, bound)[0]
                     a_moved, g1_res = self.pair.extend(g1, alpha)
                     b_moved, h = self.pair.extend(g2inv, beta)
                     hinv = self.G.inverse(h)

@@ -405,21 +405,29 @@ class ZSCategory(SmallCategory):
 
     # -- divisibility and meets.  With a groupoid tail, tails are invertible
     #    and never change a principal ideal, so every question lifts from
-    #    the path part; otherwise the brute-force defaults apply.
+    #    the path part, exactly.  The lifted divisors_into and meet answers
+    #    are kept per id pair (SmallCategory.kept); divides and meets need
+    #    no lift and read the path part's kept answers, one per path pair
+    #    whatever the tails.  Otherwise the brute-force defaults apply, with their
+    #    answers kept on the window.
 
     def divisors_into(self, a: ZSMorphism, b: ZSMorphism, bound):
         if not self.is_groupoid_tailed():
             return super().divisors_into(a, b, bound)
-        # solve the path part by factorization and unwind the tail twist
-        rests = self.D.divisors_into(a.path, b.path, bound)
+        return list(self.kept("divisors_into", a, b, self._lifted_divisor))
+
+    def _lifted_divisor(self, a: ZSMorphism, b: ZSMorphism):
+        """(x,) with a x = b, else (): the path part solved by
+        factorization, then the tail twist unwound."""
+        rests = self.D.divisors_into(a.path, b.path, None)
         if not rests:
-            return []
+            return ()
         xd = self.pair.left_act(self.C.inverse(a.tail), rests[0])
         xc = self.C.compose(self.C.inverse(self.pair.right_act(a.tail, xd)), b.tail)
         if xc is None:
-            return []
+            return ()
         x = self.intern(xd, xc)
-        return [x] if self.compose(a, x) == b else []
+        return (x,) if self.compose(a, x) == b else ()
 
     def divides(self, a: ZSMorphism, b: ZSMorphism, bound) -> bool:
         if not self.is_groupoid_tailed():
@@ -434,7 +442,10 @@ class ZSCategory(SmallCategory):
     def meet(self, c1: ZSMorphism, c2: ZSMorphism, bound):
         if not self.is_groupoid_tailed():
             return super().meet(c1, c2, bound)
-        generators, _ = self.D.meet(c1.path, c2.path, bound)
+        return self.kept("meet", c1, c2, self._lifted_meet)
+
+    def _lifted_meet(self, c1: ZSMorphism, c2: ZSMorphism):
+        generators, _ = self.D.meet(c1.path, c2.path, None)
         return tuple(self.from_path(xi) for xi in generators), "ZS-path-lift"
 
 

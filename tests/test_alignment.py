@@ -27,7 +27,7 @@ from zsalg.fixtures import (
     x_elem,
     x_monoid,
 )
-from zsalg.kgraph import sub_kgraph, validate_kgraph
+from zsalg.kgraph import deg_le, sub_kgraph, validate_kgraph
 from zsalg.selfsim import ZSCategory, ZSMorphism, restrict_pair
 
 
@@ -235,3 +235,112 @@ def test_combinatorial_blowup_budget():
     e2 = kgraph_e2((3,))
     with pytest.raises(CombinatorialBlowupError):
         minimal_exhaustive_sets("v", e2, (3,), window_cap=3)
+
+
+#: the categories whose answers are kept, with a window bound: a k-graph, two
+#: products with a groupoid tail, and the counterexample's monoid product,
+#: whose tail is not a groupoid (brute-force answers kept on the window)
+KEPT_CASES = {
+    "k1": (lambda: kgraph_k1((2, 2)), (2, 2)),
+    "swap": (lambda: ZSCategory(swap_pair()), (2,)),
+    "swap2": (lambda: ZSCategory(swap2_pair()), (2, 2)),
+    "x-monoid": (x_monoid, 3),
+}
+
+
+def _answers(cat, bound, pairs):
+    return [
+        (
+            cat.divisors_into(a, b, bound),
+            cat.divides(a, b, bound),
+            cat.meets(a, b, bound),
+            cat.meet(a, b, bound),
+        )
+        for a, b in pairs
+    ]
+
+
+def _window_pairs(cat, bound):
+    window = cat.morphisms(bound)
+    return [(a, b) for a in window for b in window]
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_CASES))
+def test_kept_answers_equal_fresh_answers(name):
+    """Every answer read back from what a category keeps equals the answer
+    of a fresh category, which computes each one on its first ask; the
+    fresh one is asked in the reverse order, so no answer there is derived
+    from a neighbor's."""
+    make, bound = KEPT_CASES[name]
+    cat = make()
+    pairs = _window_pairs(cat, bound)
+    first = _answers(cat, bound, pairs)
+    assert _answers(cat, bound, pairs) == first
+    fresh = make()
+    fresh_pairs = _window_pairs(fresh, bound)
+    assert fresh_pairs == pairs
+    assert _answers(fresh, bound, fresh_pairs[::-1])[::-1] == first
+    assert isinstance(first[0][0], list) and isinstance(first[0][3], tuple)
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_CASES))
+def test_second_pass_of_questions_does_no_path_work(name, monkeypatch):
+    """Once every question has been asked over the window pairs, asking
+    them all again makes no factorization, prefix test, MCE, action
+    extension or composition: the brute-force answers are kept too."""
+    from zsalg.kgraph import KGraph
+    from zsalg.selfsim import MatchedPair
+
+    make, bound = KEPT_CASES[name]
+    cat = make()
+    pairs = _window_pairs(cat, bound)
+    _answers(cat, bound, pairs)
+    calls = []
+    for owner, attr in (
+        (KGraph, "factorize"),
+        (KGraph, "extends"),
+        (KGraph, "mce"),
+        (MatchedPair, "extend"),
+        (type(cat), "compose_ids"),
+    ):
+        def counted(*args, _inner=getattr(owner, attr), _name=attr):
+            calls.append(_name)
+            return _inner(*args)
+
+        monkeypatch.setattr(owner, attr, counted)
+    _answers(cat, bound, pairs)
+    assert calls == []
+
+
+def test_brute_force_references_never_read_an_override_answer():
+    """A KGraph whose divisors_into and meets are wrong, and kept, asked
+    first: the SmallCategory defaults, called unbound on it, still give the
+    window search's answers, and the same as on a plain k1."""
+    from zsalg.fixtures import FIXTURE_DOCS, parse_kgraph
+    from zsalg.kgraph import KGraph
+
+    class WrongAnswers(KGraph):
+        def divisors_into(self, a, b, bound):
+            return list(self.kept("divisors_into", a, b, lambda a, b: (a,)))
+
+        def meets(self, a, b, bound):
+            return self.kept("meets", a, b, lambda a, b: not KGraph.meets(self, a, b, bound))
+
+    bound = (2, 2)
+    cat = WrongAnswers(parse_kgraph(FIXTURE_DOCS["k1"]["kgraph"]))
+    plain = kgraph_k1(bound)
+    window = cat.morphisms(bound)
+    for a in window:
+        for b in window:
+            assert cat.divisors_into(a, b, bound) == [a]
+            assert cat.meets(a, b, bound) != plain.meets(a, b, bound)
+    for a in window:
+        ideal_a = {cat.compose(a, x) for x in window if cat.s(a) == cat.r(x)} | {a}
+        for b in window:
+            divisors = [x for x in window if cat.s(a) == cat.r(x) and cat.compose(a, x) == b]
+            ideal_b = {cat.compose(b, x) for x in window if cat.s(b) == cat.r(x)} | {b}
+            common = {c for c in ideal_a & ideal_b if deg_le(c.degree, bound)}
+            assert SmallCategory.divisors_into(cat, a, b, bound) == divisors
+            assert SmallCategory.divides(cat, a, b, bound) == (a == b or bool(divisors))
+            assert SmallCategory.meets(cat, a, b, bound) == bool(common)
+            assert SmallCategory.meet(cat, a, b, bound) == SmallCategory.meet(plain, a, b, bound)

@@ -363,6 +363,24 @@ def test_rational_zero_test_is_exact():
     assert not (PhaseSum(rem=complex(math.nan)) + huge).is_zero()
 
 
+def test_rational_unimodularity_is_exact():
+    """|u| = 1 is decided in Q(zeta_N) for an exact multi-term sum; a float
+    sum keeps the 1e-12 tolerance."""
+    u = PhaseSum.one()
+    for k in range(5):
+        u = u + e(Fraction(k, 5)).scale(10**13)
+    assert abs(abs(u.value()) - 1) > 1e-12
+    assert u.is_unimodular() and GridFunction([u, PhaseSum.one()]).is_unitary()
+    sixth = PhaseSum.one() + e(Fraction(1, 3))
+    assert sixth.same_as(e(Fraction(1, 6))) and sixth.is_unimodular()
+    assert not PhaseSum.one().scale(2).is_unimodular()
+    assert not (PhaseSum.one() + e(Fraction(1, 4))).is_unimodular()
+    assert not PhaseSum.zero().is_unimodular()
+    assert not GridFunction([u, PhaseSum.one().scale(2)]).is_unitary()
+    assert PhaseSum(rem=1 + 1e-13).is_unimodular()
+    assert not PhaseSum(rem=1 + 1e-11).is_unimodular()
+
+
 class FractionPhaseSum:
     """The exact phase-sum arithmetic keyed by Fraction phases mod 1 that
     the integer residues replaced, kept as the oracle."""

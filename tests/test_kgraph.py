@@ -1,6 +1,7 @@
 """Path arithmetic: validation, enumeration, factorization, extensions."""
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -259,3 +260,64 @@ def test_compose_reads_the_normal_form_memo():
         for q in window:
             want = fresh.nf(p.edges + q.edges, rng=p.rng) if p.src == q.rng else None
             assert graph.compose(p, q) == want
+
+
+def _full_pass_nf(graph, rev, seq, log):
+    """KGraph.nf's rewrite loop as it was before its passes were bounded,
+    kept as the oracle: whole bubble passes until one makes no swap.  Each
+    square it applies is logged."""
+    work = list(seq)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(work) - 1):
+            a, b = work[i], work[i + 1]
+            if graph.color(a) > graph.color(b):
+                log.append((a, b))
+                work[i], work[i + 1] = rev[(a, b)]
+                changed = True
+    return tuple(work)
+
+
+class _LoggedSquares(dict):
+    """A square table that logs every lookup."""
+
+    def __init__(self, table, log):
+        super().__init__(table)
+        self.log = log
+
+    def __getitem__(self, key):
+        self.log.append(key)
+        return super().__getitem__(key)
+
+
+def _assert_nf_matches_full_passes(pres, seqs):
+    from zsalg.kgraph import KGraph
+
+    graph = KGraph(pres)
+    graph.check_squares()
+    plain, got_log, want_log = dict(graph.rev), [], []
+    graph.rev = _LoggedSquares(plain, got_log)
+    for seq in seqs:
+        got_log.clear()
+        want_log.clear()
+        want = _full_pass_nf(graph, plain, seq, want_log)
+        assert (graph.nf(seq).edges, got_log) == (want, want_log), seq
+
+
+def test_nf_applies_the_squares_of_full_bubble_passes():
+    """Bounded passes apply the same squares in the same order as whole
+    passes: on every edge sequence of length <= 5 of the non-confluent
+    broken_three_graph, where the order decides the normal form, and on
+    every concatenation of two window paths of k1 and swap2."""
+    pres = broken_three_graph()
+    names = [e.name for e in pres.edges]
+    seqs = [s for n in range(1, 6) for s in itertools.product(names, repeat=n)]
+    assert len(seqs) == 3905
+    _assert_nf_matches_full_passes(pres, seqs)
+    for name in ("k1", "swap2"):
+        pres = parse_kgraph(FIXTURE_DOCS[name]["kgraph"])
+        window = validate_kgraph(pres, (3, 3))[0].morphisms((3, 3))
+        concats = {p.edges + q.edges for p in window for q in window if p.src == q.rng}
+        concats.discard(())
+        _assert_nf_matches_full_passes(pres, sorted(concats))
