@@ -20,11 +20,11 @@ search: principal ideals by id and divisor ids by pair.  So an override and
 the window search, its reference, never read each other's answers.  What
 is kept lives as long as its category, which is one command.
 
-composable_triples is the one sweep over the composable triples of a
-window; associativity, cocycle, homotopy and additive-generator checks all
-run on it.  Categories are single-threaded, like the verifier: an id is
-allocated by appending and then reading the length back, which is not safe
-under a race.
+id_triples is the one sweep over the composable triples of a window of
+ids; associativity, cocycle, homotopy and additive-generator checks all run
+on it, and composable_triples gives its triples as morphisms.  Categories
+are single-threaded, like the verifier: an id is allocated by appending
+and then reading the length back, which is not safe under a race.
 """
 
 from __future__ import annotations
@@ -334,7 +334,7 @@ class TableCategory(SmallCategory):
 # relational layer
 
 
-def _id_triples(cat: SmallCategory, window):
+def id_triples(cat: SmallCategory, window):
     """(i, j, k, ij, jk) over the composable id triples of a window of ids."""
     ranges, sources, compose = cat.ranges, cat.sources, cat.compose_ids
     by_range = {}
@@ -357,10 +357,10 @@ def _id_triples(cat: SmallCategory, window):
 
 
 def composable_triples(cat: SmallCategory, window):
-    """Yield (a, b, c, ab, bc) for every composable triple of the window.
+    """Yield (a, b, c, ab, bc) for every composable triple of the window:
+    id_triples, the one triple sweep, read as morphisms.
 
-    This is the one triple sweep behind every windowed associativity and
-    cocycle check.  Triples come in window order (a, then b, then c).  The
+    Triples come in window order (a, then b, then c).  The
     window is indexed by range once, ab is composed once per (a, b) and bc
     once per (b, c): the row of b is filled on b's first use and replayed
     for every later a, so a consumer that stops early, or a composition
@@ -368,7 +368,7 @@ def composable_triples(cat: SmallCategory, window):
     Composites may be None where the category is partial.
     """
     morphs = cat.morphs
-    for i, j, k, ij, jk in _id_triples(cat, [cat.id_of(m) for m in window]):
+    for i, j, k, ij, jk in id_triples(cat, [cat.id_of(m) for m in window]):
         ab = None if ij is None else morphs[ij]
         bc = None if jk is None else morphs[jk]
         yield morphs[i], morphs[j], morphs[k], ab, bc
@@ -383,7 +383,7 @@ def associativity_failures(cat: SmallCategory, window):
     whether there is any.
     """
     compose, morphs, rows = cat.compose_ids, cat.morphs, cat.rows
-    for i, j, k, ij, jk in _id_triples(cat, [cat.id_of(m) for m in window]):
+    for i, j, k, ij, jk in id_triples(cat, [cat.id_of(m) for m in window]):
         if ij is None or jk is None:
             continue
         left = rows[ij].get(k)

@@ -262,13 +262,17 @@ def cmd_zs(ws: Workspace, args):
     return {"checks": checks}
 
 
+def _split(ws: Workspace, args):
+    """The colors kept by concordance: --split, by default all but the last."""
+    return args.split if args.split is not None else ws.k - 1
+
+
+def _antichain_budget(ws: Workspace):
+    return fixtures.json_int(ws.budgets.get("antichain", 6), "budgets.antichain")
+
+
 def cmd_concordance(ws: Workspace, args):
-    split = args.split if args.split is not None else ws.k - 1
-    if not 0 <= split < ws.k:
-        raise ZsalgError(f"--split must be in 0..{ws.k - 1}")
-    budget = fixtures.json_int(ws.budgets.get("antichain", 6), "budgets.antichain")
-    if budget < 1:
-        raise ZsalgError(f"the antichain budget must be at least 1, not {budget}")
+    split, budget = _split(ws, args), _antichain_budget(ws)
     colors = list(range(1, split + 1))
     gamma, grep = validate_kgraph(sub_kgraph(ws.graph, colors), ws.bound[:split])
     checks = [grep.to_json()]
@@ -417,15 +421,22 @@ def build_parser():
     return parser
 
 
-def check_arguments(args):
-    """The argument errors that need no workspace: main raises them before
-    the structure check, whose failure would otherwise stand in for them."""
+def check_arguments(args, ws):
+    """The argument errors: main raises them before the structure check,
+    whose failure would otherwise stand in for them.  Concordance's split
+    and budget ranges read the workspace's rank and budgets."""
     if args.command == "mce":
         for flag in ("mu", "nu"):
             if getattr(args, flag) is None:
                 raise ZsalgError(f"mce needs --{flag}")
     if args.command == "nf-mult" and args.triples < 1:
         raise ZsalgError(f"--triples must be at least 1, not {args.triples}")
+    if args.command == "concordance":
+        if not 0 <= _split(ws, args) < ws.k:
+            raise ZsalgError(f"--split must be in 0..{ws.k - 1}")
+        budget = _antichain_budget(ws)
+        if budget < 1:
+            raise ZsalgError(f"the antichain budget must be at least 1, not {budget}")
 
 
 def main(argv=None) -> int:
@@ -443,7 +454,7 @@ def main(argv=None) -> int:
                 ws = builtin_workspace(args.fixture or "k1", bound=bound, grid=args.grid)
             if args.budget is not None:
                 ws.budgets["antichain"] = args.budget
-        check_arguments(args)
+        check_arguments(args, ws)
         # a failed structure check is the verdict of every workspace command
         # but validate, which reports it with its own: no check runs on it
         structure = (ws.graph_report, ws.groupoid_report) if needs_ws else ()

@@ -23,27 +23,31 @@ integer exponent D*q; with rational scales of common denominator S the
 family's conductor is N = D*S, and fiber j's phase of an exponent E is the
 residue S*s_j*E mod N.  A form with a float entry gives float exponents.
 Every layer that prices a pair reads the family's two memos: exponent(c1,
-c2) per pair, and phases(E), the M fiber phases, per exponent.
+c2) per pair, and phases(E), the M fiber phases, per exponent; the window
+sweep keeps its exponents by id pair instead.
 
 Every cocycle check reads one window sweep, _defects: the exponent of each
 identity pair, then the additive defect
-delta = q(b,c) + q(a,bc) - q(a,b) - q(ab,c) of each composable triple.  One
-zero rule decides a defect: an integer is zero iff it is 0, a float iff it
-is within 1e-12 of 0, and a NaN never.  q is an additive generator iff
-every item is zero; fiber j is a cocycle iff every item is zero or has
-exp(2*pi*i*s_j*delta) = 1.  Continuity between grid samples cannot be
+delta = q(b,c) + q(a,bc) - q(a,b) - q(ab,c) of each composable triple.  The
+sweep runs on the window's ids, asks the family's form once per distinct id
+pair, passes on only the items that are not zero, and builds morphisms only
+for a witness.  One zero rule decides a defect: an integer is zero iff it
+is 0, a float iff it is within 1e-12 of 0, and a NaN never.  q is an
+additive generator iff every item is zero; fiber j is a cocycle iff every
+item is zero or has exp(2*pi*i*s_j*delta) = 1.  Continuity between grid samples cannot be
 certified from samples and is reported as a stated limitation.
 """
 
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import math
 import sys
 from fractions import Fraction
 
-from .categories import SmallCategory, composable_triples
+from .categories import SmallCategory, id_triples
 from .errors import BadGeneratorError, NotDegreeAdditiveError
 from .kgraph import Path, deg_add
 from .report import Report, failing, passing
@@ -633,10 +637,10 @@ def verify_cocycle(sigma: CocycleFamily, cat: SmallCategory, bound) -> Report:
 
     Phases compare exactly in rational mode, within 1e-12 otherwise.
     """
-    _, witness, checked = _sweep_fibers(sigma, cat, bound)
+    _, witness = _sweep_fibers(sigma, cat, bound)
     if witness is not None:
         return failing(f"cocycle[{sigma.name}]", witness=witness, bound=bound)
-    return passing(f"cocycle[{sigma.name}]", bound=bound, triples=checked)
+    return passing(f"cocycle[{sigma.name}]", bound=bound, triples=_triple_count(cat, bound))
 
 
 def _is_zero(delta):
@@ -646,45 +650,79 @@ def _is_zero(delta):
 
 
 def _defects(family: CocycleFamily, cat: SmallCategory, bound):
-    """The one window sweep of every cocycle check: yields (witness, delta).
+    """The one window sweep of every cocycle check, on the window's ids:
+    yields (kind, ids, delta) for each item whose delta is not zero by the
+    one zero rule, and _witness turns an item into morphisms.
 
-    First, for each window morphism c, the exponents of the identity pairs
-    (id_r(c), c) and (c, id_s(c)); then, for each composable triple, the
-    additive defect q(b,c) + q(a,bc) - q(a,b) - q(ab,c), with q the family's
-    memoized exponent.
+    The items are, first, for each window morphism c, the exponents of the
+    identity pairs (id_r(c), c) and (c, id_s(c)); then, for each composable
+    triple, the additive defect q(b,c) + q(a,bc) - q(a,b) - q(ab,c).  The
+    family's form is asked once per distinct id pair, and the answer is read
+    back by id pair; the family's own memo, keyed by morphism pairs, is left
+    to the layers that ask by morphisms.
     """
-    window = cat.morphisms(bound)
-    q = family.exponent
-    for c in window:
-        yield ("normalization_left", c), q(cat.identity(cat.r(c)), c)
-        yield ("normalization_right", c), q(c, cat.identity(cat.s(c)))
-    for c1, c2, c3, c12, c23 in composable_triples(cat, window):
-        yield ("identity", c1, c2, c3), (q(c2, c3) + q(c1, c23)) - (q(c1, c2) + q(c12, c3))
+    ids, morphs, exponent = cat.window(bound).ids, cat.morphs, family.form.exponent
+
+    def morph(i):
+        # a partial category's composite may be None
+        return None if i is None else morphs[i]
+
+    def row(i):
+        """q(morphs[i], .) by the second id."""
+        return _Memo(lambda j: exponent(morph(i), morph(j)))
+
+    q, units = _Memo(row), {}
+    for c in ids:
+        r, s = cat.ranges[c], cat.sources[c]
+        for v in (r, s):
+            if v not in units:
+                units[v] = cat.id_of(cat.identity(v))
+        for kind, delta in (("normalization_left", q[units[r]][c]),
+                            ("normalization_right", q[c][units[s]])):
+            if not _is_zero(delta):
+                yield kind, (c,), delta
+    for i, j, k, ij, jk in id_triples(cat, ids):
+        qi = q[i]
+        delta = (q[j][k] + qi[jk]) - (qi[j] + q[ij][k])
+        # 0 and 0.0 are zero by either rule
+        if delta != 0 and not _is_zero(delta):
+            yield "identity", (i, j, k), delta
+
+
+def _triple_count(cat: SmallCategory, bound):
+    """The number of composable triples of the window, as id_triples counts
+    them: for each middle morphism, the window morphisms before it times the
+    window morphisms after it."""
+    ids = cat.window(bound).ids
+    before = collections.Counter(cat.sources[i] for i in ids)
+    after = collections.Counter(cat.ranges[i] for i in ids)
+    return sum(before[cat.ranges[j]] * after[cat.sources[j]] for j in ids)
+
+
+def _witness(cat: SmallCategory, kind, ids):
+    """A _defects item as its witness: the kind and the item's morphisms."""
+    return (kind, *(cat.morphs[i] for i in ids))
 
 
 def _sweep_fibers(family: CocycleFamily, cat: SmallCategory, bound):
     """verify_cocycle for every fiber of a family at once, in one sweep.
 
     Fiber j fails at a defect delta iff delta is not zero and
-    exp(2*pi*i*scale_j*delta) != 1.  Returns ``(fiber, witness, triples)``:
-    the lowest failing fiber with the witness verify_cocycle gives for that
+    exp(2*pi*i*scale_j*delta) != 1.  Returns ``(fiber, witness)``: the
+    lowest failing fiber with the witness verify_cocycle gives for that
     fiber alone; the witness is None when every fiber passes.  Only fibers
     below the lowest failure found so far can change the answer, so the
     sweep watches those and stops once fiber 0 fails.
     """
-    low, witness, checked = family.m, None, 0
-    for item, delta in _defects(family, cat, bound):
-        if item[0] == "identity":
-            checked += 1
-        if _is_zero(delta):
-            continue
+    low, witness = family.m, None
+    for kind, ids, delta in _defects(family, cat, bound):
         phases = family.phases(delta)
         j = next((j for j in range(low) if not phases[j].is_one()), None)
         if j is not None:
-            low, witness = j, item
+            low, witness = j, _witness(cat, kind, ids)
             if j == 0:
                 break
-    return low, witness, checked
+    return low, witness
 
 
 # ---------------------------------------------------------------------------
@@ -709,9 +747,8 @@ def _check_additive_generator(family: CocycleFamily, cat: SmallCategory, bound) 
     """linear_homotopy's precondition as a report: every defect of the
     family's form is zero by the one zero rule; witnesses read as
     verify_cocycle's."""
-    for item, delta in _defects(family, cat, bound):
-        if not _is_zero(delta):
-            return failing("additive_generator", witness=item, bound=bound)
+    for kind, ids, _delta in _defects(family, cat, bound):
+        return failing("additive_generator", witness=_witness(cat, kind, ids), bound=bound)
     return passing("additive_generator", bound=bound)
 
 
@@ -738,7 +775,7 @@ def verify_homotopy(h: CocycleFamily, cat: SmallCategory, bound) -> Report:
     witness verify_cocycle gives for it.  At a scale of 0, as at the start
     of a linear homotopy, a finite exponent gives the phase 1 exactly.
     """
-    fiber, witness, _ = _sweep_fibers(h, cat, bound)
+    fiber, witness = _sweep_fibers(h, cat, bound)
     if witness is not None:
         return failing("homotopy_fibers", witness={"fiber": fiber, "inner": witness}, bound=bound)
     return passing("homotopy_fibers", bound=bound, fibers=h.m)

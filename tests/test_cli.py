@@ -578,12 +578,18 @@ def test_workspace_section_of_the_wrong_type_is_malformed(tmp_path, command, sec
 
 @pytest.mark.parametrize(
     "argv, flag",
-    [(["mce", "--mu", "a"], "--nu"), (["nf-mult", "--triples", "0"], "--triples")],
-    ids=["mce-without-nu", "nf-mult-no-triples"],
+    [
+        (["mce", "--mu", "a"], "--nu"),
+        (["nf-mult", "--triples", "0"], "--triples"),
+        (["concordance", "--split", "9"], "--split"),
+        (["concordance", "--budget", "0"], "antichain budget"),
+    ],
+    ids=["mce-without-nu", "nf-mult-no-triples", "concordance-split", "concordance-budget"],
 )
 def test_argument_errors_come_before_the_workspace(tmp_path, argv, flag):
-    """An argument error that needs no workspace exits 2 even on a workspace
-    whose structure check fails, which would otherwise be the verdict."""
+    """An argument error exits 2 even on a workspace whose structure check
+    fails, which would otherwise be the verdict; concordance's split and
+    budget ranges are argument errors too, though they read the workspace."""
     path = tmp_path / "ws.json"
     path.write_text(json.dumps({"kgraph": _E2_SECTION, "groupoid": _BAD_INVERSE_Z2}))
     code, report = run(tmp_path, *argv, "--workspace", str(path))

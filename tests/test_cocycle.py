@@ -338,6 +338,35 @@ def test_additive_check_matches_exponent_oracle(name, h, cat, bound):
 
 
 
+@pytest.mark.parametrize("name, h, cat, bound", _families(), ids=[f[0] for f in _families()])
+def test_sweep_asks_each_id_pair_once(name, h, cat, bound, monkeypatch):
+    """The defect sweep reads its exponents by id pair: each distinct pair
+    of the sweep reaches the family's form exactly once, and a pair whose
+    exponent the sweep never needs is not asked.  The family's morphism
+    memo is not filled by the sweep."""
+    calls = {}
+    exponent = h.form.exponent
+
+    def counting(c1, c2):
+        calls[c1, c2] = calls.get((c1, c2), 0) + 1
+        return exponent(c1, c2)
+
+    monkeypatch.setattr(h.form, "exponent", counting)
+    verify_homotopy(h, cat, bound)
+    assert h._exponents == {}
+    window = cat.morphisms(bound)
+    needed = set()
+    for c in window:
+        needed |= {(cat.identity(cat.r(c)), c), (c, cat.identity(cat.s(c)))}
+    for a, b, c, ab, bc in _window_triples(cat, window):
+        needed |= {(b, c), (a, bc), (a, b), (ab, c)}
+    assert set(calls.values()) == {1}
+    # the sweep may stop at the lowest fiber's first witness
+    assert set(calls) <= needed
+    if verify_homotopy(h, cat, bound):
+        assert set(calls) == needed
+
+
 def e(value):
     return PhaseSum.from_phase(Phase(value))
 
