@@ -39,7 +39,6 @@ from .selfsim import (
     extend_action,
     restrict_pair,
     verify_matched_pair,
-    zs_compose,
 )
 from .alignment import (
     IdealMeetResult,

@@ -21,10 +21,14 @@ the window search, its reference, never read each other's answers.  What
 is kept lives as long as its category, which is one command.
 
 id_triples is the one sweep over the composable triples of a window of
-ids; associativity, cocycle, homotopy and additive-generator checks all run
-on it, and composable_triples gives its triples as morphisms.  Categories
-are single-threaded, like the verifier: an id is allocated by appending
-and then reading the length back, which is not safe under a race.
+ids; the cocycle, homotopy and additive-generator checks run on it, and so
+does SmallCategory.associativity_failures, the reference associativity
+loop.  A category that can decide associativity faster overrides that
+method (a product with a groupoid tail sweeps on arrays, in selfsim), and
+the module-level associativity_failures, the one check its callers use,
+asks the category.  Categories are single-threaded, like the verifier: an
+id is allocated by appending and then reading the length back, which is not
+safe under a race.
 """
 
 from __future__ import annotations
@@ -189,6 +193,23 @@ class SmallCategory:
         if win is None:
             win = self._windows[key] = Window(self, self.morphisms(bound))
         return win
+
+    def associativity_failures(self, window):
+        """The associativity failures of a window (see the module-level
+        associativity_failures), by composing both orders of every triple
+        of id_triples.  The reference for an override."""
+        compose, morphs, rows = self.compose_ids, self.morphs, self.rows
+        for i, j, k, ij, jk in id_triples(self, [self.id_of(m) for m in window]):
+            if ij is None or jk is None:
+                continue
+            left = rows[ij].get(k)
+            if left is None:
+                left = compose(ij, k)
+            right = rows[i].get(jk)
+            if right is None:
+                right = compose(i, jk)
+            if left != right and left is not None and right is not None:
+                yield morphs[i], morphs[j], morphs[k]
 
     # -- divisibility and ideal meets.  The defaults search the window by
     #    brute force and keep their answers on it; path-like subclasses
@@ -356,44 +377,16 @@ def id_triples(cat: SmallCategory, window):
                     yield i, j, k, ij, jk
 
 
-def composable_triples(cat: SmallCategory, window):
-    """Yield (a, b, c, ab, bc) for every composable triple of the window:
-    id_triples, the one triple sweep, read as morphisms.
-
-    Triples come in window order (a, then b, then c).  The
-    window is indexed by range once, ab is composed once per (a, b) and bc
-    once per (b, c): the row of b is filled on b's first use and replayed
-    for every later a, so a consumer that stops early, or a composition
-    that raises, stops at the same triple as the plain nested loop would.
-    Composites may be None where the category is partial.
-    """
-    morphs = cat.morphs
-    for i, j, k, ij, jk in id_triples(cat, [cat.id_of(m) for m in window]):
-        ab = None if ij is None else morphs[ij]
-        bc = None if jk is None else morphs[jk]
-        yield morphs[i], morphs[j], morphs[k], ab, bc
-
-
 def associativity_failures(cat: SmallCategory, window):
     """Yield (a, b, c) for every composable triple of the window whose two
-    association orders (ab)c and a(bc) are both defined and differ.
+    association orders (ab)c and a(bc) are both defined and differ, in
+    window order: cat.associativity_failures(window).
 
-    The one associativity sweep: validate_category reports the first
+    The one associativity check: validate_category reports the first
     failure, the zs command the last, and acceptance criterion 4 asks
     whether there is any.
     """
-    compose, morphs, rows = cat.compose_ids, cat.morphs, cat.rows
-    for i, j, k, ij, jk in id_triples(cat, [cat.id_of(m) for m in window]):
-        if ij is None or jk is None:
-            continue
-        left = rows[ij].get(k)
-        if left is None:
-            left = compose(ij, k)
-        right = rows[i].get(jk)
-        if right is None:
-            right = compose(i, jk)
-        if left != right and left is not None and right is not None:
-            yield morphs[i], morphs[j], morphs[k]
+    return cat.associativity_failures(window)
 
 
 def validate_category(cat: SmallCategory, bound) -> Report:

@@ -421,6 +421,10 @@ def build_parser():
     return parser
 
 
+#: the one parser of the process; parse_args keeps no state between calls
+PARSER = build_parser()
+
+
 def check_arguments(args, ws):
     """The argument errors: main raises them before the structure check,
     whose failure would otherwise stand in for them.  Concordance's split
@@ -440,7 +444,7 @@ def check_arguments(args, ws):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     fn, needs_ws = COMMANDS[args.command]
     try:
         bound = tuple(int(x) for x in args.bound.split(",")) if args.bound else None

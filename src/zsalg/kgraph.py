@@ -143,6 +143,8 @@ class KGraph(SmallCategory):
             self.rev[(f2, e2)] = (e, f)
         self._paths_memo = {}
         self._nf_memo = {}
+        #: composite edge tuple -> id, filled by compose_ids
+        self._ids_by_edges = {}
         self._pres = pres
 
     # -- presentation-level sanity (raises MalformedSquaresError)
@@ -267,13 +269,66 @@ class KGraph(SmallCategory):
         return m.degree
 
     def compose(self, p: Path, q: Path):
+        """p q, kept in nf's memo under the concatenated edges."""
         if p.src != q.rng:
             return None
-        if p.is_vertex():
+        if not p.edges:
             return q
-        if q.is_vertex():
+        if not q.edges:
             return p
-        return self.nf(p.edges + q.edges)
+        seq = p.edges + q.edges
+        out = self._nf_memo.get(seq)
+        if out is None:
+            out = self._nf_memo[seq] = self._joined(p, q, self._joined_edges(p.edges, q.edges))
+        return out
+
+    def _joined_edges(self, a, b):
+        """The edges of nf(a + b) for normal forms a and b.  Only the
+        unsorted middle goes through nf: the trailing edges of a above the
+        color of b's first edge and the leading edges of b below the color
+        of a's last edge.  The middle's colors lie between those of the
+        sorted prefix and suffix, so no bubble swap crosses either boundary
+        and the result is nf's, confluent or not; a 1-graph never sorts."""
+        color = self._color
+        first, last = color[b[0]], color[a[-1]]
+        if last <= first:
+            return a + b
+        lo, hi = len(a), 0
+        while lo > 0 and color[a[lo - 1]] > first:
+            lo -= 1
+        while hi < len(b) and color[b[hi]] < last:
+            hi += 1
+        return a[:lo] + self.nf(a[lo:] + b[:hi]).edges + b[hi:]
+
+    def _joined(self, p: Path, q: Path, edges):
+        """The Path p q, given its edges, as nf builds it."""
+        return Path(
+            edges,
+            self.edge[edges[0]].rng,
+            self.edge[edges[-1]].src,
+            tuple(x + y for x, y in zip(p.degree, q.degree)),
+        )
+
+    def compose_ids(self, i, j):
+        """SmallCategory.compose_ids, with a composite's id found by its
+        edge tuple: a Path is built and hashed only for a new composite."""
+        row = self.rows[i]
+        k = row.get(j, -1)
+        if k == -1:
+            p, q = self.morphs[i], self.morphs[j]
+            if p.src != q.rng:
+                return None
+            if not p.edges:
+                k = j
+            elif not q.edges:
+                k = i
+            else:
+                edges = self._joined_edges(p.edges, q.edges)
+                k = self._ids_by_edges.get(edges)
+                if k is None:
+                    k = self._ids_by_edges[edges] = self.id_of(self._joined(p, q, edges))
+            row[j] = k
+        return k
 
     def sort_key(self, m):
         return (m.degree, m.edges, m.src)

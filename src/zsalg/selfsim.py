@@ -282,10 +282,14 @@ class ZSCategory(SmallCategory):
     gauge is the path-part degree; otherwise it is the total scalar size of
     both parts, which is what the monoid counterexample needs.
 
-    Each morphism the category hands out is interned once, by its parts,
-    and stamped with its id, which id_of reads back; a morphism it did not
-    intern is looked up by value, so no other category's id reads a row.
-    Composites are made through MatchedPair.extend.
+    Each morphism the category hands out is interned once, by the id of its
+    path in D and of its tail in C, and stamped with its id, which id_of
+    reads back; a morphism it did not intern is looked up by its parts, so
+    no other category's id reads a row.  ``path_ids`` and ``tail_ids`` hold
+    the parts of every id, and compose_ids composes on them: the extension
+    (tail |> path, tail <| path) kept by (tail id, path id) and made once
+    through MatchedPair.extend, the path part through D.compose_ids and the
+    tail through C.compose_ids.
     """
 
     def __init__(self, pair: MatchedPair):
@@ -294,7 +298,8 @@ class ZSCategory(SmallCategory):
         self.D = pair.acted
         self.C = pair.acting
         self._groupoid_tailed = isinstance(self.C, FiniteGroupoid)
-        self._interned, self._tails = {}, {}
+        self.path_ids, self.tail_ids = [], []
+        self._interned, self._extensions, self._tails = {}, {}, {}
         # stamped on interned morphisms; not self, so that they hold no
         # reference cycle back to the category
         self._token = object()
@@ -343,26 +348,44 @@ class ZSCategory(SmallCategory):
 
     def intern(self, path, tail) -> ZSMorphism:
         """The one ZSMorphism of this category with these parts."""
-        key = (path, tail)
-        m = self._interned.get(key)
-        if m is None:
-            m = self._interned[key] = ZSMorphism(path, tail)
+        return self.morphs[self._intern_ids(self.D.id_of(path), self.C.id_of(tail))]
+
+    def _intern_ids(self, p, t) -> int:
+        """The id of the product morphism with path id p and tail id t."""
+        key = (p, t)
+        i = self._interned.get(key)
+        if i is None:
+            D, C = self.D, self.C
+            m = ZSMorphism(D.morphs[p], C.morphs[t])
+            i = self._interned[key] = len(self.morphs)
             object.__setattr__(m, "_owner", self._token)
-            object.__setattr__(m, "_id", len(self.morphs))
+            object.__setattr__(m, "_id", i)
             self.morphs.append(m)
-            self.ranges.append(self.D.r(path))
-            self.sources.append(self.C.s(tail))
-            size = self.D.size(path)
+            self.path_ids.append(p)
+            self.tail_ids.append(t)
+            self.ranges.append(D.ranges[p])
+            self.sources.append(C.sources[t])
+            size = D.sizes[p]
             if not self._groupoid_tailed:
-                size = (sum(size) if isinstance(size, tuple) else size) + self.C.size(tail)
+                size = (sum(size) if isinstance(size, tuple) else size) + C.sizes[t]
             self.sizes.append(size)
             self.rows.append({})
-        return m
+        return i
 
     def id_of(self, m: ZSMorphism) -> int:
         if m._owner is self._token:
             return m._id
         return self.intern(m.path, m.tail)._id
+
+    def extend_ids(self, t, p):
+        """(id of c |> d, id of c <| d) for the tail c of id t and the path d
+        of id p, extended once per id pair."""
+        key = (t, p)
+        out = self._extensions.get(key)
+        if out is None:
+            moved, tail = self.pair.extend(self.C.morphs[t], self.D.morphs[p])
+            out = self._extensions[key] = (self.D.id_of(moved), self.C.id_of(tail))
+        return out
 
     def compose_ids(self, i, j):
         row = self.rows[i]
@@ -371,10 +394,15 @@ class ZSCategory(SmallCategory):
             # only composable pairs are stored, so a hit needs no test
             if self.sources[i] != self.ranges[j]:
                 return None
-            x, y = self.morphs[i], self.morphs[j]
-            moved, tail = self.pair.extend(x.tail, y.path)
-            composite = self.intern(self.D.compose(x.path, moved), self.C.compose(tail, y.tail))
-            k = row[j] = composite._id
+            moved, tail = self.extend_ids(self.tail_ids[i], self.path_ids[j])
+            p = self.D.compose_ids(self.path_ids[i], moved)
+            t = self.C.compose_ids(tail, self.tail_ids[j])
+            if p is None or t is None:
+                # an action that breaks an endpoint law: the missing part
+                # fails in intern as it does in its own category's id_of
+                path = None if p is None else self.D.morphs[p]
+                return self.intern(path, None if t is None else self.C.morphs[t])._id
+            k = row[j] = self._intern_ids(p, t)
         return k
 
     def compose(self, x: ZSMorphism, y: ZSMorphism):
@@ -383,6 +411,120 @@ class ZSCategory(SmallCategory):
 
     def sort_key(self, m):
         return (self.D.sort_key(m.path), self.C.sort_key(m.tail))
+
+    # -- associativity on parts.  With a groupoid tail the sweep runs on
+    #    int arrays, a block of window rows at a time: a triple's two orders
+    #    are computed as (path id, tail id) parts from the parts of its
+    #    window pairs, and only the distinct extensions and path products
+    #    reach Python.  Parts are equal exactly when the interned products
+    #    are, so no composite is interned.
+
+    #: window rows per block of the array sweep
+    _SWEEP_ROWS = 4
+
+    def associativity_failures(self, window):
+        if not self._groupoid_tailed:
+            return super().associativity_failures(window)
+        return self._swept_associativity_failures(window)
+
+    def _swept_associativity_failures(self, window):
+        """The failures of the array sweep.  Should a composition raise,
+        the reference loop runs instead, past the failures already
+        yielded, so the same triple raises the same error, and a
+        composition only the sweep makes raises nothing."""
+        window, done = list(window), 0
+        try:
+            for triple in self._array_sweep(window):
+                yield triple
+                done += 1
+            return
+        except Exception:
+            pass
+        for n, triple in enumerate(SmallCategory.associativity_failures(self, window)):
+            if n >= done:
+                yield triple
+
+    def _array_sweep(self, window):
+        # imported here: numpy loaded ahead of the other zsalg modules, as an
+        # import of this module would load it, raises every process's peak
+        # RSS by about 2.5 MB
+        import numpy as np
+
+        D, C = self.D, self.C
+
+        def checked(ids):
+            """ids, all defined; an undefined one raises, and the reference
+            loop takes over."""
+            if len(ids) and ids.min() < 0:
+                raise LookupError("an undefined part in the associativity sweep")
+            return ids
+
+        def extensions(path_ids):
+            """(moved, rest) tables: for tail id t and position n, the ids of
+            t |> d and t <| d for the path d of id path_ids[n], or -1 where
+            they do not compose."""
+            moved = np.full((len(tails), len(path_ids)), -1, dtype=np.int64)
+            rest = moved.copy()
+            for n, p in enumerate(path_ids.tolist()):
+                for t in tails:
+                    if p >= 0 and C.sources[t] == D.ranges[p]:
+                        moved[t, n], rest[t, n] = self.extend_ids(t, p)
+            return moved, rest
+
+        def path_products(left, right):
+            """D.compose_ids on paired path id arrays, once per distinct pair."""
+            keys, inverse = np.unique(checked(left) << 32 | checked(right), return_inverse=True)
+            out = [_or_missing(D.compose_ids(key >> 32, key & 0xFFFFFFFF)) for key in keys.tolist()]
+            return checked(np.array(out, dtype=np.int64))[inverse.reshape(-1)]
+
+        ids = np.array([self.id_of(m) for m in window], dtype=np.int64)
+        if not len(ids):
+            return
+        for c in C.morphisms(None):
+            C.id_of(c)
+        tails = range(len(C.morphs))
+        P = np.array(self.path_ids)[ids]
+        T = np.array(self.tail_ids)[ids]
+        objects = {}
+        code_r, code_s = (
+            np.array([objects.setdefault(ends[i], len(objects)) for i in ids.tolist()])
+            for ends in (self.ranges, self.sources)
+        )
+        comp = code_s[:, None] == code_r[None, :]  # window pair (a, b) composable
+
+        # tail products, and the extensions of every tail along the window's paths
+        tail_table = np.array(
+            [[_or_missing(C.compose_ids(x, y)) for y in tails] for x in tails], dtype=np.int64
+        )
+        moved1, rest1 = extensions(P)
+
+        # the window pairs' parts
+        a, b = np.nonzero(comp)
+        pair_path = np.full(comp.shape, -1, dtype=np.int64)
+        pair_tail = np.full(comp.shape, -1, dtype=np.int64)
+        pair_path[a, b] = path_products(P[a], moved1[T[a], b])
+        pair_tail[a, b] = checked(tail_table[checked(rest1[T[a], b]), T[b]])
+        # the extensions of every tail along the pairs' distinct paths
+        pair_paths, pair_col = np.unique(pair_path, return_inverse=True)
+        pair_col = pair_col.reshape(comp.shape)
+        moved2, rest2 = extensions(pair_paths)
+
+        morphs, rows = self.morphs, self._SWEEP_ROWS
+        for start in range(0, len(ids), rows):
+            n, j, k = np.nonzero(comp[start : start + rows, :, None] & comp[None, :, :])
+            i = n + start
+            # (ij)k and i(jk), each as (path id, tail id)
+            t_ij = pair_tail[i, j]
+            left_path = path_products(pair_path[i, j], moved1[t_ij, k])
+            left_tail = tail_table[checked(rest1[t_ij, k]), T[k]]
+            col = pair_col[j, k]
+            right_path = path_products(P[i], moved2[T[i], col])
+            right_tail = tail_table[checked(rest2[T[i], col]), pair_tail[j, k]]
+            bad = np.flatnonzero(
+                (left_path != right_path) | (checked(left_tail) != checked(right_tail))
+            )
+            for x, y, z in zip(ids[i[bad]].tolist(), ids[j[bad]].tolist(), ids[k[bad]].tolist()):
+                yield morphs[x], morphs[y], morphs[z]
 
     # -- conveniences used throughout the algebra layers
 
@@ -397,11 +539,6 @@ class ZSCategory(SmallCategory):
 
     def is_groupoid_tailed(self):
         return self._groupoid_tailed
-
-    def tail_inverse(self, m: ZSMorphism):
-        if not self.is_groupoid_tailed():
-            raise NotApplicableError("tail category is not a groupoid")
-        return self.C.inverse(m.tail)
 
     # -- divisibility and meets.  With a groupoid tail, tails are invertible
     #    and never change a principal ideal, so every question lifts from
@@ -449,11 +586,9 @@ class ZSCategory(SmallCategory):
         return tuple(self.from_path(xi) for xi in generators), "ZS-path-lift"
 
 
-def zs_compose(cat: ZSCategory, x: ZSMorphism, y: ZSMorphism) -> ZSMorphism:
-    out = cat.compose(x, y)
-    if out is None:
-        raise NotComposableError(f"s({x}) != r({y})")
-    return out
+def _or_missing(k):
+    """An id, or -1 for an undefined product."""
+    return -1 if k is None else k
 
 
 def check_self_similar(pair: MatchedPair, bound) -> Report:

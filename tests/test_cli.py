@@ -595,3 +595,30 @@ def test_argument_errors_come_before_the_workspace(tmp_path, argv, flag):
     code, report = run(tmp_path, *argv, "--workspace", str(path))
     assert code == 2
     assert report["error"] == "ZsalgError" and flag in report["message"]
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch):
+    """main parses with the process's one parser, and a call's options do
+    not reach the next call: concordance after concordance --budget 3 gets
+    the workspace's default budget back."""
+    from zsalg import cli
+
+    def no_new_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_new_parser)
+    _, default = run(tmp_path, "concordance", "--fixture", "swap2")
+    _, budget_3 = run(tmp_path, "concordance", "--fixture", "swap2", "--budget", "3")
+    _, after = run(tmp_path, "concordance", "--fixture", "swap2")
+    lifting = [c for c in budget_3["checks"] if c["check"] == "exhaustive_lifting"]
+    assert lifting[0]["details"]["sets"] == 4
+    assert after == default != budget_3
+
+
+def test_zs_swap2_associativity_on_the_larger_window(tmp_path):
+    """zs at bound 3,3 on swap2: the associativity sweep passes on a window
+    of 120 product morphisms, 1.73 M composable triples."""
+    code, report = run(tmp_path, "zs", "--fixture", "swap2", "--bound", "3,3")
+    assert code == 0
+    (assoc,) = [c for c in report["checks"] if c["check"] == "zs_associativity"]
+    assert assoc["passed"] and assoc["window"] == 120 and assoc["witness"] is None

@@ -321,3 +321,74 @@ def test_nf_applies_the_squares_of_full_bubble_passes():
         concats = {p.edges + q.edges for p in window for q in window if p.src == q.rng}
         concats.discard(())
         _assert_nf_matches_full_passes(pres, sorted(concats))
+
+
+def _exactness_cases():
+    """(name, presentation, window bound): every fixture graph at twice its
+    default bound, broken_three_graph at twice the bound its witness is
+    found at, and random_kgraph(0..19) at a window capped at degree 2 per
+    color."""
+    for name in ("k1", "e2", "swap", "swap2"):
+        doc = FIXTURE_DOCS[name]
+        yield name, parse_kgraph(doc["kgraph"]), tuple(2 * b for b in doc["bounds"]["degree"])
+    yield "broken_three_graph", broken_three_graph(), (2, 2, 2)
+    for seed in range(20):
+        graph = random_kgraph(seed)
+        yield f"random_kgraph({seed})", graph._pres, (2,) * graph.k
+
+
+_EXACTNESS_CASES = list(_exactness_cases())
+
+
+@pytest.mark.parametrize(
+    "pres, bound", [case[1:] for case in _EXACTNESS_CASES], ids=[case[0] for case in _EXACTNESS_CASES]
+)
+def test_compose_is_the_normal_form_of_the_concatenation(pres, bound):
+    """compose(p, q) == nf(p.edges + q.edges) for every composable pair of
+    non-vertex window paths, and compose_ids gives that composite's id, on
+    three graphs of one presentation, so that no memo is shared.  This
+    holds on broken_three_graph too, whose rewriting is not confluent."""
+    from zsalg.kgraph import KGraph
+
+    graph, ids, oracle = KGraph(pres), KGraph(pres), KGraph(pres)
+    window = [p for p in graph.morphisms(bound) if p.edges]
+    for p in window:
+        for q in window:
+            got, k = graph.compose(p, q), ids.compose_ids(ids.id_of(p), ids.id_of(q))
+            if p.src != q.rng:
+                assert got is None and k is None
+                continue
+            want = oracle.nf(p.edges + q.edges)
+            assert got == want and ids.morphs[k] == want, (p, q)
+
+
+def _counting_nf(graph):
+    calls = []
+    nf = graph.nf
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return nf(*args, **kwargs)
+
+    graph.nf = counted
+    return calls
+
+
+def test_repeated_compose_makes_no_nf_call():
+    """A repeated compose is one memo lookup; a 1-graph never sorts."""
+    graph = kgraph_k1((2, 2))
+    window = graph.morphisms((2, 2))
+    pairs = [(p, q) for p in window for q in window if p.src == q.rng]
+    first = [graph.compose(p, q) for p, q in pairs]
+    calls = _counting_nf(graph)
+    assert [graph.compose(p, q) for p, q in pairs] == first
+    assert calls == []
+
+    e2 = kgraph_e2((3,))
+    calls = _counting_nf(e2)
+    window = e2.morphisms((3,))
+    for p in window:
+        for q in window:
+            e2.compose_ids(e2.id_of(p), e2.id_of(q))
+            e2.compose(p, q)
+    assert calls == []

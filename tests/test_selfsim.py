@@ -2,11 +2,19 @@
 
 import pytest
 
-from zsalg.categories import composable_triples, principal_ideal, validate_category
-from zsalg.errors import NotApplicableError, NotComposableError
+from zsalg.categories import (
+    SmallCategory,
+    associativity_failures,
+    id_triples,
+    principal_ideal,
+    validate_category,
+)
+from zsalg.errors import NotApplicableError, NotComposableError, UndefinedGeneratorError
 from zsalg.fixtures import (
     badswap_pair,
     kgraph_e2,
+    kgraph_k1,
+    pair_groupoid_2,
     klein_unfaithful_pair,
     swap2_pair,
     swap_pair,
@@ -14,15 +22,16 @@ from zsalg.fixtures import (
     x_elem,
     x_monoid,
 )
-from zsalg.kgraph import deg_add
+from zsalg.kgraph import Edge, KGraphPresentation, deg_add, validate_kgraph
 from zsalg.selfsim import (
+    ActionTable,
+    MatchedPair,
     ZSCategory,
     ZSMorphism,
     check_jointly_faithful,
     check_self_similar,
     extend_action,
     verify_matched_pair,
-    zs_compose,
 )
 
 
@@ -39,6 +48,8 @@ def test_extend_units():
     assert extend_action(pair, "v", d) == (d, "v")
     v = pair.acted.identity("v")
     assert extend_action(pair, "g", v) == (v, "g")
+    with pytest.raises(NotComposableError):
+        extend_action(pair, "g", pair.acted.identity("nowhere_expected"))
 
 
 def test_extend_respects_every_split():
@@ -75,22 +86,22 @@ def test_zs_compose_examples():
     zs = ZSCategory(swap_pair())
     a = zs.D.nf(("a",))
     b = zs.D.nf(("b",))
-    out = zs_compose(zs, ZSMorphism(a, "g"), ZSMorphism(b, "v"))
+    out = zs.compose(ZSMorphism(a, "g"), ZSMorphism(b, "v"))
     assert (str(out.path), out.tail) == ("aa", "g")
     unit = zs.identity("v")
     x = ZSMorphism(a, "g")
-    assert zs_compose(zs, unit, x) == x
-    with pytest.raises(NotComposableError):
-        bad = ZSMorphism(a, "g")
-        zs_compose(zs, bad, ZSMorphism(zs.D.identity("nowhere_expected"), "v"))
+    assert zs.compose(unit, x) == x
+    # an undefined product is None, as for every SmallCategory
+    bad = ZSMorphism(a, "g")
+    assert zs.compose(bad, ZSMorphism(zs.D.identity("nowhere_expected"), "v")) is None
 
 
 def test_x_monoid_composition():
     X = x_monoid()
-    out = zs_compose(X, x_elem(X, 0, "a"), x_elem(X, 1, ""))
+    out = X.compose(x_elem(X, 0, "a"), x_elem(X, 1, ""))
     assert out == x_elem(X, 1, "a")
     # b.1 = 1a = a.1 is the collision the concordance failure rides on
-    assert zs_compose(X, x_elem(X, 0, "b"), x_elem(X, 1, "")) == x_elem(X, 1, "a")
+    assert X.compose(x_elem(X, 0, "b"), x_elem(X, 1, "")) == x_elem(X, 1, "a")
     # restriction closed form: w <| n = a^{|w|} for n >= 1
     for w in ("a", "b", "ab", "ba", "bb"):
         for n in (1, 2, 3):
@@ -119,7 +130,9 @@ def test_equal_zs_composites_are_one_object():
     window = zs.morphisms((2,))
     canonical = {m: m for m in window}
     assert all(m is canonical[m] for m in zs.morphisms((1,)))
-    for x, y, z, xy, yz in composable_triples(zs, window):
+    morphs = zs.morphs
+    for i, j, k, ij, jk in id_triples(zs, [zs.id_of(m) for m in window]):
+        x, y, z, xy, yz = morphs[i], morphs[j], morphs[k], morphs[ij], morphs[jk]
         assert zs.compose(xy, z) is zs.compose(x, yz)
         assert xy not in canonical or xy is canonical[xy]
     # a fresh but equal pair hits the same memo entry
@@ -151,7 +164,7 @@ def test_zs_unit_and_inverse_ideal_law():
     for x in window:
         unit = zs.identity(zs.s(x))
         assert zs.compose(x, unit) == x
-        ginv = zs.tail_inverse(x)
+        ginv = zs.C.inverse(x.tail)
         inv_mor = zs.from_tail(ginv)
         collapsed = zs.compose(x, inv_mor)
         assert collapsed == zs.from_path(x.path)
@@ -213,3 +226,144 @@ def test_undefined_generator_raises():
     pair = MatchedPair(z2_groupoid(), graph, ActionTable(left={}, right={}))
     with pytest.raises(UndefinedGeneratorError):
         extend_action(pair, "g", graph.nf(("a",)))
+
+
+def square_breaking_pair():
+    """swap2 with g <| z = v: extending g along az gives (bz, v) and along
+    za gives (az, v), so the square az = za is broken."""
+    pair = swap2_pair()
+    pair.table.right[("g", "z")] = "v"
+    return pair
+
+
+def pair_groupoid_pair(inverse=True):
+    """The pair groupoid on {u, w} moving the loops aw, bw at w to bu, au
+    at u.  With inverse=False, m_wu does not undo m_uw (bu -> bw, au -> aw),
+    so the product is not associative; two vertices leave window pairs
+    that do not compose."""
+    loops = (("au", "u"), ("bu", "u"), ("aw", "w"), ("bw", "w"))
+    edges = [Edge(name, 1, v, v) for name, v in loops]
+    graph = validate_kgraph(KGraphPresentation(1, ["u", "w"], edges, []), (3,))[0]
+    back = {"bu": "aw", "au": "bw"} if inverse else {"bu": "bw", "au": "aw"}
+    moves = [("m_uw", "aw", "bu"), ("m_uw", "bw", "au")] + [("m_wu", e, f) for e, f in back.items()]
+    left = {(g, e): graph.nf((f,)) for g, e, f in moves}
+    return MatchedPair(pair_groupoid_2(), graph, ActionTable(left, {key: key[0] for key in left}))
+
+
+@pytest.mark.parametrize(
+    "make, bound, failing",
+    [
+        (lambda: trivial_pair(kgraph_k1((2, 2))), (2, 2), 0),
+        (swap_pair, (3,), 0),
+        (swap2_pair, (2, 2), 0),
+        (badswap_pair, (2,), 252),
+        (square_breaking_pair, (2, 2), 21168),
+        (pair_groupoid_pair, (2,), 0),
+        (lambda: pair_groupoid_pair(inverse=False), (2,), 1176),
+    ],
+    ids=[
+        "k1",
+        "swap",
+        "swap2",
+        "broken-flip",
+        "broken-square",
+        "pair-groupoid",
+        "pair-groupoid-broken",
+    ],
+)
+def test_array_sweep_matches_the_reference_loop(monkeypatch, make, bound, failing):
+    """A product with a groupoid tail sweeps associativity on arrays and
+    yields exactly the triples of the reference loop, in its order, without
+    running it, whatever the number of window rows in a block."""
+    reference = ZSCategory(make())
+    want = list(SmallCategory.associativity_failures(reference, reference.morphisms(bound)))
+    assert len(want) == failing
+
+    def no_reference(self, window):
+        raise AssertionError("the reference loop ran")
+
+    monkeypatch.setattr(SmallCategory, "associativity_failures", no_reference)
+    for rows in (ZSCategory._SWEEP_ROWS, 1, 3):
+        monkeypatch.setattr(ZSCategory, "_SWEEP_ROWS", rows)
+        zs = ZSCategory(make())
+        window = zs.morphisms(bound)
+        assert list(associativity_failures(zs, window)) == want
+        # the sweep compares parts: it interns no composite
+        assert len(zs.morphs) == len(window)
+
+
+def test_array_sweep_raises_the_reference_error():
+    """A missing action entry raises the loop's UndefinedGeneratorError, with
+    its message, after the same failures."""
+
+    def make():
+        pair = swap_pair()
+        del pair.table.left[("g", "b")]
+        return ZSCategory(pair)
+
+    def run(sweep):
+        seen = []
+        with pytest.raises(UndefinedGeneratorError) as err:
+            for triple in sweep:
+                seen.append(triple)
+        return seen, str(err.value)
+
+    reference, zs = make(), make()
+    want = run(SmallCategory.associativity_failures(reference, reference.morphisms((2,))))
+    assert want[1] == "no action entry for ('g', 'b')"
+    assert run(associativity_failures(zs, zs.morphisms((2,)))) == want
+
+
+def test_array_sweep_hands_over_to_the_reference_loop(monkeypatch):
+    """A composition that raises after the sweep has yielded failures: the
+    reference loop takes over past them, so the failures and the error are
+    the loop's.  With one window row a block, the sweep of the broken flip
+    yields 108 failures before its first six-edge path product, and the
+    loop 132."""
+
+    def make():
+        zs = ZSCategory(badswap_pair())
+        compose = zs.D.compose_ids
+
+        def compose_ids(i, j):
+            if len(zs.D.morphs[i].edges) + len(zs.D.morphs[j].edges) >= 6:
+                raise ValueError("a six-edge path")
+            return compose(i, j)
+
+        zs.D.compose_ids = compose_ids
+        return zs
+
+    def run(sweep):
+        seen = []
+        with pytest.raises(ValueError, match="six-edge") as err:
+            for triple in sweep:
+                seen.append(triple)
+        return seen, str(err.value)
+
+    monkeypatch.setattr(ZSCategory, "_SWEEP_ROWS", 1)
+    reference, zs = make(), make()
+    want = run(SmallCategory.associativity_failures(reference, reference.morphisms((2,))))
+    assert len(want[0]) == 132
+    assert run(associativity_failures(zs, zs.morphisms((2,)))) == want
+
+
+def test_monoid_product_runs_the_reference_loop(monkeypatch):
+    """The counterexample's tail is a free monoid, not a groupoid: its
+    product keeps the reference loop."""
+    calls, swept = [], []
+    reference = SmallCategory.associativity_failures
+
+    def counted(self, window):
+        calls.append(len(window))
+        return reference(self, window)
+
+    def array_sweep(self, window):
+        swept.append(len(window))
+        raise AssertionError("the array sweep ran")
+
+    monkeypatch.setattr(SmallCategory, "associativity_failures", counted)
+    monkeypatch.setattr(ZSCategory, "_array_sweep", array_sweep)
+    X = x_monoid()
+    window = X.morphisms(3)
+    assert list(associativity_failures(X, window)) == []
+    assert calls == [len(window)] and swept == []
