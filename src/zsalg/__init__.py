@@ -35,8 +35,8 @@ from .selfsim import (
     ZSCategory,
     ZSMorphism,
     check_jointly_faithful,
+    check_action,
     check_self_similar,
-    extend_action,
     restrict_pair,
     verify_matched_pair,
 )
@@ -65,7 +65,6 @@ from .cocycle import (
     RotationForm,
     TableForm,
     linear_homotopy,
-    restrict_cocycle,
     rotation_cocycle,
     trivial_cocycle,
     verify_cocycle,

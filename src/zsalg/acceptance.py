@@ -23,7 +23,6 @@ from .alignment import (
     path_inclusion,
     zs_inclusion,
 )
-from .categories import associativity_failures
 from .cocycle import (
     Cocycle,
     ConstantHomotopy,
@@ -228,7 +227,7 @@ def criterion_4_matched_pair(seed=0):
     ok_ss = check_self_similar(swap, (3,))
     zs = ZSCategory(swap)
     window = zs.morphisms((3,))
-    assoc = next(associativity_failures(zs, window), None) is None
+    assoc = next(zs.associativity_failures(window), None) is None
     bad = verify_matched_pair(fixtures.badswap_pair(), (2,))
     bad_witness = bad.witness
     expected = bad_witness is not None and tuple(map(str, bad_witness[1:])) == ("g", "g", "a")

@@ -23,12 +23,11 @@ is kept lives as long as its category, which is one command.
 id_triples is the one sweep over the composable triples of a window of
 ids; the cocycle, homotopy and additive-generator checks run on it, and so
 does SmallCategory.associativity_failures, the reference associativity
-loop.  A category that can decide associativity faster overrides that
-method (a product with a groupoid tail sweeps on arrays, in selfsim), and
-the module-level associativity_failures, the one check its callers use,
-asks the category.  Categories are single-threaded, like the verifier: an
-id is allocated by appending and then reading the length back, which is not
-safe under a race.
+loop and the one associativity check its callers use.  A category that
+can decide associativity faster overrides that method (a product with a
+groupoid tail sweeps on arrays, in selfsim).  Categories are
+single-threaded, like the verifier: an id is allocated by appending and
+then reading the length back, which is not safe under a race.
 """
 
 from __future__ import annotations
@@ -195,9 +194,14 @@ class SmallCategory:
         return win
 
     def associativity_failures(self, window):
-        """The associativity failures of a window (see the module-level
-        associativity_failures), by composing both orders of every triple
-        of id_triples.  The reference for an override."""
+        """Yield (a, b, c) for every composable triple of the window whose
+        two association orders (ab)c and a(bc) are both defined and differ,
+        in window order.  The one associativity check: validate_category
+        reports the first failure, the zs command the last, and acceptance
+        criterion 4 asks whether there is any.
+
+        This default composes both orders of every triple of id_triples; it
+        is the reference for an override."""
         compose, morphs, rows = self.compose_ids, self.morphs, self.rows
         for i, j, k, ij, jk in id_triples(self, [self.id_of(m) for m in window]):
             if ij is None or jk is None:
@@ -377,18 +381,6 @@ def id_triples(cat: SmallCategory, window):
                     yield i, j, k, ij, jk
 
 
-def associativity_failures(cat: SmallCategory, window):
-    """Yield (a, b, c) for every composable triple of the window whose two
-    association orders (ab)c and a(bc) are both defined and differ, in
-    window order: cat.associativity_failures(window).
-
-    The one associativity check: validate_category reports the first
-    failure, the zs command the last, and acceptance criterion 4 asks
-    whether there is any.
-    """
-    return cat.associativity_failures(window)
-
-
 def validate_category(cat: SmallCategory, bound) -> Report:
     """Check associativity and identity neutrality on the window.
 
@@ -401,7 +393,7 @@ def validate_category(cat: SmallCategory, bound) -> Report:
         v, w = cat.r(m), cat.s(m)
         if cat.compose(cat.identity(v), m) != m or cat.compose(m, cat.identity(w)) != m:
             return failing("category_axioms", witness=("identity_not_neutral", m), bound=bound)
-    for triple in associativity_failures(cat, window):
+    for triple in cat.associativity_failures(window):
         return failing("category_axioms", witness=("associativity", *triple), bound=bound)
     return passing("category_axioms", bound=bound, morphisms=len(window))
 

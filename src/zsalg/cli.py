@@ -43,7 +43,7 @@ from .alignment import (
     path_inclusion,
     zs_inclusion,
 )
-from .categories import associativity_failures, validate_category
+from .categories import validate_category
 from .cocycle import (
     Cocycle,
     ConstantHomotopy,
@@ -54,7 +54,7 @@ from .cocycle import (
     trivial_cocycle,
     verify_cocycle,
 )
-from .errors import BadGeneratorError, ZsalgError
+from .errors import BadActionError, BadGeneratorError, ZsalgError
 from .groupoid import validate_groupoid
 from .kgraph import structural_predicates, sub_kgraph, validate_kgraph
 from .matrixrep import build_grid_reps, check_homotopy_relations, check_relations
@@ -127,7 +127,12 @@ class Workspace:
 
         table = _section(fixtures.parse_action, doc.get("action", {}), self.graph)
         self.pair = MatchedPair(self.groupoid, self.graph, table)
-        self.zs = ZSCategory(self.pair)
+        try:
+            self.zs, self.action_report = ZSCategory(self.pair), None
+        except BadActionError as exc:
+            # a witnessed violation, and the third structure check: no
+            # product is built on an action that breaks an endpoint law
+            self.zs, self.action_report = None, exc.report
 
         if grid is None:
             grid = fixtures.json_int(doc.get("homotopy", {}).get("grid", 11), "homotopy.grid")
@@ -245,7 +250,7 @@ def cmd_zs(ws: Workspace, args):
     ]
     window = ws.zs.morphisms(ws.bound)
     witness = None  # the last failing triple
-    for triple in associativity_failures(ws.zs, window):
+    for triple in ws.zs.associativity_failures(window):
         witness = triple
     checks.append(
         {
@@ -461,7 +466,7 @@ def main(argv=None) -> int:
         check_arguments(args, ws)
         # a failed structure check is the verdict of every workspace command
         # but validate, which reports it with its own: no check runs on it
-        structure = (ws.graph_report, ws.groupoid_report) if needs_ws else ()
+        structure = (ws.graph_report, ws.groupoid_report, ws.action_report) if needs_ws else ()
         broken = [r.to_json() for r in structure if r is not None and not r]
         body = fn(ws, args) if not broken or fn is cmd_validate else {"checks": broken}
     except (ZsalgError, KeyError, ValueError, OSError, json.JSONDecodeError) as exc:

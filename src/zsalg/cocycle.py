@@ -607,11 +607,6 @@ def trivial_cocycle():
     return Cocycle(TableForm({}), name="trivial")
 
 
-def restrict_cocycle(sigma: CocycleFamily, embed) -> CocycleFamily:
-    """The same cocycle read along a subcategory embedding."""
-    return sigma.restrict(embed)
-
-
 def rotation_cocycle(theta, cat: SmallCategory, check_bound=None) -> CocycleFamily:
     """The rotation cocycle of an angle matrix on a degree-additive category.
 

@@ -18,10 +18,6 @@ class DegreeMismatchError(ZsalgError):
     """Requested factorization degrees do not sum to the path degree."""
 
 
-class NotComposableError(ZsalgError):
-    """Attempted composition of morphisms with mismatched endpoints."""
-
-
 class UndefinedGeneratorError(ZsalgError):
     """An action table lookup hit a generator pair with no entry."""
 
@@ -51,6 +47,15 @@ class BadGeneratorError(ZsalgError):
     the failing check, with its witness."""
 
     def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
+
+
+class BadActionError(ZsalgError):
+    """An action table entry breaks an endpoint law; ``report`` is the
+    failing ``matched_pair`` check, with its witness."""
+
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report
 

@@ -320,9 +320,6 @@ class AlgebraModel:
 
     # -- central grid action and vertex supports
 
-    def zhat_apply(self, fn: GridFunction, x: Element) -> Element:
-        return x.scale_fn(fn)
-
     def vertex_support_identity(self, x: Element, vertices) -> Element:
         """(sum of S_v over the set) times x: keeps terms ranged in the set."""
         keep = set(vertices)

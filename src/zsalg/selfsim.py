@@ -10,9 +10,12 @@ s(c |> d) = r(c <| d), and the two interchange identities
 
 Actions are stored on generators only (edge level for path categories,
 element level for groupoids, letter level for free monoids) and extended by
-recursion through the interchange identities.  verify_matched_pair certifies
-the identities and the independence of the extension from the chosen
-factorizations, exhaustively on a window.
+recursion through the interchange identities.  check_action checks the
+presentation once, for every window: a groupoid acting factor has the
+vertices as its units, and each table entry keeps the endpoint laws, which
+the recursion then carries to every composable pair.  verify_matched_pair
+certifies the identities and the independence of the extension from the
+chosen factorizations, exhaustively on a window.
 
 The Zappa-Szep product has morphisms dc (path part first) with composition
 d1c1 . d2c2 = d1 (c1 |> d2) (c1 <| d2) c2.  When the acting category is a
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .categories import SmallCategory, size_fits
-from .errors import NotApplicableError, NotComposableError, UndefinedGeneratorError
+from .errors import BadActionError, NotApplicableError, UndefinedGeneratorError
 from .groupoid import FiniteGroupoid
 from .kgraph import KGraph, Path
 from .report import Report, failing, passing
@@ -103,11 +106,6 @@ class MatchedPair:
         self.table = table
         self._memo = {}
 
-    def is_self_similar_shape(self):
-        return isinstance(self.acting, FiniteGroupoid) and set(
-            self.acting.units
-        ) == set(self.acted.objects())
-
     def extend(self, c, d):
         """(c |> d, c <| d), by recursion through the interchange identities."""
         key = (c, d)
@@ -148,11 +146,42 @@ class MatchedPair:
         return self.extend(c, d)[1]
 
 
-def extend_action(pair: MatchedPair, c, d):
-    """Public wrapper for the recursive extension."""
-    if pair.acting.s(c) != pair.acted.r(d):
-        raise NotComposableError(f"s({c}) != r({d})")
-    return pair.extend(c, d)
+def check_action(pair: MatchedPair) -> Report:
+    """The window-free check of a matched pair's presentation: the one place
+    that decides its shape and its endpoint laws.  Every ZSCategory runs it
+    on its pair and refuses one that fails.
+
+    Shape: the ``groupoid_tail`` detail says whether the acting category is
+    a groupoid (else a monoid, as in the counterexample).  A groupoid whose
+    units are not the vertices acts on no k-graph: NotApplicableError.
+
+    Endpoint laws: each table entry (c, e) with s(c) = r(e) must have
+    r(c |> e) = r(c), s(c |> e) = r(c <| e) and s(c <| e) = s(e); the
+    first that does not is the witness, of verify_matched_pair's kinds.
+    The extension recurses through the interchange identities, so by
+    induction on the factorization the laws then hold for every composable
+    (c, d), and every composite of the product is defined.  An entry
+    missing from one table raises UndefinedGeneratorError.
+    """
+    C, D = pair.acting, pair.acted
+    groupoid_tail = isinstance(C, FiniteGroupoid)
+    if groupoid_tail and set(C.units) != set(D.objects()):
+        raise NotApplicableError("acting category is not a groupoid over the vertices")
+    # keyed by (acting generator, edge name)
+    entries = dict.fromkeys([*pair.table.left, *pair.table.right])
+    for c, name in entries:
+        e = D.nf((name,))
+        if C.s(c) != D.r(e):
+            continue
+        moved, rest = pair.extend(c, e)
+        for kind, holds in (
+            ("range_of_left", D.r(moved) == C.r(c)),
+            ("endpoint_mismatch", D.s(moved) == C.r(rest)),
+            ("source_of_right", C.s(rest) == D.s(e)),
+        ):
+            if not holds:
+                return failing("matched_pair", witness=(kind, c, e), groupoid_tail=groupoid_tail)
+    return passing("matched_pair", entries=len(entries), groupoid_tail=groupoid_tail)
 
 
 def restrict_pair(pair: MatchedPair, subgraph: KGraph) -> MatchedPair:
@@ -277,7 +306,9 @@ class ZSMorphism:
 class ZSCategory(SmallCategory):
     """Zappa-Szep product of a matched pair.
 
-    Whether the tail (acting) factor is a groupoid decides the truncation
+    The pair must pass check_action, or BadActionError carries its failing
+    report; so every composite is defined.  Whether the tail (acting)
+    factor is a groupoid, read from that check, decides the truncation
     gauge and the divisibility answers alike.  With a groupoid tail the
     gauge is the path-part degree; otherwise it is the total scalar size of
     both parts, which is what the monoid counterexample needs.
@@ -294,10 +325,13 @@ class ZSCategory(SmallCategory):
 
     def __init__(self, pair: MatchedPair):
         super().__init__()
+        report = check_action(pair)
+        if not report:
+            raise BadActionError(f"the action breaks an endpoint law: {report.witness}", report)
         self.pair = pair
         self.D = pair.acted
         self.C = pair.acting
-        self._groupoid_tailed = isinstance(self.C, FiniteGroupoid)
+        self._groupoid_tailed = report.details["groupoid_tail"]
         self.path_ids, self.tail_ids = [], []
         self._interned, self._extensions, self._tails = {}, {}, {}
         # stamped on interned morphisms; not self, so that they hold no
@@ -395,14 +429,10 @@ class ZSCategory(SmallCategory):
             if self.sources[i] != self.ranges[j]:
                 return None
             moved, tail = self.extend_ids(self.tail_ids[i], self.path_ids[j])
-            p = self.D.compose_ids(self.path_ids[i], moved)
-            t = self.C.compose_ids(tail, self.tail_ids[j])
-            if p is None or t is None:
-                # an action that breaks an endpoint law: the missing part
-                # fails in intern as it does in its own category's id_of
-                path = None if p is None else self.D.morphs[p]
-                return self.intern(path, None if t is None else self.C.morphs[t])._id
-            k = row[j] = self._intern_ids(p, t)
+            k = row[j] = self._intern_ids(
+                self.D.compose_ids(self.path_ids[i], moved),
+                self.C.compose_ids(tail, self.tail_ids[j]),
+            )
         return k
 
     def compose(self, x: ZSMorphism, y: ZSMorphism):
@@ -425,24 +455,7 @@ class ZSCategory(SmallCategory):
     def associativity_failures(self, window):
         if not self._groupoid_tailed:
             return super().associativity_failures(window)
-        return self._swept_associativity_failures(window)
-
-    def _swept_associativity_failures(self, window):
-        """The failures of the array sweep.  Should a composition raise,
-        the reference loop runs instead, past the failures already
-        yielded, so the same triple raises the same error, and a
-        composition only the sweep makes raises nothing."""
-        window, done = list(window), 0
-        try:
-            for triple in self._array_sweep(window):
-                yield triple
-                done += 1
-            return
-        except Exception:
-            pass
-        for n, triple in enumerate(SmallCategory.associativity_failures(self, window)):
-            if n >= done:
-                yield triple
+        return self._array_sweep(window)
 
     def _array_sweep(self, window):
         # imported here: numpy loaded ahead of the other zsalg modules, as an
@@ -451,13 +464,6 @@ class ZSCategory(SmallCategory):
         import numpy as np
 
         D, C = self.D, self.C
-
-        def checked(ids):
-            """ids, all defined; an undefined one raises, and the reference
-            loop takes over."""
-            if len(ids) and ids.min() < 0:
-                raise LookupError("an undefined part in the associativity sweep")
-            return ids
 
         def extensions(path_ids):
             """(moved, rest) tables: for tail id t and position n, the ids of
@@ -473,9 +479,9 @@ class ZSCategory(SmallCategory):
 
         def path_products(left, right):
             """D.compose_ids on paired path id arrays, once per distinct pair."""
-            keys, inverse = np.unique(checked(left) << 32 | checked(right), return_inverse=True)
-            out = [_or_missing(D.compose_ids(key >> 32, key & 0xFFFFFFFF)) for key in keys.tolist()]
-            return checked(np.array(out, dtype=np.int64))[inverse.reshape(-1)]
+            keys, inverse = np.unique(left << 32 | right, return_inverse=True)
+            out = [D.compose_ids(key >> 32, key & 0xFFFFFFFF) for key in keys.tolist()]
+            return np.array(out, dtype=np.int64)[inverse.reshape(-1)]
 
         ids = np.array([self.id_of(m) for m in window], dtype=np.int64)
         if not len(ids):
@@ -492,10 +498,13 @@ class ZSCategory(SmallCategory):
         )
         comp = code_s[:, None] == code_r[None, :]  # window pair (a, b) composable
 
-        # tail products, and the extensions of every tail along the window's paths
-        tail_table = np.array(
-            [[_or_missing(C.compose_ids(x, y)) for y in tails] for x in tails], dtype=np.int64
-        )
+        # tail products (-1 where a pair does not compose), and the
+        # extensions of every tail along the window's paths
+        tail_table = np.full((len(tails), len(tails)), -1, dtype=np.int64)
+        for x in tails:
+            for y in tails:
+                if C.sources[x] == C.ranges[y]:
+                    tail_table[x, y] = C.compose_ids(x, y)
         moved1, rest1 = extensions(P)
 
         # the window pairs' parts
@@ -503,7 +512,7 @@ class ZSCategory(SmallCategory):
         pair_path = np.full(comp.shape, -1, dtype=np.int64)
         pair_tail = np.full(comp.shape, -1, dtype=np.int64)
         pair_path[a, b] = path_products(P[a], moved1[T[a], b])
-        pair_tail[a, b] = checked(tail_table[checked(rest1[T[a], b]), T[b]])
+        pair_tail[a, b] = tail_table[rest1[T[a], b], T[b]]
         # the extensions of every tail along the pairs' distinct paths
         pair_paths, pair_col = np.unique(pair_path, return_inverse=True)
         pair_col = pair_col.reshape(comp.shape)
@@ -516,13 +525,11 @@ class ZSCategory(SmallCategory):
             # (ij)k and i(jk), each as (path id, tail id)
             t_ij = pair_tail[i, j]
             left_path = path_products(pair_path[i, j], moved1[t_ij, k])
-            left_tail = tail_table[checked(rest1[t_ij, k]), T[k]]
+            left_tail = tail_table[rest1[t_ij, k], T[k]]
             col = pair_col[j, k]
             right_path = path_products(P[i], moved2[T[i], col])
-            right_tail = tail_table[checked(rest2[T[i], col]), pair_tail[j, k]]
-            bad = np.flatnonzero(
-                (left_path != right_path) | (checked(left_tail) != checked(right_tail))
-            )
+            right_tail = tail_table[rest2[T[i], col], pair_tail[j, k]]
+            bad = np.flatnonzero((left_path != right_path) | (left_tail != right_tail))
             for x, y, z in zip(ids[i[bad]].tolist(), ids[j[bad]].tolist(), ids[k[bad]].tolist()):
                 yield morphs[x], morphs[y], morphs[z]
 
@@ -586,19 +593,15 @@ class ZSCategory(SmallCategory):
         return tuple(self.from_path(xi) for xi in generators), "ZS-path-lift"
 
 
-def _or_missing(k):
-    """An id, or -1 for an undefined product."""
-    return -1 if k is None else k
-
-
 def check_self_similar(pair: MatchedPair, bound) -> Report:
     """Degree preservation d(g |> lam) = d(lam) over the window.
 
-    Requires a groupoid acting factor whose units are the vertices; raises
-    NotApplicableError otherwise.  Whether g |> - is a bijection on edges is
-    reported as a detail, not required.
+    Requires a groupoid acting factor whose units are the vertices, the
+    shape check_action decides; raises NotApplicableError otherwise.
+    Whether g |> - is a bijection on edges is reported as a detail, not
+    required.
     """
-    if not pair.is_self_similar_shape():
+    if not check_action(pair).details["groupoid_tail"]:
         raise NotApplicableError("acting category is not a groupoid over the vertices")
     G, L = pair.acting, pair.acted
     window = L.morphisms(bound)

@@ -463,6 +463,39 @@ _BROKEN_THREE_GRAPH = {
     ],
 }
 
+#: a two-vertex 1-graph, loops a at v and b at w, with Z/2 = {v, g} at v
+_TWO_VERTEX_SECTIONS = {
+    "kgraph": {
+        "k": 1,
+        "vertices": ["v", "w"],
+        "edges": [
+            {"id": "a", "color": 1, "src": "v", "dst": "v"},
+            {"id": "b", "color": 1, "src": "w", "dst": "w"},
+        ],
+        "squares": [],
+    },
+    "groupoid": {
+        "units": ["v", "w"],
+        "morphisms": [
+            {"id": "v", "src": "v", "dst": "v", "inv": "v"},
+            {"id": "w", "src": "w", "dst": "w", "inv": "w"},
+            {"id": "g", "src": "v", "dst": "v", "inv": "g"},
+        ],
+        "compose": [["g", "g", "v"]],
+    },
+    "bounds": {"degree": [2]},
+}
+
+
+def _two_vertex_action(left, right):
+    """g |> a = left and g <| a = right on the two-vertex graph."""
+    action = {
+        "left": [{"g": "g", "edge": "a", "out": left}],
+        "right": [{"g": "g", "edge": "a", "out": right}],
+    }
+    return {**_TWO_VERTEX_SECTIONS, "action": action}
+
+
 _WORKSPACE_COMMANDS = [
     ["validate"],
     ["enumerate"],
@@ -484,15 +517,17 @@ _WORKSPACE_COMMANDS = [
          "a", "groupoid_axioms"),
         ({"kgraph": _BROKEN_THREE_GRAPH, "bounds": {"degree": [1, 1, 1]}},
          "c", "kgraph_factorization"),
+        (_two_vertex_action("a", "w"), "a", "matched_pair"),
+        (_two_vertex_action("b", "g"), "a", "matched_pair"),
     ],
-    ids=["bad-inverse-z2", "broken-3-graph"],
+    ids=["bad-inverse-z2", "broken-3-graph", "right-action-to-w", "left-action-to-b"],
 )
 def test_failed_structure_check_is_every_commands_verdict(
     tmp_path, command, doc, edge, failing_check
 ):
-    """A workspace whose k-graph or groupoid fails its check gets no PASS:
-    validate reports the failure among its checks, and every other command
-    exits 1 with the failing entry as its only check."""
+    """A workspace whose k-graph, groupoid or action fails its check gets no
+    PASS: validate reports the failure among its checks, and every other
+    command exits 1 with the failing entry as its only check."""
     path = tmp_path / "ws.json"
     path.write_text(json.dumps(doc))
     argv = [edge if arg == "{edge}" else arg for arg in command]
@@ -503,6 +538,31 @@ def test_failed_structure_check_is_every_commands_verdict(
         assert failing_check in failed
     else:
         assert [c["check"] for c in report["checks"]] == failed == [failing_check]
+
+
+@pytest.mark.parametrize("command", _WORKSPACE_COMMANDS, ids=lambda argv: argv[0])
+def test_groupoid_over_other_objects_exits_two(tmp_path, command):
+    """A groupoid whose units are not the graph's vertices is malformed
+    input for every workspace command."""
+    doc = {
+        "kgraph": _E2_SECTION,
+        "groupoid": {
+            "units": ["v", "w"],
+            "morphisms": [
+                {"id": "v", "src": "v", "dst": "v", "inv": "v"},
+                {"id": "w", "src": "w", "dst": "w", "inv": "w"},
+            ],
+            "compose": [],
+        },
+        "bounds": {"degree": [2]},
+    }
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    argv = ["a" if arg == "{edge}" else arg for arg in command]
+    code, report = run(tmp_path, *argv, "--workspace", str(path))
+    assert code == 2
+    assert report["error"] == "NotApplicableError"
+    assert report["message"] == "acting category is not a groupoid over the vertices"
 
 
 def _edge_doc(**edge):

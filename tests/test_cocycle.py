@@ -208,15 +208,13 @@ def test_grid_needs_two_endpoints():
 
 
 def test_restrict_cocycle_function():
-    from zsalg.cocycle import restrict_cocycle
-
     k1 = kgraph_k1((2, 2))
     gamma, _ = validate_kgraph(sub_kgraph(k1, [1]), (2,))
 
     def embed(p):
         return k1.nf(p.edges, rng=p.rng) if p.edges else k1.identity(p.rng)
 
-    restricted = restrict_cocycle(rot_theta(Fraction(1, 4)), embed)
+    restricted = rot_theta(Fraction(1, 4)).restrict(embed)
     assert verify_cocycle(restricted, gamma, (2,))
 
 

@@ -4,12 +4,11 @@ import pytest
 
 from zsalg.categories import (
     SmallCategory,
-    associativity_failures,
     id_triples,
     principal_ideal,
     validate_category,
 )
-from zsalg.errors import NotApplicableError, NotComposableError, UndefinedGeneratorError
+from zsalg.errors import BadActionError, NotApplicableError, UndefinedGeneratorError
 from zsalg.fixtures import (
     badswap_pair,
     kgraph_e2,
@@ -22,6 +21,7 @@ from zsalg.fixtures import (
     x_elem,
     x_monoid,
 )
+from zsalg.groupoid import FiniteGroupoid, GroupoidPresentation
 from zsalg.kgraph import Edge, KGraphPresentation, deg_add, validate_kgraph
 from zsalg.selfsim import (
     ActionTable,
@@ -30,7 +30,6 @@ from zsalg.selfsim import (
     ZSMorphism,
     check_jointly_faithful,
     check_self_similar,
-    extend_action,
     verify_matched_pair,
 )
 
@@ -38,18 +37,16 @@ from zsalg.selfsim import (
 def test_extend_flip_on_word():
     pair = swap_pair()
     ab = pair.acted.nf(("a", "b"))
-    moved, res = extend_action(pair, "g", ab)
+    moved, res = pair.extend("g", ab)
     assert (str(moved), res) == ("ba", "g")
 
 
 def test_extend_units():
     pair = swap_pair()
     d = pair.acted.nf(("a",))
-    assert extend_action(pair, "v", d) == (d, "v")
+    assert pair.extend("v", d) == (d, "v")
     v = pair.acted.identity("v")
-    assert extend_action(pair, "g", v) == (v, "g")
-    with pytest.raises(NotComposableError):
-        extend_action(pair, "g", pair.acted.identity("nowhere_expected"))
+    assert pair.extend("g", v) == (v, "g")
 
 
 def test_extend_respects_every_split():
@@ -225,7 +222,7 @@ def test_undefined_generator_raises():
     graph = kgraph_e2((2,))
     pair = MatchedPair(z2_groupoid(), graph, ActionTable(left={}, right={}))
     with pytest.raises(UndefinedGeneratorError):
-        extend_action(pair, "g", graph.nf(("a",)))
+        pair.extend("g", graph.nf(("a",)))
 
 
 def square_breaking_pair():
@@ -287,64 +284,76 @@ def test_array_sweep_matches_the_reference_loop(monkeypatch, make, bound, failin
         monkeypatch.setattr(ZSCategory, "_SWEEP_ROWS", rows)
         zs = ZSCategory(make())
         window = zs.morphisms(bound)
-        assert list(associativity_failures(zs, window)) == want
+        assert list(zs.associativity_failures(window)) == want
         # the sweep compares parts: it interns no composite
         assert len(zs.morphs) == len(window)
 
 
-def test_array_sweep_raises_the_reference_error():
-    """A missing action entry raises the loop's UndefinedGeneratorError, with
-    its message, after the same failures."""
-
-    def make():
-        pair = swap_pair()
-        del pair.table.left[("g", "b")]
-        return ZSCategory(pair)
-
-    def run(sweep):
-        seen = []
-        with pytest.raises(UndefinedGeneratorError) as err:
-            for triple in sweep:
-                seen.append(triple)
-        return seen, str(err.value)
-
-    reference, zs = make(), make()
-    want = run(SmallCategory.associativity_failures(reference, reference.morphisms((2,))))
-    assert want[1] == "no action entry for ('g', 'b')"
-    assert run(associativity_failures(zs, zs.morphisms((2,)))) == want
+def test_missing_action_entry_raises_at_construction():
+    """A table entry missing from the left table raises the extension's
+    UndefinedGeneratorError, with its message, when the product is built:
+    check_action extends every entry once."""
+    pair = swap_pair()
+    del pair.table.left[("g", "b")]
+    with pytest.raises(UndefinedGeneratorError) as err:
+        ZSCategory(pair)
+    assert str(err.value) == "no action entry for ('g', 'b')"
 
 
-def test_array_sweep_hands_over_to_the_reference_loop(monkeypatch):
-    """A composition that raises after the sweep has yielded failures: the
-    reference loop takes over past them, so the failures and the error are
-    the loop's.  With one window row a block, the sweep of the broken flip
-    yields 108 failures before its first six-edge path product, and the
-    loop 132."""
+def two_vertex_pair(left, right):
+    """g: v -> v acting on the loops a at v and b at w by g |> a = left and
+    g <| a = right.  (a, w) breaks s(g |> a) = r(g <| a), and (b, g) breaks
+    r(g |> a) = r(g)."""
+    edges = [Edge("a", 1, "v", "v"), Edge("b", 1, "w", "w")]
+    graph = validate_kgraph(KGraphPresentation(1, ["v", "w"], edges, []), (2,))[0]
+    gpd = FiniteGroupoid(
+        GroupoidPresentation(
+            ["v", "w"], ["v", "w", "g"], {"g": "v"}, {"g": "v"}, {"g": "g"}, {("g", "g"): "v"}
+        )
+    )
+    table = ActionTable({("g", "a"): graph.nf((left,))}, {("g", "a"): right})
+    return MatchedPair(gpd, graph, table)
 
-    def make():
-        zs = ZSCategory(badswap_pair())
-        compose = zs.D.compose_ids
 
-        def compose_ids(i, j):
-            if len(zs.D.morphs[i].edges) + len(zs.D.morphs[j].edges) >= 6:
-                raise ValueError("a six-edge path")
-            return compose(i, j)
+def source_breaking_pair():
+    """The pair groupoid's action with m_uw <| aw = u: s(u) is not s(aw) = w."""
+    pair = pair_groupoid_pair()
+    pair.table.right[("m_uw", "aw")] = "u"
+    return pair
 
-        zs.D.compose_ids = compose_ids
-        return zs
 
-    def run(sweep):
-        seen = []
-        with pytest.raises(ValueError, match="six-edge") as err:
-            for triple in sweep:
-                seen.append(triple)
-        return seen, str(err.value)
+@pytest.mark.parametrize(
+    "make, witness",
+    [
+        (lambda: two_vertex_pair("a", "w"), ("endpoint_mismatch", "g", "a")),
+        (lambda: two_vertex_pair("b", "g"), ("range_of_left", "g", "a")),
+        (source_breaking_pair, ("source_of_right", "m_uw", "aw")),
+    ],
+    ids=["right-to-w", "left-to-b", "right-to-u"],
+)
+def test_product_refuses_an_endpoint_breaking_action(make, witness):
+    """ZSCategory checks the action on its table and raises with the
+    failing matched_pair report, whose witness is verify_matched_pair's."""
+    kind, c, edge = witness
+    pair = make()
+    with pytest.raises(BadActionError) as err:
+        ZSCategory(pair)
+    report = err.value.report
+    assert report.name == "matched_pair" and not report
+    assert report.witness == (kind, c, pair.acted.nf((edge,)))
+    assert verify_matched_pair(pair, (2,)).witness == report.witness
 
-    monkeypatch.setattr(ZSCategory, "_SWEEP_ROWS", 1)
-    reference, zs = make(), make()
-    want = run(SmallCategory.associativity_failures(reference, reference.morphisms((2,))))
-    assert len(want[0]) == 132
-    assert run(associativity_failures(zs, zs.morphisms((2,)))) == want
+
+def test_groupoid_over_other_objects_is_not_applicable():
+    """A groupoid whose units are not the graph's vertices acts on no
+    k-graph: no product is built on it."""
+    graph = kgraph_e2((2,))
+    gpd = FiniteGroupoid(GroupoidPresentation(["v", "w"], ["v", "w"]))
+    pair = MatchedPair(gpd, graph, ActionTable())
+    with pytest.raises(NotApplicableError, match="not a groupoid over the vertices"):
+        ZSCategory(pair)
+    with pytest.raises(NotApplicableError, match="not a groupoid over the vertices"):
+        check_self_similar(pair, (2,))
 
 
 def test_monoid_product_runs_the_reference_loop(monkeypatch):
@@ -365,5 +374,5 @@ def test_monoid_product_runs_the_reference_loop(monkeypatch):
     monkeypatch.setattr(ZSCategory, "_array_sweep", array_sweep)
     X = x_monoid()
     window = X.morphisms(3)
-    assert list(associativity_failures(X, window)) == []
+    assert list(X.associativity_failures(window)) == []
     assert calls == [len(window)] and swept == []
