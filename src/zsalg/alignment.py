@@ -158,6 +158,7 @@ def check_concordant(inc: Subcategory, sub_bound, amb_bound) -> Report:
     """
     sub, amb, embed = inc.sub, inc.amb, inc.embed
     window = sub.morphisms(sub_bound)
+    invs = invertibles(sub, sub_bound)
     checked_pairs = 0
     for c1, c2 in itertools.combinations_with_replacement(window, 2):
         if sub.r(c1) != sub.r(c2):
@@ -174,12 +175,10 @@ def check_concordant(inc: Subcategory, sub_bound, amb_bound) -> Report:
             continue
         checked_pairs += 1
         base = meet_ideal(c1, c2, sub, sub_bound)
-        candidates = [tuple(base.generators)]
-        candidates.extend(_alternative_generating_sets(base.generators, sub, sub_bound))
-        ok, bad = _concordance_solutions_route(
-            inc, c1, c2, solutions, candidates, sub_bound, amb_bound
+        bad = _unrouted_solution(
+            inc, c1, c2, solutions, base.generators, invs, sub_bound, amb_bound
         )
-        if not ok:
+        if bad is not None:
             x1, x2 = bad
             return failing(
                 "concordant",
@@ -190,23 +189,24 @@ def check_concordant(inc: Subcategory, sub_bound, amb_bound) -> Report:
     return passing("concordant", bound=(sub_bound, amb_bound), pairs=checked_pairs)
 
 
-def _concordance_solutions_route(inc, c1, c2, solutions, candidates, sub_bound, amb_bound):
-    sub, amb, embed = inc.sub, inc.amb, inc.embed
-    for F in candidates:
-        all_ok = True
-        for x1, x2, _z in solutions:
-            if not _solution_routes(inc, c1, c2, x1, x2, F, sub_bound, amb_bound):
-                all_ok = False
-                break
-        if all_ok:
-            return True, None
+def _unrouted_solution(inc, c1, c2, solutions, F, invs, sub_bound, amb_bound):
+    """None when one candidate generating set routes every solution: the
+    canonical F, else one of its alternatives, which are built only then.
+    Otherwise the witness (x1, x2): the first solution no candidate routes,
+    or the first solution when each routes through some candidate."""
+
+    def routes(G, x1, x2):
+        return _solution_routes(inc, c1, c2, x1, x2, G, sub_bound, amb_bound)
+
+    if all(routes(F, x1, x2) for x1, x2, _z in solutions):
+        return None
+    alternatives = _alternative_generating_sets(F, invs, inc.sub)
+    if any(all(routes(G, x1, x2) for x1, x2, _z in solutions) for G in alternatives):
+        return None
     for x1, x2, _z in solutions:
-        if not any(
-            _solution_routes(inc, c1, c2, x1, x2, F, sub_bound, amb_bound)
-            for F in candidates
-        ):
-            return False, (x1, x2)
-    return False, (solutions[0][0], solutions[0][1])
+        if not any(routes(G, x1, x2) for G in [F, *alternatives]):
+            return x1, x2
+    return solutions[0][0], solutions[0][1]
 
 
 def _solution_routes(inc, c1, c2, x1, x2, F, sub_bound, amb_bound):
@@ -221,12 +221,11 @@ def _solution_routes(inc, c1, c2, x1, x2, F, sub_bound, amb_bound):
     return False
 
 
-def _alternative_generating_sets(F, cat, bound):
+def _alternative_generating_sets(F, invs, cat):
     """Up to 64 equivalent independent generating sets, by swapping in
-    ~-partners."""
+    ~-partners: F's members times the invertibles ``invs``."""
     if not F:
         return []
-    invs = invertibles(cat, bound)
     variants = []
     for f in F:
         reps = {f}

@@ -10,8 +10,9 @@ componentwise.
 Concrete categories subclass SmallCategory: explicit tables here, path
 categories in kgraph, groupoids in groupoid, product categories in selfsim.
 Every category numbers its own morphisms: dense int ids with cached range,
-source and size, composites memoized by id (compose_ids), and windows
-memoized as id views (window).  The window sweeps here run on those ids.
+source and size, each composite kept once, in its id row (compose_ids), and
+windows memoized as id views (window).  The path and product categories
+answer compose from those rows too.  The window sweeps here run on those ids.
 The id view also keeps the answers to the path-pair questions.  A category
 whose divisors_into and meet are exact (kgraph, a product with a groupoid
 tail) keeps them in ``answers`` by id pair (kept), since they do not depend

@@ -125,7 +125,7 @@ class Workspace:
             presentation = _section(fixtures.parse_groupoid, gp)
             self.groupoid, self.groupoid_report = validate_groupoid(presentation)
 
-        table = _section(fixtures.parse_action, doc.get("action", {}), self.graph)
+        table = _section(fixtures.parse_action, doc.get("action", {}), self.groupoid, self.graph)
         self.pair = MatchedPair(self.groupoid, self.graph, table)
         try:
             self.zs, self.action_report = ZSCategory(self.pair), None

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import random
 
-from .errors import MalformedSquaresError, ZsalgError
-from .groupoid import GroupoidPresentation, validate_groupoid
+from .errors import MalformedSquaresError, MalformedTableError, ZsalgError
+from .groupoid import FiniteGroupoid, GroupoidPresentation, validate_groupoid
 from .kgraph import Edge, KGraph, KGraphPresentation, validate_kgraph
 from .selfsim import (
     ActionTable,
@@ -146,11 +146,23 @@ def parse_groupoid(section) -> GroupoidPresentation:
     )
 
 
-def parse_action(section, graph: KGraph) -> ActionTable:
-    """A workspace "action" section: generator tables on (g, edge) keys."""
-    left = {(e["g"], e["edge"]): graph.nf((e["out"],)) for e in section.get("left", [])}
-    right = {(e["g"], e["edge"]): e["out"] for e in section.get("right", [])}
-    return ActionTable(left, right)
+def parse_action(section, groupoid: FiniteGroupoid, graph: KGraph) -> ActionTable:
+    """A workspace "action" section: generator tables on (g, edge) keys.
+    Each entry's g and right out name groupoid elements, and its edge and
+    left out name graph edges; an entry that does not raises
+    MalformedTableError naming the side, the entry's index and the name."""
+    known = {"groupoid element": set(groupoid.names), "edge": graph.edge}
+
+    def entries(side, out_kind):
+        for n, e in enumerate(section.get(side, [])):
+            names = ("groupoid element", e["g"]), ("edge", e["edge"]), (out_kind, e["out"])
+            for kind, name in names:
+                if name not in known[kind]:
+                    raise MalformedTableError(f"action.{side}[{n}]: no {kind} {name!r}")
+            yield (e["g"], e["edge"]), e["out"]
+
+    left = {key: graph.nf((out,)) for key, out in entries("left", "edge")}
+    return ActionTable(left, dict(entries("right", "groupoid element")))
 
 
 def _checked(obj, report):
@@ -170,9 +182,9 @@ def _doc_groupoid(name):
 
 
 def _doc_pair(name, bound):
-    graph = _doc_kgraph(name, bound)
-    table = parse_action(FIXTURE_DOCS[name]["action"], graph)
-    return MatchedPair(_doc_groupoid(name), graph, table)
+    graph, groupoid = _doc_kgraph(name, bound), _doc_groupoid(name)
+    table = parse_action(FIXTURE_DOCS[name]["action"], groupoid, graph)
+    return MatchedPair(groupoid, graph, table)
 
 
 def kgraph_k1(bound=(3, 3)):

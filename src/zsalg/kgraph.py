@@ -142,6 +142,7 @@ class KGraph(SmallCategory):
             self.fwd[(e, f)] = (f2, e2)
             self.rev[(f2, e2)] = (e, f)
         self._paths_memo = {}
+        #: edge sequence -> its normal form; composites live in the id rows
         self._nf_memo = {}
         #: composite edge tuple -> id, filled by compose_ids
         self._ids_by_edges = {}
@@ -269,18 +270,10 @@ class KGraph(SmallCategory):
         return m.degree
 
     def compose(self, p: Path, q: Path):
-        """p q, kept in nf's memo under the concatenated edges."""
-        if p.src != q.rng:
-            return None
-        if not p.edges:
-            return q
-        if not q.edges:
-            return p
-        seq = p.edges + q.edges
-        out = self._nf_memo.get(seq)
-        if out is None:
-            out = self._nf_memo[seq] = self._joined(p, q, self._joined_edges(p.edges, q.edges))
-        return out
+        """p q, or None where undefined: read from the id rows, which
+        compose_ids fills.  So each composite is kept once, by id."""
+        k = self.compose_ids(self.id_of(p), self.id_of(q))
+        return None if k is None else self.morphs[k]
 
     def _joined_edges(self, a, b):
         """The edges of nf(a + b) for normal forms a and b.  Only the
@@ -300,18 +293,10 @@ class KGraph(SmallCategory):
             hi += 1
         return a[:lo] + self.nf(a[lo:] + b[:hi]).edges + b[hi:]
 
-    def _joined(self, p: Path, q: Path, edges):
-        """The Path p q, given its edges, as nf builds it."""
-        return Path(
-            edges,
-            self.edge[edges[0]].rng,
-            self.edge[edges[-1]].src,
-            tuple(x + y for x, y in zip(p.degree, q.degree)),
-        )
-
     def compose_ids(self, i, j):
         """SmallCategory.compose_ids, with a composite's id found by its
-        edge tuple: a Path is built and hashed only for a new composite."""
+        edge tuple: a Path is built and hashed only for a new composite.
+        compose reads its answers, so this is the one composition."""
         row = self.rows[i]
         k = row.get(j, -1)
         if k == -1:
@@ -326,7 +311,9 @@ class KGraph(SmallCategory):
                 edges = self._joined_edges(p.edges, q.edges)
                 k = self._ids_by_edges.get(edges)
                 if k is None:
-                    k = self._ids_by_edges[edges] = self.id_of(self._joined(p, q, edges))
+                    ends = self.edge[edges[0]].rng, self.edge[edges[-1]].src
+                    pq = Path(edges, *ends, deg_add(p.degree, q.degree))
+                    k = self._ids_by_edges[edges] = self.id_of(pq)
             row[j] = k
         return k
 
@@ -411,16 +398,10 @@ class KGraph(SmallCategory):
         nu = self.nf(work, rng=mid) if work else self.identity(mid)
         return mu, nu
 
-    def prefix(self, lam: Path, m):
-        return self.factorize(lam, m, deg_sub(lam.degree, m))[0]
-
     def extends(self, lam: Path, mu: Path):
-        """mu is an initial factor of lam."""
-        return (
-            lam.rng == mu.rng
-            and deg_le(mu.degree, lam.degree)
-            and self.prefix(lam, mu.degree) == mu
-        )
+        """mu is an initial factor of lam: the cofactor test, one
+        factorization of lam whose head is compared with mu."""
+        return bool(self._cofactor(mu, lam))
 
     # -- minimal common extensions
 

@@ -565,6 +565,32 @@ def test_groupoid_over_other_objects_exits_two(tmp_path, command):
     assert report["message"] == "acting category is not a groupoid over the vertices"
 
 
+_UNKNOWN_ACTION_NAMES = {
+    "element": ("left", {"g": "h", "edge": "a", "out": "b"}, "no groupoid element 'h'"),
+    "edge": ("left", {"g": "g", "edge": "z", "out": "b"}, "no edge 'z'"),
+    "left-out": ("left", {"g": "g", "edge": "a", "out": "zz"}, "no edge 'zz'"),
+    "right-out": ("right", {"g": "g", "edge": "a", "out": "h"}, "no groupoid element 'h'"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_UNKNOWN_ACTION_NAMES))
+@pytest.mark.parametrize("command", _WORKSPACE_COMMANDS, ids=lambda argv: argv[0])
+def test_action_entry_naming_an_unknown_name_exits_two(tmp_path, command, kind):
+    """An action entry whose g, edge or out is not in the groupoid or the
+    graph is malformed input for every workspace command, and the message
+    names the side, the entry and the name."""
+    side, entry, missing = _UNKNOWN_ACTION_NAMES[kind]
+    doc = json.loads(json.dumps(FIXTURE_DOCS["swap"]))
+    doc["action"][side].append(entry)
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    argv = ["a" if arg == "{edge}" else arg for arg in command]
+    code, report = run(tmp_path, *argv, "--workspace", str(path))
+    assert code == 2
+    assert report["error"] == "MalformedTableError"
+    assert report["message"] == f"action.{side}[2]: {missing}"
+
+
 def _edge_doc(**edge):
     return {
         "kgraph": {

@@ -18,9 +18,11 @@ from zsalg.fixtures import (
 )
 from zsalg.kgraph import (
     Edge,
+    KGraph,
     KGraphPresentation,
     deg_le,
     deg_splits,
+    deg_sub,
     skeleton_split,
     structural_predicates,
     sub_kgraph,
@@ -246,7 +248,7 @@ def test_builtin_fixture_failing_validation_raises(monkeypatch):
 
 
 def test_compose_reads_the_normal_form_memo():
-    """KGraph keeps one memo of composites by edges, nf's: after a validate
+    """KGraph keeps one memo of composites, its id rows: after a validate
     run on k1, every composite of the window equals the normal form of the
     concatenated edges on a fresh graph, and there is no second memo."""
     from zsalg.cli import build_parser, builtin_workspace, cmd_validate
@@ -392,3 +394,51 @@ def test_repeated_compose_makes_no_nf_call():
             e2.compose_ids(e2.id_of(p), e2.id_of(q))
             e2.compose(p, q)
     assert calls == []
+
+
+def _prefix_oracle_cases():
+    """(name, graph): k1, e2, swap2's graph and random_kgraph(0..9)."""
+    yield "k1", kgraph_k1()
+    yield "e2", kgraph_e2()
+    yield "swap2", validate_kgraph(parse_kgraph(FIXTURE_DOCS["swap2"]["kgraph"]))[0]
+    for seed in range(10):
+        yield f"random_kgraph({seed})", random_kgraph(seed)
+
+
+_PREFIX_ORACLE_CASES = list(_prefix_oracle_cases())
+
+
+@pytest.mark.parametrize(
+    "graph", [case[1] for case in _PREFIX_ORACLE_CASES], ids=[case[0] for case in _PREFIX_ORACLE_CASES]
+)
+def test_extends_matches_a_composition_oracle(graph):
+    """extends(lam, mu), one factorization of lam, holds exactly when some
+    x of degree d(lam) - d(mu) at s(mu) has mu x = lam: an oracle by
+    composition, on a second graph of the same presentation, that never
+    factorizes.  Every same-range pair of the window at degree 2 per color."""
+    oracle = KGraph(graph._pres)
+    window = graph.morphisms((2,) * graph.k)
+    seen = set()
+    for lam in window:
+        for mu in window:
+            if lam.rng != mu.rng:
+                continue
+            want = deg_le(mu.degree, lam.degree) and any(
+                oracle.compose(mu, x) == lam
+                for x in oracle.paths(mu.src, deg_sub(lam.degree, mu.degree))
+            )
+            assert graph.extends(lam, mu) == want, (lam, mu)
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_compose_keeps_no_composite_in_the_normal_form_memo():
+    """Composites live in the id rows only: composing every window pair of
+    e2, a 1-graph, which never sorts, adds nothing to nf's memo."""
+    graph = kgraph_e2((3,))
+    window = graph.morphisms((3,))
+    before = len(graph._nf_memo)
+    for p in window:
+        for q in window:
+            graph.compose(p, q)
+    assert len(graph._nf_memo) == before
