@@ -54,7 +54,7 @@ from .cocycle import (
     trivial_cocycle,
     verify_cocycle,
 )
-from .errors import BadActionError, BadGeneratorError, ZsalgError
+from .errors import BadActionError, BadGeneratorError, NotAPathError, ZsalgError
 from .groupoid import validate_groupoid
 from .kgraph import structural_predicates, sub_kgraph, validate_kgraph
 from .matrixrep import build_grid_reps, check_homotopy_relations, check_relations
@@ -144,16 +144,17 @@ class Workspace:
         spec = self.doc.get("cocycle")
         if spec is None:
             return trivial_cocycle()
-        form = _section(self._form, spec)
+        form = _section(self._form, spec, "cocycle")
         return Cocycle(form, name="rotation" if "rotation" in spec else "table")
 
     def generator_form(self):
-        spec = self.doc.get("homotopy", {}).get("generator")
+        section, spec = "homotopy.generator", self.doc.get("homotopy", {}).get("generator")
         if spec is None:
-            spec = self.doc.get("cocycle", {"rotation": [[0] * self.k] * self.k})
-        return _section(self._form, spec)
+            section = "cocycle"
+            spec = self.doc.get(section, {"rotation": [[0] * self.k] * self.k})
+        return _section(self._form, spec, section)
 
-    def _form(self, spec):
+    def _form(self, spec, section):
         """A "rotation" angle matrix, or a "table" of phases keyed by product
         morphisms of the path part."""
         if "rotation" in spec:
@@ -161,23 +162,27 @@ class Workspace:
             if len(rows) != self.k or any(len(row) != self.k for row in rows):
                 raise ZsalgError(f"a rotation matrix has {self.k} rows of {self.k} entries")
             return RotationForm([[_rat(x) for x in row] for row in rows])
-        return TableForm(
-            {
-                (self._decode_pathlike(e["c1"]), self._decode_pathlike(e["c2"])): _rat(e["phase"])
-                for e in spec["table"]
-            }
-        )
+        table = {}
+        for n, e in enumerate(spec["table"]):
+            where = f"{section}.table[{n}]"
+            c1, c2 = (self._decode_pathlike(e[c], f"{where}.{c}") for c in ("c1", "c2"))
+            table[c1, c2] = _rat(e["phase"])
+        return TableForm(table)
 
     def family(self):
         if "homotopy" in self.doc:
             return LinearHomotopy(self.generator_form(), m=self.grid)
         return ConstantHomotopy(self.cocycle(), m=1)
 
-    def _decode_pathlike(self, spec):
+    def _decode_pathlike(self, spec, where):
+        """The product morphism of a table's path, named ``where`` in errors."""
         if isinstance(spec, dict) and "vertex" in spec:
             p = self.graph.identity(spec["vertex"])
         else:
-            p = self.graph.nf(tuple(spec))
+            try:
+                p = self.graph.nf(tuple(spec))
+            except NotAPathError as exc:
+                raise NotAPathError(f"{where}: {exc}") from None
         return self.zs.from_path(p)
 
 

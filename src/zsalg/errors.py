@@ -78,3 +78,7 @@ class NotInModuleFormError(ZsalgError):
 
 class InfiniteBasisError(ZsalgError):
     """Truncated representation needs finite vertex and groupoid data."""
+
+
+class NotAPathError(ZsalgError):
+    """An edge list with an unknown edge or adjacent edges that do not meet."""

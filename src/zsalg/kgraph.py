@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .categories import SmallCategory
-from .errors import DegreeMismatchError, MalformedSquaresError
+from .errors import DegreeMismatchError, MalformedSquaresError, NotAPathError
 from .report import failing, passing
 
 
@@ -94,9 +94,6 @@ class Path:
             and self.degree == other.degree
         )
 
-    def is_vertex(self):
-        return not self.edges
-
     def __repr__(self):
         return self.edges and "".join(self.edges) or f"<{self.rng}>"
 
@@ -144,7 +141,8 @@ class KGraph(SmallCategory):
         self._paths_memo = {}
         #: edge sequence -> its normal form; composites live in the id rows
         self._nf_memo = {}
-        #: composite edge tuple -> id, filled by compose_ids
+        #: normal-form edge tuple, or vertex for a vertex path -> id: every
+        #: path the graph hands out, filled by _path_id
         self._ids_by_edges = {}
         self._pres = pres
 
@@ -185,15 +183,23 @@ class KGraph(SmallCategory):
 
         Sorting is by adjacent-descent rewriting through the square table;
         validation certifies the result is independent of rewrite order.
+        A sequence that is not a path raises NotAPathError.
         """
         seq = tuple(seq)
         if not seq:
             if rng is None:
                 raise ValueError("vertex path needs an explicit vertex")
-            return Path((), rng, rng, deg_zero(self.k))
+            return self.identity(rng)
         cached = self._nf_memo.get(seq)
         if cached is not None:
             return cached
+        for name in seq:
+            if name not in self.edge:
+                raise NotAPathError(f"no edge {name!r}")
+        for a, b in zip(seq, seq[1:]):
+            s_a, r_b = self.edge[a].src, self.edge[b].rng
+            if s_a != r_b:
+                raise NotAPathError(f"{a!r} then {b!r}: s({a}) = {s_a!r} is not r({b}) = {r_b!r}")
         # bubble passes: each swaps every descent it meets, left to right.
         # Squares keep colors (check_squares), so a swap swaps two colors,
         # the pairs before the pass's first swap stay sorted, and the
@@ -213,17 +219,21 @@ class KGraph(SmallCategory):
                         first = i
                     last = i
             lo, hi = max(first - 1, 0), last
-        degree = [0] * self.k
-        for c in cols:
-            degree[c - 1] += 1
-        path = Path(
-            tuple(work),
-            self.edge[work[0]].rng,
-            self.edge[work[-1]].src,
-            tuple(degree),
-        )
-        self._nf_memo[seq] = path
+        self._nf_memo[seq] = path = self.morphs[self._path_id(tuple(work))]
         return path
+
+    def _path_id(self, edges, v=None):
+        """The id of the path with normal-form ``edges``, or of the vertex
+        v when edges is (): the one place a Path is built.  Each path the
+        graph hands out is morphs[id], so id_of finds it by identity."""
+        key = edges or v
+        k = self._ids_by_edges.get(key)
+        if k is None:
+            colors = list(map(self._color.__getitem__, edges))
+            degree = tuple(map(colors.count, range(1, self.k + 1)))
+            ends = (self.edge[edges[0]].rng, self.edge[edges[-1]].src) if edges else (v, v)
+            k = self._ids_by_edges[key] = self.id_of(Path(edges, *ends, degree))
+        return k
 
     def nf_closure(self, seq, memo=None):
         """All normal forms reachable from ``seq`` under every rewrite order.
@@ -255,10 +265,10 @@ class KGraph(SmallCategory):
         return self.vertices
 
     def identity(self, v):
-        return Path((), v, v, deg_zero(self.k))
+        return self.morphs[self._path_id((), v)]
 
     def is_identity(self, m):
-        return m.is_vertex()
+        return not m.edges
 
     def r(self, m):
         return m.rng
@@ -295,8 +305,8 @@ class KGraph(SmallCategory):
 
     def compose_ids(self, i, j):
         """SmallCategory.compose_ids, with a composite's id found by its
-        edge tuple: a Path is built and hashed only for a new composite.
-        compose reads its answers, so this is the one composition."""
+        edge tuple (_path_id).  compose reads its answers, so this is the
+        one composition."""
         row = self.rows[i]
         k = row.get(j, -1)
         if k == -1:
@@ -308,12 +318,7 @@ class KGraph(SmallCategory):
             elif not q.edges:
                 k = i
             else:
-                edges = self._joined_edges(p.edges, q.edges)
-                k = self._ids_by_edges.get(edges)
-                if k is None:
-                    ends = self.edge[edges[0]].rng, self.edge[edges[-1]].src
-                    pq = Path(edges, *ends, deg_add(p.degree, q.degree))
-                    k = self._ids_by_edges[edges] = self.id_of(pq)
+                k = self._path_id(self._joined_edges(p.edges, q.edges))
             row[j] = k
         return k
 
@@ -341,7 +346,7 @@ class KGraph(SmallCategory):
             i = next(c + 1 for c, x in enumerate(n) if x > 0)
             rest = deg_sub(n, deg_unit(self.k, i))
             out = tuple(
-                Path((e,) + tail.edges, v, tail.src, n)
+                self.morphs[self._path_id((e,) + tail.edges)]
                 for e in self.edges_at.get((v, i), ())
                 for tail in self.paths(self.edge[e].src, rest)
             )

@@ -146,14 +146,20 @@ class MatchedPair:
         return self.extend(c, d)[1]
 
 
-def check_action(pair: MatchedPair) -> Report:
-    """The window-free check of a matched pair's presentation: the one place
-    that decides its shape and its endpoint laws.  Every ZSCategory runs it
-    on its pair and refuses one that fails.
+def _groupoid_tail(pair: MatchedPair) -> bool:
+    """The shape of a matched pair: whether the acting category is a
+    groupoid (else a monoid, as in the counterexample).  A groupoid whose
+    units are not the vertices acts on no k-graph: NotApplicableError."""
+    groupoid = isinstance(pair.acting, FiniteGroupoid)
+    if groupoid and set(pair.acting.units) != set(pair.acted.objects()):
+        raise NotApplicableError("acting category is not a groupoid over the vertices")
+    return groupoid
 
-    Shape: the ``groupoid_tail`` detail says whether the acting category is
-    a groupoid (else a monoid, as in the counterexample).  A groupoid whose
-    units are not the vertices acts on no k-graph: NotApplicableError.
+
+def check_action(pair: MatchedPair) -> Report:
+    """The window-free check of a matched pair's presentation: its shape
+    (_groupoid_tail, reported as the ``groupoid_tail`` detail) and its
+    endpoint laws.  Every ZSCategory runs it and refuses a pair that fails.
 
     Endpoint laws: each table entry (c, e) with s(c) = r(e) must have
     r(c |> e) = r(c), s(c |> e) = r(c <| e) and s(c <| e) = s(e); the
@@ -164,9 +170,7 @@ def check_action(pair: MatchedPair) -> Report:
     missing from one table raises UndefinedGeneratorError.
     """
     C, D = pair.acting, pair.acted
-    groupoid_tail = isinstance(C, FiniteGroupoid)
-    if groupoid_tail and set(C.units) != set(D.objects()):
-        raise NotApplicableError("acting category is not a groupoid over the vertices")
+    groupoid_tail = _groupoid_tail(pair)
     # keyed by (acting generator, edge name)
     entries = dict.fromkeys([*pair.table.left, *pair.table.right])
     for c, name in entries:
@@ -298,6 +302,10 @@ class ZSMorphism:
             and self.path == other.path
             and self.tail == other.tail
         )
+
+    @property
+    def degree(self):  # of the path part
+        return self.path.degree
 
     def __repr__(self):
         return f"({self.path!r}|{self.tail!r})"
@@ -596,13 +604,12 @@ class ZSCategory(SmallCategory):
 def check_self_similar(pair: MatchedPair, bound) -> Report:
     """Degree preservation d(g |> lam) = d(lam) over the window.
 
-    Requires a groupoid acting factor whose units are the vertices, the
-    shape check_action decides; raises NotApplicableError otherwise.
-    Whether g |> - is a bijection on edges is reported as a detail, not
-    required.
+    Requires a groupoid acting factor whose units are the vertices
+    (_groupoid_tail); raises NotApplicableError otherwise.  Whether
+    g |> - is a bijection on edges is reported as a detail, not required.
     """
-    if not check_action(pair).details["groupoid_tail"]:
-        raise NotApplicableError("acting category is not a groupoid over the vertices")
+    if not _groupoid_tail(pair):
+        raise NotApplicableError("acting category is not a groupoid")
     G, L = pair.acting, pair.acted
     window = L.morphisms(bound)
     for g in G.morphisms(None):

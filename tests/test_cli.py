@@ -708,3 +708,71 @@ def test_zs_swap2_associativity_on_the_larger_window(tmp_path):
     assert code == 0
     (assoc,) = [c for c in report["checks"] if c["check"] == "zs_associativity"]
     assert assoc["passed"] and assoc["window"] == 120 and assoc["witness"] is None
+
+
+#: e: w -> v, a loop l at w and a loop m at v; ee is not a path
+_NOT_A_PATH_DOC = {
+    "kgraph": {
+        "k": 1,
+        "vertices": ["v", "w"],
+        "edges": [
+            {"id": "e", "color": 1, "src": "w", "dst": "v"},
+            {"id": "l", "color": 1, "src": "w", "dst": "w"},
+            {"id": "m", "color": 1, "src": "v", "dst": "v"},
+        ],
+        "squares": [],
+    },
+    "bounds": {"degree": [2]},
+}
+
+_NOT_A_PATH = {
+    "pair": (["e", "e"], "'e' then 'e': s(e) = 'w' is not r(e) = 'v'"),
+    "edge": (["q"], "no edge 'q'"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NOT_A_PATH))
+@pytest.mark.parametrize(
+    "command", [["mce", "--nu", "e", "--mu"], ["enumerate", "--mu"]], ids=lambda argv: argv[0]
+)
+def test_edge_list_that_is_no_path_exits_two(tmp_path, command, kind):
+    """An --mu that is not a path is malformed input; the message names
+    the unknown edge or the pair that does not meet."""
+    edges, message = _NOT_A_PATH[kind]
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(_NOT_A_PATH_DOC))
+    code, report = run(tmp_path, *command, ",".join(edges), "--workspace", str(path))
+    assert code == 2
+    assert report["error"] == "NotAPathError"
+    assert report["message"] == message
+
+
+@pytest.mark.parametrize("kind", sorted(_NOT_A_PATH))
+@pytest.mark.parametrize("column", ["c1", "c2"])
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("cocycle-check", "cocycle"),
+        ("rep-check", "cocycle"),
+        ("homotopy-check", "homotopy.generator"),
+        ("rep-check", "homotopy.generator"),
+    ],
+)
+def test_table_entry_that_is_no_path_exits_two(tmp_path, command, section, column, kind):
+    """A cocycle or generator table entry that is not a path is malformed
+    input; the message names the entry, then the edge or the pair."""
+    edges, message = _NOT_A_PATH[kind]
+    bad = {"c1": ["l"], "c2": ["l"], "phase": "1/4"}
+    bad[column] = edges
+    table = {"table": [{"c1": ["m"], "c2": ["m"], "phase": "1/4"}, bad]}
+    doc = dict(_NOT_A_PATH_DOC)
+    if section == "cocycle":
+        doc["cocycle"] = table
+    else:
+        doc["homotopy"] = {"generator": table, "grid": 3}
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(tmp_path, command, "--workspace", str(path))
+    assert code == 2
+    assert report["error"] == "NotAPathError"
+    assert report["message"] == f"{section}.table[1].{column}: {message}"

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from zsalg.errors import DegreeMismatchError, MalformedSquaresError
+from zsalg.errors import DegreeMismatchError, MalformedSquaresError, NotAPathError
 from zsalg.fixtures import (
     FIXTURE_DOCS,
     kgraph_convex_with_source,
@@ -20,6 +20,7 @@ from zsalg.kgraph import (
     Edge,
     KGraph,
     KGraphPresentation,
+    Path,
     deg_le,
     deg_splits,
     deg_sub,
@@ -442,3 +443,67 @@ def test_compose_keeps_no_composite_in_the_normal_form_memo():
         for q in window:
             graph.compose(p, q)
     assert len(graph._nf_memo) == before
+
+
+@pytest.mark.parametrize(
+    "graph", [case[1] for case in _PREFIX_ORACLE_CASES], ids=[case[0] for case in _PREFIX_ORACLE_CASES]
+)
+def test_each_path_is_one_object(graph):
+    """Every path the graph hands out is its id's object: the window's
+    paths, nf of their edges, identities, composites and both factors."""
+    window = graph.morphisms((2,) * graph.k)
+    for p in window:
+        assert graph.morphs[graph.id_of(p)] is p
+        assert graph.nf(p.edges, p.rng) is p
+    for v in graph.vertices:
+        assert graph.identity(v) is graph.identity(v) is graph.nf((), v)
+    for p in window:
+        for q in window:
+            if p.src == q.rng:
+                assert graph.compose(p, q) is graph.nf(p.edges + q.edges, p.rng)
+        for m, n in deg_splits(p.degree):
+            mu, nu = graph.factorize(p, m, n)
+            assert mu is graph.morphs[graph.id_of(mu)] is graph.nf(mu.edges, p.rng)
+            assert nu is graph.morphs[graph.id_of(nu)] is graph.nf(nu.edges, mu.src)
+
+
+@pytest.mark.parametrize("name", [case[0] for case in _PREFIX_ORACLE_CASES])
+def test_composing_the_window_compares_no_paths(monkeypatch, name):
+    """After validate_kgraph, composing every window pair looks each path
+    up by identity: Path.__eq__ is never called."""
+    graph = next(graph for case, graph in _prefix_oracle_cases() if case == name)
+    window = graph.morphisms((2,) * graph.k)
+    calls, real = [], Path.__eq__
+
+    def counted(self, other):
+        calls.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(Path, "__eq__", counted)
+    for p in window:
+        for q in window:
+            graph.compose(p, q)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "seq, message",
+    [
+        (("a", "q"), "no edge 'q'"),
+        (("e", "e"), "'e' then 'e': s(e) = 'w' is not r(e) = 'v'"),
+        (("m", "e", "l", "e"), "'l' then 'e': s(l) = 'w' is not r(e) = 'v'"),
+    ],
+    ids=["unknown-edge", "pair", "later-pair"],
+)
+def test_nf_refuses_an_edge_list_that_is_no_path(seq, message):
+    """nf names the first unknown edge, or the first adjacent pair whose
+    endpoints do not meet, and keeps nothing for it."""
+    # e: w -> v, a loop l at w, loops a and m at v
+    edges = [Edge("e", 1, "v", "w"), Edge("l", 1, "w", "w")]
+    edges += [Edge(name, 1, "v", "v") for name in ("a", "m")]
+    graph, report = validate_kgraph(KGraphPresentation(1, ["v", "w"], edges, []), (2,))
+    assert report
+    with pytest.raises(NotAPathError) as err:
+        graph.nf(seq)
+    assert str(err.value) == message
+    assert seq not in graph._nf_memo

@@ -376,3 +376,22 @@ def test_monoid_product_runs_the_reference_loop(monkeypatch):
     window = X.morphisms(3)
     assert list(X.associativity_failures(window)) == []
     assert calls == [len(window)] and swept == []
+
+
+def test_check_self_similar_runs_no_action_check(monkeypatch):
+    """check_self_similar reads the pair's shape from the one shape helper
+    that check_action also calls: it does not re-run check_action, which
+    extends every table entry."""
+    import zsalg.selfsim as selfsim
+
+    pairs = [(swap_pair(), (2,)), (swap2_pair(), (1, 1))]
+    calls, real = [], selfsim.check_action
+
+    def counted(pair):
+        calls.append(pair)
+        return real(pair)
+
+    monkeypatch.setattr(selfsim, "check_action", counted)
+    for pair, bound in pairs:
+        assert check_self_similar(pair, bound)
+    assert calls == []
