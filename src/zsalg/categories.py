@@ -15,11 +15,11 @@ windows memoized as id views (window).  The path and product categories
 answer compose from those rows too.  The window sweeps here run on those ids.
 The id view also keeps the answers to the path-pair questions.  A category
 whose divisors_into and meet are exact (kgraph, a product with a groupoid
-tail) keeps them in ``answers`` by id pair (kept), since they do not depend
-on the bound.  The brute-force defaults keep theirs on the Window they
-search: principal ideals by id and divisor ids by pair.  So an override and
-the window search, its reference, never read each other's answers.  What
-is kept lives as long as its category, which is one command.
+tail) keeps them in ``answers`` by id pair, meet by unordered pair (kept):
+they do not depend on the bound.  The brute-force defaults keep theirs on
+the Window they search: principal ideals by id and divisor ids by pair.  So
+an override and the window search, its reference, never read each other's
+answers.  What is kept lives as long as its category, which is one command.
 
 id_triples is the one sweep over the composable triples of a window of
 ids; the cocycle, homotopy and additive-generator checks run on it, and so
@@ -175,15 +175,18 @@ class SmallCategory:
             k = row[j] = None if ab is None else self.id_of(ab)
         return k
 
-    def kept(self, question, a, b, answer):
+    def kept(self, question, a, b, answer, symmetric=False):
         """answer(a, b), computed on the first ask of ``question`` about the
-        id pair of (a, b) and kept in ``answers`` for the category's
-        lifetime.  Only for answers that do not depend on the window bound;
-        the brute-force defaults below keep theirs on their Window."""
-        key = (question, self.id_of(a), self.id_of(b))
-        out = self.answers.get(key, _UNASKED)
+        id pair of (a, b), unordered if ``symmetric``, and kept in
+        ``answers`` for the category's lifetime.  Only for answers that do
+        not depend on the window bound; the brute-force defaults below keep
+        theirs on their Window."""
+        i, j = self.id_of(a), self.id_of(b)
+        if symmetric and j < i:
+            i, j, a, b = j, i, b, a
+        out = self.answers.get((question, i, j), _UNASKED)
         if out is _UNASKED:
-            out = self.answers[key] = answer(a, b)
+            out = self.answers[question, i, j] = answer(a, b)
         return out
 
     def window(self, bound) -> Window:

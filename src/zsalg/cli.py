@@ -177,7 +177,10 @@ class Workspace:
     def _decode_pathlike(self, spec, where):
         """The product morphism of a table's path, named ``where`` in errors."""
         if isinstance(spec, dict) and "vertex" in spec:
-            p = self.graph.identity(spec["vertex"])
+            v = spec["vertex"]
+            if v not in self.graph.vertices:
+                raise NotAPathError(f"{where}: no vertex {v!r}")
+            p = self.graph.identity(v)
         else:
             try:
                 p = self.graph.nf(tuple(spec))
@@ -334,9 +337,10 @@ def cmd_nf_mult(ws: Workspace, args):
         x = random_element(model, rng, gen_degree)
         y = random_element(model, rng, gen_degree)
         z = random_element(model, rng, gen_degree)
-        if ((x * y) * z).same_as(x * (y * z)):
+        xy = x * y
+        if (xy * z).same_as(x * (y * z)):
             assoc += 1
-        if ((x * y).star()).same_as(y.star() * x.star()):
+        if xy.star().same_as(y.star() * x.star()):
             invol += 1
     ok = assoc == args.triples and invol == args.triples
     return {

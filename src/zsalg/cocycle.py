@@ -22,19 +22,19 @@ GridFunction.  A rational form has a denominator D and gives each pair the
 integer exponent D*q; with rational scales of common denominator S the
 family's conductor is N = D*S, and fiber j's phase of an exponent E is the
 residue S*s_j*E mod N.  A form with a float entry gives float exponents.
-Every layer that prices a pair reads the family's two memos: exponent(c1,
-c2) per pair, and phases(E), the M fiber phases, per exponent; the window
-sweep keeps its exponents by id pair instead.
+Every layer that prices a pair reads the family's two memos: exponents(cat),
+the form's exponent per id pair of a category, and phases(E), the M fiber
+phases, per exponent; exponent(c1, c2) is the form's unkept answer.
 
 Every cocycle check reads one window sweep, _defects: the exponent of each
 identity pair, then the additive defect
 delta = q(b,c) + q(a,bc) - q(a,b) - q(ab,c) of each composable triple.  The
-sweep runs on the window's ids, asks the family's form once per distinct id
-pair, passes on only the items that are not zero, and builds morphisms only
-for a witness.  One zero rule decides a defect: an integer is zero iff it
-is 0, a float iff it is within 1e-12 of 0, and a NaN never.  q is an
-additive generator iff every item is zero; fiber j is a cocycle iff every
-item is zero or has exp(2*pi*i*s_j*delta) = 1.  Continuity between grid samples cannot be
+sweep runs on the window's ids, reads the family's id table, passes on only
+the items that are not zero, and builds morphisms only for a witness.
+One zero rule decides a defect: an integer is zero iff it is 0, a float iff
+it is within 1e-12 of 0, and a NaN never.  q is an additive generator iff
+every item is zero; fiber j is a cocycle iff every item is zero or has
+exp(2*pi*i*s_j*delta) = 1.  Continuity between grid samples cannot be
 certified from samples and is reported as a stated limitation.
 """
 
@@ -550,15 +550,27 @@ class CocycleFamily:
         if all(isinstance(s, (Fraction, int)) for s in self.scales):
             d, self._steps = _numerators(self.scales)
             self.cond = form.denominator * d
-        self._exponents = {}
+        self._tables = {}
         self._phases = {}
 
+    def exponents(self, cat: SmallCategory):
+        """The form's exponents on cat's ids, kept for the family's lifetime:
+        ``table[i][j]`` is q(morphs[i], morphs[j]), asked on first read; the
+        id None (an undefined composite) stands for None."""
+        table = self._tables.get(cat)
+        if table is None:
+            morphs, exponent = cat.morphs, self.form.exponent
+
+            def row(i):
+                a = None if i is None else morphs[i]
+                return _Memo(lambda j: exponent(a, None if j is None else morphs[j]))
+
+            table = self._tables[cat] = _Memo(row)
+        return table
+
     def exponent(self, c1, c2):
-        """The form's exponent of the pair, memoized per pair."""
-        out = self._exponents.get((c1, c2))
-        if out is None:
-            out = self._exponents[c1, c2] = self.form.exponent(c1, c2)
-        return out
+        """The form's exponent of the pair, unkept; the checks read exponents."""
+        return self.form.exponent(c1, c2)
 
     def phases(self, e):
         """The fiber phases exp(2*pi*i*scale_j*q) of an exponent e = D*q,
@@ -649,22 +661,10 @@ def _defects(family: CocycleFamily, cat: SmallCategory, bound):
 
     The items are, first, for each window morphism c, the exponents of the
     identity pairs (id_r(c), c) and (c, id_s(c)); then, for each composable
-    triple, the additive defect q(b,c) + q(a,bc) - q(a,b) - q(ab,c).  The
-    family's form is asked once per distinct id pair, and the answer is read
-    back by id pair; the family's own memo, keyed by morphism pairs, is left
-    to the layers that ask by morphisms.
+    triple, the additive defect q(b,c) + q(a,bc) - q(a,b) - q(ab,c), read
+    from the family's id table.
     """
-    ids, morphs, exponent = cat.window(bound).ids, cat.morphs, family.form.exponent
-
-    def morph(i):
-        # a partial category's composite may be None
-        return None if i is None else morphs[i]
-
-    def row(i):
-        """q(morphs[i], .) by the second id."""
-        return _Memo(lambda j: exponent(morph(i), morph(j)))
-
-    q, units = _Memo(row), {}
+    ids, q, units = cat.window(bound).ids, family.exponents(cat), {}
     for c in ids:
         r, s = cat.ranges[c], cat.sources[c]
         for v in (r, s):

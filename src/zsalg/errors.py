@@ -81,4 +81,5 @@ class InfiniteBasisError(ZsalgError):
 
 
 class NotAPathError(ZsalgError):
-    """An edge list with an unknown edge or adjacent edges that do not meet."""
+    """An edge list with an unknown edge or adjacent edges that do not meet,
+    or a vertex path at a vertex the graph does not have."""

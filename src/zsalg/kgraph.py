@@ -434,8 +434,9 @@ class KGraph(SmallCategory):
 
     # -- the SmallCategory divisibility and splitting protocol, answered by
     #    factorization.  The answers are exact, so the window bound is not
-    #    needed, and each is kept per id pair (SmallCategory.kept): divides
-    #    reads divisors_into's answer and meets reads meet's.
+    #    needed, and each is kept per id pair (SmallCategory.kept), meet's
+    #    per unordered pair since MCE(mu, nu) = MCE(nu, mu) in paths order:
+    #    divides reads divisors_into's answer and meets reads meet's.
 
     def divisors_into(self, a: Path, b: Path, bound):
         return list(self.kept("divisors_into", a, b, self._cofactor))
@@ -455,10 +456,7 @@ class KGraph(SmallCategory):
         return bool(self.meet(a, b, bound)[0])
 
     def meet(self, c1: Path, c2: Path, bound):
-        return self.kept("meet", c1, c2, self._mce_meet)
-
-    def _mce_meet(self, c1: Path, c2: Path):
-        return self.mce(c1, c2), "MCE"
+        return self.kept("meet", c1, c2, lambda a, b: (self.mce(a, b), "MCE"), symmetric=True)
 
     def peel_right(self, m: Path):
         if len(m.edges) <= 1:

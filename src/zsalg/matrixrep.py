@@ -263,26 +263,28 @@ class _Table:
         exponent is an int.  So row i is T_basis[i].
         d(c x) = d(c) + d(c |> x), so a pair whose degrees leave the window
         is skipped without being composed, and nothing outside the window is
-        interned.  The family is asked once per pair, and its phases once
-        per exponent."""
+        interned.  The exponents are read from the family's id table
+        (CocycleFamily.exponents), and its phases once per exponent."""
         zs, family, dim, ids = self.zs, self.family, self.dim, self._ids
+        by_pair, extend, sizes = family.exponents(zs), zs.pair.extend_ids, zs.D.sizes
         position = {k: n for n, k in enumerate(ids)}
         by_range = collections.defaultdict(list)
         for n, k in enumerate(ids):
             by_range[zs.ranges[k]].append(n)
         rows, columns, outs, values = [], [], [], []
-        for i, c in enumerate(self.basis):
-            for j in by_range[zs.sources[ids[i]]]:
-                x = self.basis[j]
-                moved, _ = zs.pair.extend(c.tail, x.path)
-                if not deg_le(deg_add(c.path.degree, moved.degree), self.bound):
+        for i, c in enumerate(ids):
+            row, degree, tail = by_pair[c], sizes[zs.path_ids[c]], zs.tail_ids[c]
+            for j in by_range[zs.sources[c]]:
+                x = ids[j]
+                moved, _ = extend(tail, zs.path_ids[x])
+                if not deg_le(deg_add(degree, sizes[moved]), self.bound):
                     continue
-                out = position.get(zs.compose_ids(ids[i], ids[j]))
+                out = position.get(zs.compose_ids(c, x))
                 if out is not None:
                     rows.append(i)
                     columns.append(j)
                     outs.append(out)
-                    values.append(family.exponent(c, x))
+                    values.append(row[x])
         self.integral = all(type(q) is int for q in values)
         # one column of fiber values per distinct exponent
         codes, distinct = [], {}
@@ -539,19 +541,16 @@ def _relation_pass(rep: TruncatedRep, exhaustive_sets):
     add("R2_source_guarded", source_projection, dim)
 
     # range relation: sum over minimal common extensions (exact), and the
-    # same via the independent-set join (the two forms must agree); one MCE
-    # per window path pair, and one range per path for all fibers, with a
-    # zero range last that pads the pairs with fewer extensions
+    # same via the independent-set join (the two forms must agree); the
+    # k-graph's kept meet, one MCE per unordered window path pair, and one
+    # range per path for all fibers, with a zero range last that pads the
+    # pairs with fewer extensions
     paths = sorted({x.path for x in rep.basis}, key=D.sort_key)
     position, npaths = {p: n for n, p in enumerate(paths)}, len(paths)
     path_ops = [rep.index[zs.from_path(p)] for p in paths]
     path_ranges = _ranges(targets[path_ops], weights[:, path_ops], pad=True)
     extensions = _padded(
-        [
-            [position[lam] for lam in (D.mce(mu, nu) if mu.rng == nu.rng else ())]
-            for mu in paths
-            for nu in paths
-        ],
+        [[position[lam] for lam in D.meet(mu, nu, None)[0]] for mu in paths for nu in paths],
         npaths,
     )
     mus, nus = np.divmod(np.arange(npaths * npaths), npaths)

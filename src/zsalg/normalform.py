@@ -126,6 +126,9 @@ class AlgebraModel:
         self.G = zs.C
         self.pair = zs.pair
         self.family = family
+        # the family's exponent of two product morphisms, from its id table
+        q = family.exponents(zs)
+        self._exponent = lambda a, b: q[zs.id_of(a)][zs.id_of(b)]
         self.m = family.m
         self.level_bound = tuple(level_bound)
         self._fiber_cache = {}
@@ -186,7 +189,7 @@ class AlgebraModel:
         extension is appended to it, with the data every coefficient factor
         came from.
         """
-        e, phases = self.family.exponent, self.family.phases
+        e, phases = self._exponent, self.family.phases
         path, tail = self.zs.from_path, self.zs.from_tail
         bound = self.level_bound
         for (l1, g1, m1), f1 in xterms:
@@ -262,7 +265,7 @@ class AlgebraModel:
         out = {}
         for (lam, g, mu), f in x.terms.items():
             ginv = self.G.inverse(g)
-            tw = -self.family.exponent(self.zs.from_tail(g), self.zs.from_tail(ginv))
+            tw = -self._exponent(self.zs.from_tail(g), self.zs.from_tail(ginv))
             coeff = f.conj().times_phases(self.family.phases(tw))
             key = (mu, ginv, lam)
             out[key] = out[key] + coeff if key in out else coeff
@@ -277,7 +280,7 @@ class AlgebraModel:
             raise NoSourcesRequiredError("level raising needs no sources on the window")
         if not deg_le(n, self.level_bound):
             raise WindowExceededError(f"level {n} exceeds window {self.level_bound}")
-        e, path, tail = self.family.exponent, self.zs.from_path, self.zs.from_tail
+        e, path, tail = self._exponent, self.zs.from_path, self.zs.from_tail
         out = {}
         for (lam, g, mu), f in x.terms.items():
             if not deg_le(lam.degree, n):

@@ -98,45 +98,50 @@ class ActionTable:
 
 
 class MatchedPair:
-    """An acting/acted pair of categories with generator action tables."""
+    """An acting/acted pair of categories with generator action tables,
+    each extension kept once, by ids (extend_ids)."""
 
     def __init__(self, acting: SmallCategory, acted: SmallCategory, table: ActionTable):
         self.acting = acting
         self.acted = acted
         self.table = table
-        self._memo = {}
+        self._extensions = {}
 
     def extend(self, c, d):
         """(c |> d, c <| d), by recursion through the interchange identities."""
-        key = (c, d)
-        out = self._memo.get(key)
+        moved, rest = self.extend_ids(self.acting.id_of(c), self.acted.id_of(d))
+        return (None if moved is None else self.acted.morphs[moved]), self.acting.morphs[rest]
+
+    def extend_ids(self, t, p):
+        """(id of c |> d, id of c <| d) for the acting morphism c of id t and
+        the acted morphism d of id p, kept per id pair; the first is None
+        where a broken action leaves c |> d undefined."""
+        key = (t, p)
+        out = self._extensions.get(key)
         if out is not None:
             return out
         C, D = self.acting, self.acted
+        c, d = C.morphs[t], D.morphs[p]
         if D.is_identity(d):
-            out = (D.identity(C.r(c)), c)
+            out = (D.id_of(D.identity(C.ranges[t])), t)
         elif C.is_identity(c):
-            out = (d, C.identity(D.s(d)))
+            out = (p, C.id_of(C.identity(D.sources[p])))
+        elif (split := C.peel_right(c)) is not None:
+            c1, gamma = map(C.id_of, split)
+            mid, tail = self.extend_ids(gamma, p)
+            top, head = self.extend_ids(c1, mid)
+            out = (top, C.compose_ids(head, tail))
+        elif (split := D.peel_left(d)) is not None:
+            delta, d2 = map(D.id_of, split)
+            first, c_after = self.extend_ids(t, delta)
+            second, c_final = self.extend_ids(c_after, d2)
+            out = (D.compose_ids(first, second), c_final)
         else:
-            split_c = C.peel_right(c)
-            if split_c is not None:
-                c1, gamma = split_c
-                mid, tail = self.extend(gamma, d)
-                top, head = self.extend(c1, mid)
-                out = (top, C.compose(head, tail))
-            else:
-                split_d = D.peel_left(d)
-                if split_d is not None:
-                    delta, d2 = split_d
-                    first, c_after = self.extend(c, delta)
-                    second, c_final = self.extend(c_after, d2)
-                    out = (D.compose(first, second), c_final)
-                else:
-                    k = (C.generator_key(c), D.generator_key(d))
-                    if k not in self.table.left or k not in self.table.right:
-                        raise UndefinedGeneratorError(f"no action entry for {k}")
-                    out = (self.table.left[k], self.table.right[k])
-        self._memo[key] = out
+            k = (C.generator_key(c), D.generator_key(d))
+            if k not in self.table.left or k not in self.table.right:
+                raise UndefinedGeneratorError(f"no action entry for {k}")
+            out = (D.id_of(self.table.left[k]), C.id_of(self.table.right[k]))
+        self._extensions[key] = out
         return out
 
     def left_act(self, c, d):
@@ -326,8 +331,8 @@ class ZSCategory(SmallCategory):
     reads back; a morphism it did not intern is looked up by its parts, so
     no other category's id reads a row.  ``path_ids`` and ``tail_ids`` hold
     the parts of every id, and compose_ids composes on them: the extension
-    (tail |> path, tail <| path) kept by (tail id, path id) and made once
-    through MatchedPair.extend, the path part through D.compose_ids and the
+    (tail |> path, tail <| path) that the pair keeps by (tail id, path id)
+    (MatchedPair.extend_ids), the path part through D.compose_ids and the
     tail through C.compose_ids.
     """
 
@@ -341,7 +346,7 @@ class ZSCategory(SmallCategory):
         self.C = pair.acting
         self._groupoid_tailed = report.details["groupoid_tail"]
         self.path_ids, self.tail_ids = [], []
-        self._interned, self._extensions, self._tails = {}, {}, {}
+        self._interned, self._tails = {}, {}
         # stamped on interned morphisms; not self, so that they hold no
         # reference cycle back to the category
         self._token = object()
@@ -419,16 +424,6 @@ class ZSCategory(SmallCategory):
             return m._id
         return self.intern(m.path, m.tail)._id
 
-    def extend_ids(self, t, p):
-        """(id of c |> d, id of c <| d) for the tail c of id t and the path d
-        of id p, extended once per id pair."""
-        key = (t, p)
-        out = self._extensions.get(key)
-        if out is None:
-            moved, tail = self.pair.extend(self.C.morphs[t], self.D.morphs[p])
-            out = self._extensions[key] = (self.D.id_of(moved), self.C.id_of(tail))
-        return out
-
     def compose_ids(self, i, j):
         row = self.rows[i]
         k = row.get(j)
@@ -436,7 +431,7 @@ class ZSCategory(SmallCategory):
             # only composable pairs are stored, so a hit needs no test
             if self.sources[i] != self.ranges[j]:
                 return None
-            moved, tail = self.extend_ids(self.tail_ids[i], self.path_ids[j])
+            moved, tail = self.pair.extend_ids(self.tail_ids[i], self.path_ids[j])
             k = row[j] = self._intern_ids(
                 self.D.compose_ids(self.path_ids[i], moved),
                 self.C.compose_ids(tail, self.tail_ids[j]),
@@ -471,7 +466,7 @@ class ZSCategory(SmallCategory):
         # RSS by about 2.5 MB
         import numpy as np
 
-        D, C = self.D, self.C
+        D, C, extend = self.D, self.C, self.pair.extend_ids
 
         def extensions(path_ids):
             """(moved, rest) tables: for tail id t and position n, the ids of
@@ -482,7 +477,7 @@ class ZSCategory(SmallCategory):
             for n, p in enumerate(path_ids.tolist()):
                 for t in tails:
                     if p >= 0 and C.sources[t] == D.ranges[p]:
-                        moved[t, n], rest[t, n] = self.extend_ids(t, p)
+                        moved[t, n], rest[t, n] = extend(t, p)
             return moved, rest
 
         def path_products(left, right):
@@ -557,11 +552,11 @@ class ZSCategory(SmallCategory):
 
     # -- divisibility and meets.  With a groupoid tail, tails are invertible
     #    and never change a principal ideal, so every question lifts from
-    #    the path part, exactly.  The lifted divisors_into and meet answers
-    #    are kept per id pair (SmallCategory.kept); divides and meets need
-    #    no lift and read the path part's kept answers, one per path pair
-    #    whatever the tails.  Otherwise the brute-force defaults apply, with their
-    #    answers kept on the window.
+    #    the path part, exactly.  The lifted divisors_into answers are kept
+    #    per id pair and meet's per unordered id pair (SmallCategory.kept);
+    #    divides and meets need no lift and read the path part's kept
+    #    answers, one per path pair whatever the tails.  Otherwise the
+    #    brute-force defaults apply, with their answers kept on the window.
 
     def divisors_into(self, a: ZSMorphism, b: ZSMorphism, bound):
         if not self.is_groupoid_tailed():
@@ -594,7 +589,7 @@ class ZSCategory(SmallCategory):
     def meet(self, c1: ZSMorphism, c2: ZSMorphism, bound):
         if not self.is_groupoid_tailed():
             return super().meet(c1, c2, bound)
-        return self.kept("meet", c1, c2, self._lifted_meet)
+        return self.kept("meet", c1, c2, self._lifted_meet, symmetric=True)
 
     def _lifted_meet(self, c1: ZSMorphism, c2: ZSMorphism):
         generators, _ = self.D.meet(c1.path, c2.path, None)

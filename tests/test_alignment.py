@@ -116,6 +116,30 @@ def test_overrides_match_brute_force_defaults(name):
             assert equivalent_sets(list(fast.generators), list(slow), cat, bound)
 
 
+@pytest.mark.parametrize("name", ["k1", "swap"])
+def test_meet_is_kept_once_per_unordered_pair(name, monkeypatch):
+    """meet(a, b) then meet(b, a) computes one MCE and gives one answer,
+    on a k-graph and on a product with a groupoid tail."""
+    if name == "k1":
+        cat = graph = kgraph_k1((3, 3))
+        a, b = graph.nf(("f",)), graph.nf(("e",))
+    else:
+        cat = ZSCategory(swap_pair())
+        graph = cat.D
+        a, b = (cat.from_path(graph.nf(edges)) for edges in (("a", "a"), ("a",)))
+    calls = []
+    mce = type(graph).mce
+
+    def counting(self, mu, nu):
+        calls.append((mu, nu))
+        return mce(self, mu, nu)
+
+    monkeypatch.setattr(type(graph), "mce", counting)
+    first = cat.meet(a, b, None)
+    assert first[0] and cat.meet(b, a, None) == first
+    assert len(calls) == 1
+
+
 def test_tail_invariance_of_meets():
     zs = ZSCategory(swap_pair())
     validate_category(zs, (3,))

@@ -7,7 +7,9 @@ import pytest
 
 from zsalg.cli import Workspace, main
 from zsalg.cocycle import linear_homotopy, verify_homotopy
+from zsalg.errors import NotAPathError
 from zsalg.fixtures import FIXTURE_DOCS
+from zsalg.normalform import AlgebraModel
 
 
 def run(tmp_path, *argv):
@@ -776,3 +778,59 @@ def test_table_entry_that_is_no_path_exits_two(tmp_path, command, section, colum
     assert code == 2
     assert report["error"] == "NotAPathError"
     assert report["message"] == f"{section}.table[1].{column}: {message}"
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("cocycle-check", "cocycle"),
+        ("rep-check", "cocycle"),
+        ("homotopy-check", "homotopy.generator"),
+        ("rep-check", "homotopy.generator"),
+    ],
+)
+def test_table_entry_at_an_unknown_vertex_exits_two(tmp_path, command, section):
+    """A table entry {"vertex": v} at a vertex the graph does not have is
+    malformed input, named with its entry, as a non-path edge list is."""
+    table = {"table": [{"c1": {"vertex": "zz"}, "c2": ["m"], "phase": "1/4"}]}
+    doc = dict(_NOT_A_PATH_DOC)
+    if section == "cocycle":
+        doc["cocycle"] = table
+    else:
+        doc["homotopy"] = {"generator": table, "grid": 3}
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(tmp_path, command, "--workspace", str(path))
+    assert code == 2
+    assert report["error"] == "NotAPathError"
+    assert report["message"] == f"{section}.table[0].c1: no vertex 'zz'"
+
+
+def test_unknown_vertex_entry_interns_no_path():
+    """Refusing {"vertex": "zz"} builds no vertex path at 'zz'."""
+    entry = {"c1": {"vertex": "zz"}, "c2": ["m"], "phase": 0}
+    doc = dict(_NOT_A_PATH_DOC, cocycle={"table": [entry]})
+    ws = Workspace(doc)
+    before = len(ws.graph.morphs)
+    with pytest.raises(NotAPathError, match="no vertex 'zz'"):
+        ws.cocycle()
+    assert len(ws.graph.morphs) == before
+    assert all(p.rng != "zz" for p in ws.graph.morphs)
+
+
+def test_nf_mult_makes_five_products_per_triple(tmp_path, monkeypatch):
+    """nf-mult computes x * y once per triple, for both the associativity
+    and the involution check: 5 products per triple, not 6."""
+    calls = []
+    mul = AlgebraModel.mul
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return mul(self, x, y)
+
+    monkeypatch.setattr(AlgebraModel, "mul", counting)
+    code, report = run(tmp_path, "nf-mult", "--fixture", "swap", "--triples", "7")
+    assert code == 0
+    (check,) = report["checks"]
+    assert check["associative"] == check["anti_multiplicative"] == "7/7"
+    assert len(calls) == 5 * 7

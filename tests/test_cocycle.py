@@ -340,8 +340,8 @@ def test_additive_check_matches_exponent_oracle(name, h, cat, bound):
 def test_sweep_asks_each_id_pair_once(name, h, cat, bound, monkeypatch):
     """The defect sweep reads its exponents by id pair: each distinct pair
     of the sweep reaches the family's form exactly once, and a pair whose
-    exponent the sweep never needs is not asked.  The family's morphism
-    memo is not filled by the sweep."""
+    exponent the sweep never needs is not asked.  The asks are exactly the
+    filled entries of the family's id table."""
     calls = {}
     exponent = h.form.exponent
 
@@ -351,7 +351,13 @@ def test_sweep_asks_each_id_pair_once(name, h, cat, bound, monkeypatch):
 
     monkeypatch.setattr(h.form, "exponent", counting)
     verify_homotopy(h, cat, bound)
-    assert h._exponents == {}
+    table = h.exponents(cat)
+
+    def morph(i):
+        return None if i is None else cat.morphs[i]
+
+    filled = {(morph(i), morph(j)) for i, row in table.items() for j in row}
+    assert set(calls) == filled and sum(map(len, table.values())) == len(calls)
     window = cat.morphisms(bound)
     needed = set()
     for c in window:

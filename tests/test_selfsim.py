@@ -41,6 +41,25 @@ def test_extend_flip_on_word():
     assert (str(moved), res) == ("ba", "g")
 
 
+def test_product_composes_through_the_pairs_extensions():
+    """One extension memo: the product composes through the pair's
+    extensions, kept by (tail id, path id), and keeps none of its own; so
+    extending the parts of every composed window pair by morphisms makes no
+    new entry and reads the same answer."""
+    pair = swap2_pair()
+    zs = ZSCategory(pair)
+    window = zs.morphisms((2, 2))
+    pairs = [(a, b) for a in window for b in window if zs.s(a) == zs.r(b)]
+    for a, b in pairs:
+        zs.compose(a, b)
+    kept = dict(pair._extensions)
+    for a, b in pairs:
+        moved, rest = kept[pair.acting.id_of(a.tail), pair.acted.id_of(b.path)]
+        assert pair.extend(a.tail, b.path) == (pair.acted.morphs[moved], pair.acting.morphs[rest])
+    assert pair._extensions == kept
+    assert not hasattr(zs, "_extensions")
+
+
 def test_extend_units():
     pair = swap_pair()
     d = pair.acted.nf(("a",))
