@@ -60,7 +60,6 @@ from .cocycle import (
     ConstantHomotopy,
     GridFunction,
     LinearHomotopy,
-    Phase,
     PhaseSum,
     RotationForm,
     TableForm,

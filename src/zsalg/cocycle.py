@@ -1,9 +1,9 @@
 """Circle-valued 2-cocycles, grid-sampled homotopies, and phase arithmetic.
 
-Phases are points of the circle: exp(2*pi*i*r/N) for an integer residue r
-mod a conductor N when every input is rational, exp(2*pi*i*x) for a float x
-otherwise.  Exact comparisons are integer comparisons; float values compare
-with a 1e-12 tolerance.
+A phase, a point of the circle, is a one-term PhaseSum: exp(2*pi*i*r/N)
+for an integer residue r mod a conductor N when every input is rational,
+the float exp(2*pi*i*x) otherwise.  Exact comparisons are integer
+comparisons; float values compare with a 1e-12 tolerance.
 
 Coefficients of the exact algebra model are finite sums of phases
 (PhaseSum): integer or rational coefficients on the residues mod N, so
@@ -127,74 +127,6 @@ class _Memo(dict):
 _field = functools.cache(_Cyclotomic)
 
 
-class Phase:
-    """A unit complex number: exp(2*pi*i*res/cond) when exact, with res an
-    int residue mod the conductor cond; exp(2*pi*i*res) for a float res in
-    [0, 1), with cond None.
-
-    ``Phase(x)`` takes x mod 1 for a Fraction, an int or a float;
-    ``Phase.residue(r, n)`` is exp(2*pi*i*r/n) without a Fraction.
-    """
-
-    __slots__ = ("res", "cond")
-
-    def __init__(self, value):
-        if isinstance(value, (Fraction, int)):
-            value = Fraction(value)
-            self.cond = value.denominator
-            self.res = value.numerator % self.cond
-        else:
-            self.cond = None
-            self.res = float(value) % 1.0
-
-    @staticmethod
-    def residue(res, cond):
-        p = object.__new__(Phase)
-        p.res, p.cond = res % cond, cond
-        return p
-
-    @property
-    def value(self):
-        """The phase in [0, 1): a Fraction when exact, else a float."""
-        return self.res if self.cond is None else Fraction(self.res, self.cond)
-
-    def __mul__(self, other):
-        n1, n2 = self.cond, other.cond
-        if n1 is None or n2 is None:
-            return Phase(self.value + other.value)
-        n = n1 if n1 == n2 else math.lcm(n1, n2)
-        return Phase.residue(self.res * (n // n1) + other.res * (n // n2), n)
-
-    def conj(self):
-        if self.cond is None:
-            return Phase(-self.res)
-        return Phase.residue(-self.res, self.cond)
-
-    def complex_value(self):
-        if self.cond is None:
-            return cmath.exp(2j * cmath.pi * self.res)
-        return _field(self.cond).roots[self.res]
-
-    def is_one(self):
-        if self.cond is not None:
-            return self.res == 0
-        return abs(self.complex_value() - 1.0) <= TOL
-
-    def same_as(self, other):
-        if self.cond is not None and other.cond is not None:
-            return self.res * other.cond == other.res * self.cond
-        return abs(self.complex_value() - other.complex_value()) <= TOL
-
-    def __eq__(self, other):
-        return isinstance(other, Phase) and self.value == other.value
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"Phase({self.value})"
-
-
 def _exact(terms, cond):
     """An exact PhaseSum from a residue -> coefficient dict that is already
     reduced mod cond and has no zero coefficient."""
@@ -208,7 +140,8 @@ def _lifted(terms, k):
 
 
 class PhaseSum:
-    """A finite rational combination of exact phases, or a float.
+    """A finite rational combination of exact phases, or a float; a phase
+    is a one-term sum, ``PhaseSum.e(x)`` or ``PhaseSum.residue(r, n)``.
 
     Supports the coefficient arithmetic of the normal-form algebra: sums,
     products, conjugation.  A sum is exact or float, never both.  An exact
@@ -236,6 +169,8 @@ class PhaseSum:
         self.terms = {r: c for r, c in self.terms.items() if c}
         self.rem = complex(rem)
         self.cond = cond
+        if self.rem and self.terms:  # a float part makes the whole sum float
+            self.terms, self.rem, self.cond = {}, self.value(), 1
 
     @staticmethod
     def zero():
@@ -246,10 +181,17 @@ class PhaseSum:
         return _exact({0: 1}, 1)
 
     @staticmethod
-    def from_phase(p: Phase):
-        if p.cond is not None:
-            return _exact({p.res: 1}, p.cond)
-        return PhaseSum(rem=p.complex_value())
+    def residue(r, n):
+        """The phase exp(2*pi*i*r/n), exactly."""
+        return _exact({r % n: 1}, n)
+
+    @staticmethod
+    def e(x):
+        """The phase exp(2*pi*i*x): exact for a Fraction or an int, else float."""
+        if isinstance(x, (Fraction, int)):
+            x = Fraction(x)
+            return PhaseSum.residue(x.numerator, x.denominator)
+        return PhaseSum(rem=cmath.exp(2j * cmath.pi * (float(x) % 1.0)))
 
     def _common(self, other):
         """Both term dicts lifted to the lcm of the two conductors."""
@@ -281,8 +223,6 @@ class PhaseSum:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, Phase):
-            other = PhaseSum.from_phase(other)
         if self.rem or other.rem:
             return PhaseSum(rem=self.value() * other.value())
         n, a, b = self._common(other)
@@ -310,17 +250,21 @@ class PhaseSum:
         n = self.cond
         return _exact({-r % n: c for r, c in self.terms.items()}, n)
 
-    def times_phase(self, p: Phase):
-        """Rotate by a unit phase (cheaper than a general product)."""
-        if p.cond is None:
-            return PhaseSum(rem=self.value() * p.complex_value())
+    def times_phase(self, p):
+        """self * p for a phase p, a one-term sum: an exact phase rotates
+        the residues, cheaper than a general product."""
+        if p.rem:
+            return PhaseSum(rem=self.value() * p.rem)
         if self.rem:
-            return PhaseSum(rem=self.rem * p.complex_value())
-        if p.res == 0:
+            return PhaseSum(rem=self.rem * p.value())
+        ((res, c),) = p.terms.items()
+        if c != 1:
+            return self * p
+        if res == 0:
             return self
         n1, n2 = self.cond, p.cond
         n = n1 if n1 == n2 else math.lcm(n1, n2)
-        k, shift = n // n1, p.res * (n // n2)
+        k, shift = n // n1, res * (n // n2)
         return _exact({(r * k + shift) % n: c for r, c in self.terms.items()}, n)
 
     def value(self):
@@ -356,6 +300,10 @@ class PhaseSum:
 
     def same_as(self, other):
         return (self - other).is_zero()
+
+    def is_one(self):
+        """Whether the sum is 1, by the zero test of its difference from 1."""
+        return self.same_as(PhaseSum.one())
 
     def is_unimodular(self):
         """|u| = 1: exactly u conj(u) = 1 for an exact sum, within 1e-12
@@ -398,10 +346,6 @@ class GridFunction:
     def zero(m):
         return GridFunction([PhaseSum.zero()] * m)
 
-    @staticmethod
-    def from_phases(phases):
-        return GridFunction([PhaseSum.from_phase(p) for p in phases])
-
     @property
     def m(self):
         return len(self.samples)
@@ -427,7 +371,7 @@ class GridFunction:
         return GridFunction(a.scale(q) for a in self.samples)
 
     def times_phases(self, phases):
-        """Pointwise rotation by a vector of unit phases."""
+        """Pointwise rotation by a vector of phases, one-term sums."""
         return GridFunction(a.times_phase(p) for a, p in zip(self.samples, phases))
 
     def at(self, j):
@@ -573,26 +517,31 @@ class CocycleFamily:
         return self.form.exponent(c1, c2)
 
     def phases(self, e):
-        """The fiber phases exp(2*pi*i*scale_j*q) of an exponent e = D*q,
-        memoized per exponent."""
+        """The fiber phases exp(2*pi*i*scale_j*q) of an exponent e = D*q as
+        one-term sums, memoized per exponent: the residues S*scale_j*e mod N
+        for an int e of a family with a conductor, else PhaseSum.e(scale_j*q)."""
         out = self._phases.get(e)
         if out is None:
             if type(e) is int and self.cond is not None:
-                out = tuple(Phase.residue(a * e, self.cond) for a in self._steps)
+                out = tuple(PhaseSum.residue(a * e, self.cond) for a in self._steps)
             else:
                 q = Fraction(e, self.form.denominator) if type(e) is int else e
-                out = tuple(Phase(s * q) for s in self.scales)
+                out = tuple(PhaseSum.e(s * q) for s in self.scales)
             self._phases[e] = out
         return out
 
-    def phase(self, c1, c2) -> Phase:
-        """The pair's phase in the first fiber, which is the only one of a cocycle."""
+    def phase(self, c1, c2) -> PhaseSum:
+        """The pair's phase, a one-term sum, in the first fiber, which is the
+        only one of a cocycle."""
         return self.phases(self.exponent(c1, c2))[0]
 
     def cocycle_at(self, j) -> "CocycleFamily":
-        """Fiber j, as the one-fiber family at its scale."""
+        """Fiber j, as the one-fiber family at its scale; it shares this
+        family's exponent tables, which depend on the form only."""
         s = self.scales[j]
-        return CocycleFamily(self.form, (s,), f"{self.name}@t={s}")
+        fiber = CocycleFamily(self.form, (s,), f"{self.name}@t={s}")
+        fiber._tables = self._tables
+        return fiber
 
     def restrict(self, embed):
         return CocycleFamily(_RestrictedForm(self.form, embed), self.scales, f"{self.name}|sub")

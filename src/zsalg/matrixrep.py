@@ -293,7 +293,7 @@ class _Table:
         phases = np.zeros((len(self.grid), len(distinct)), dtype=complex)
         for n, q in enumerate(distinct):
             fiber = family.phases(q)
-            phases[:, n] = [fiber[g].complex_value() for g in self.grid]
+            phases[:, n] = [fiber[g].value() for g in self.grid]
         targets = np.full((dim, dim), -1)
         weights = np.zeros((len(self.grid), dim, dim), dtype=complex)
         exponents = np.zeros((dim, dim), dtype=object)

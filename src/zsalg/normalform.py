@@ -20,7 +20,7 @@ algebra: level raising certifies every identity this toolkit asserts.
 
 from __future__ import annotations
 
-from .cocycle import CocycleFamily, GridFunction, Phase
+from .cocycle import CocycleFamily, GridFunction, PhaseSum
 from .errors import (
     DegreeMismatchError,
     NoSourcesRequiredError,
@@ -360,9 +360,7 @@ def random_element(model: AlgebraModel, rng, gen_degree=None):
         lam = rng.choice(window)
         g = rng.choice(tails[D.s(lam)])
         mu = rng.choice(by_source[G.s(g)])
-        coeff = GridFunction.from_phases(
-            [Phase.residue(rng.randrange(24), 24) for _ in range(model.m)]
-        )
+        coeff = GridFunction([PhaseSum.residue(rng.randrange(24), 24) for _ in range(model.m)])
         key = (lam, g, mu)
         terms[key] = terms[key] + coeff if key in terms else coeff
     return Element(model, terms)

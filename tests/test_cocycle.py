@@ -13,7 +13,6 @@ from zsalg.cocycle import (
     ConstantHomotopy,
     GridFunction,
     LinearHomotopy,
-    Phase,
     PhaseSum,
     RotationForm,
     TableForm,
@@ -34,17 +33,26 @@ def rot_theta(theta):
     return Cocycle(RotationForm([[0, 0], [theta, 0]]), name=f"rot({theta})")
 
 
+def turn(p):
+    """The angle in [0, 1) of an exact phase, in turns: r/N for its one
+    residue r mod N of coefficient 1."""
+    ((r, c),) = p.terms.items()
+    assert c == 1 and p.exact
+    return Fraction(r, p.cond)
+
+
 def test_phase_arithmetic_exact():
-    i = Phase(Fraction(1, 4))
-    assert (i * i).value == Fraction(1, 2)
-    assert i.conj().value == Fraction(3, 4)
-    assert abs(i.complex_value() - 1j) < 1e-15
-    assert Phase(Fraction(5, 4)).value == Fraction(1, 4)
+    i = PhaseSum.e(Fraction(1, 4))
+    assert turn(i * i) == Fraction(1, 2)
+    assert turn(i.conj()) == Fraction(3, 4)
+    assert abs(i.value() - 1j) < 1e-15
+    five_quarters = PhaseSum.e(Fraction(5, 4))
+    assert five_quarters.terms == {1: 1} and five_quarters.cond == 4
 
 
 def test_phase_sum_algebra():
-    i = PhaseSum.from_phase(Phase(Fraction(1, 4)))
-    mi = PhaseSum.from_phase(Phase(Fraction(3, 4)))
+    i = PhaseSum.e(Fraction(1, 4))
+    mi = PhaseSum.e(Fraction(3, 4))
     assert (i * mi).same_as(PhaseSum.one())
     assert (i + mi).is_zero()
     assert i.conj().same_as(mi)
@@ -54,17 +62,27 @@ def test_phase_sum_algebra():
 
 def test_float_operand_collapses_phase_sum():
     """A phase sum is exact or float, never both."""
-    exact = PhaseSum.from_phase(Phase(Fraction(1, 4))) + PhaseSum.one()
-    i_float = PhaseSum.from_phase(Phase(0.25))
+    exact = PhaseSum.e(Fraction(1, 4)) + PhaseSum.one()
+    i_float = PhaseSum.e(0.25)
     for mixed, value in ((exact + i_float, 1 + 2j), (exact * i_float, -1 + 1j)):
         assert not mixed.terms and abs(mixed.rem - value) <= 1e-12
     assert exact.terms and not exact.rem
 
 
+def test_constructor_collapses_terms_with_a_float_part():
+    """Terms given with a nonzero float part collapse to the float sum of
+    their value, as a float operand of + and * does."""
+    zero = PhaseSum({0: 1}, rem=-1)
+    assert zero.is_zero() and not zero.terms
+    two_i = PhaseSum({1: 1}, rem=1j, cond=4)
+    assert not two_i.terms and abs(two_i.rem - 2j) <= 1e-12
+    assert two_i.same_as(PhaseSum.e(Fraction(1, 4)).scale(2))
+
+
 def test_grid_function_star_algebra_laws():
     one = GridFunction.one(5)
-    f = GridFunction.from_phases([Phase(Fraction(j, 7)) for j in range(5)])
-    g = GridFunction.from_phases([Phase(Fraction(j, 3)) for j in range(5)])
+    f = GridFunction([PhaseSum.e(Fraction(j, 7)) for j in range(5)])
+    g = GridFunction([PhaseSum.e(Fraction(j, 3)) for j in range(5)])
     assert (f * g).same_as(g * f)
     assert (f * one).same_as(f)
     assert (f * f.conj()).same_as(one)
@@ -78,8 +96,8 @@ def test_rotation_quarter_values():
     sigma = rot_theta(Fraction(1, 4))
     e = k1.paths("v", (1, 0))[0]
     f = k1.paths("v", (0, 1))[0]
-    assert sigma.phase(f, e).value == Fraction(1, 4)  # i
-    assert sigma.phase(e, f).value == 0
+    assert turn(sigma.phase(f, e)) == Fraction(1, 4)  # i
+    assert turn(sigma.phase(e, f)) == 0
     assert verify_cocycle(sigma, k1, (2, 2))
 
 
@@ -146,8 +164,8 @@ def test_linear_homotopy_fibers():
     hom = linear_homotopy(RotationForm([[0, 0], [Fraction(1, 4), 0]]), k1, (2, 2), m=11)
     e = k1.paths("v", (1, 0))[0]
     f = k1.paths("v", (0, 1))[0]
-    assert hom.cocycle_at(10).phase(f, e).value == Fraction(1, 4)
-    assert hom.cocycle_at(5).phase(f, e).value == Fraction(1, 8)
+    assert turn(hom.cocycle_at(10).phase(f, e)) == Fraction(1, 4)
+    assert turn(hom.cocycle_at(5).phase(f, e)) == Fraction(1, 8)
     assert hom.cocycle_at(0).phase(f, e).is_one()
     assert verify_homotopy(hom, k1, (2, 2))
 
@@ -157,7 +175,7 @@ def test_constant_homotopy():
     fam = ConstantHomotopy(rot_theta(Fraction(1, 4)), m=3)
     f = k1.paths("v", (0, 1))[0]
     e = k1.paths("v", (1, 0))[0]
-    assert [fam.cocycle_at(j).phase(f, e).value for j in range(fam.m)] == [Fraction(1, 4)] * 3
+    assert [turn(fam.cocycle_at(j).phase(f, e)) for j in range(fam.m)] == [Fraction(1, 4)] * 3
     assert verify_homotopy(fam, k1, (2, 2))
 
 
@@ -171,7 +189,7 @@ def test_bad_generator_rejected():
 def test_nan_generator_rejected():
     """NaN compares false with everything, so every tolerance test is written
     to fail on it."""
-    assert not Phase(math.nan).is_one()
+    assert not PhaseSum.e(math.nan).is_one()
     assert not PhaseSum(rem=complex(math.nan)).is_zero()
     k1 = kgraph_k1((2, 2))
     with pytest.raises(BadGeneratorError):
@@ -198,7 +216,7 @@ def test_sampled_continuity_bound():
             max_q = max(max_q, abs(gen.exponent(c1, c2) / gen.denominator))
             vec = [hom.cocycle_at(j).phase(c1, c2) for j in range(hom.m)]
             for j in range(10):
-                step = abs(vec[j + 1].complex_value() - vec[j].complex_value())
+                step = abs(vec[j + 1].value() - vec[j].value())
                 assert step <= 2 * cmath.pi * max_q / 10 + 1e-12
 
 
@@ -239,7 +257,7 @@ def _window_triples(cat, window):
 
 
 def oracle(sigma, cat, bound):
-    """The reference: the definition applied with Phase products, the first
+    """The reference: the definition applied with phase products, the first
     failing normalization pair, then the first failing triple; None if
     sigma is a cocycle on the window."""
     window = cat.morphisms(bound)
@@ -371,8 +389,7 @@ def test_sweep_asks_each_id_pair_once(name, h, cat, bound, monkeypatch):
         assert set(calls) == needed
 
 
-def e(value):
-    return PhaseSum.from_phase(Phase(value))
+e = PhaseSum.e
 
 
 def test_rational_zero_test_is_exact():
@@ -479,22 +496,33 @@ def _as_fractions(s):
     return {Fraction(r, s.cond): c for r, c in s.terms.items()}
 
 
+def _bits(s):
+    """A sum's terms, conductor and the bits of its float part."""
+    return s.terms, s.cond, s.rem.real.hex(), s.rem.imag.hex()
+
+
 def test_integer_residues_match_fraction_oracle():
     """Over conductors 1, 5, 16, 24, 40 and 120, mixed ones included, every
     operation agrees with the Fraction-keyed arithmetic exactly, and the
-    float values agree within 1e-12."""
-    rng = random.Random(14)
+    float values agree within 1e-12.  The rotation times_phase(p) is the
+    product by the one-term sum p: exactly for an exact p, residue 0
+    included, and bit for bit when p, the sum or both are float, a NaN
+    phase included."""
+    rng, floats = random.Random(14), random.Random(15)
+    nan = PhaseSum.e(math.nan)
+    assert not nan.is_one() and not nan.is_zero()
     for _ in range(400):
         (a, oa), (b, ob) = _random_pair(rng), _random_pair(rng)
         n = rng.choice(CONDUCTORS)
         r = rng.randrange(n)
         q = rng.choice([0, -2, 3, Fraction(2, 3), Fraction(-7, 5)])
+        p = PhaseSum.residue(r, n)
         pairs = [
             (a + b, oa + ob),
             (a - b, oa - ob),
             (a * b, oa * ob),
             (a.conj(), oa.conj()),
-            (a.times_phase(Phase.residue(r, n)), oa.times_phase(Fraction(r, n))),
+            (a.times_phase(p), oa.times_phase(Fraction(r, n))),
             (a.scale(q), oa.scale(q)),
         ]
         for got, want in pairs:
@@ -503,6 +531,14 @@ def test_integer_residues_match_fraction_oracle():
             assert got.is_zero() == (not want.terms or abs(want.value()) <= 1e-9)
         assert (a * b - b * a).is_zero()
         assert ((a + b) * a).same_as(a * a + b * a)
+        for rot in (p, PhaseSum.residue(0, n), PhaseSum({r: -2}, cond=n)):
+            assert _as_fractions(a.times_phase(rot)) == _as_fractions(a * rot)
+        x = PhaseSum.e(floats.uniform(-2, 2))
+        a_float = a + x
+        assert a_float.rem and not a_float.terms
+        for s, rot in ((a, x), (a_float, p), (a_float, x), (a, nan), (a_float, nan)):
+            assert _bits(s.times_phase(rot)) == _bits(s * rot)
+        assert not a.times_phase(nan).is_zero()
 
 
 def test_family_conductor_and_integer_exponents():
@@ -515,9 +551,34 @@ def test_family_conductor_and_integer_exponents():
     f = k1.paths("v", (0, 1))[0]
     assert hom.cond == 40 and hom.exponent(f, e) == 1 and type(hom.exponent(e, f)) is int
     phases = hom.phases(hom.exponent(f, e))
-    assert [(p.res, p.cond) for p in phases[:3]] == [(0, 40), (1, 40), (2, 40)]
-    coeff = PhaseSum.from_phase(Phase.residue(5, 24)).times_phase(phases[1])
+    assert [(p.terms, p.cond) for p in phases[:3]] == [({0: 1}, 40), ({1: 1}, 40), ({2: 1}, 40)]
+    coeff = PhaseSum.residue(5, 24).times_phase(phases[1])
     assert coeff.cond == 120 and _as_fractions(coeff) == {Fraction(5, 24) + Fraction(1, 40): 1}
+
+
+def test_family_phases_are_one_term_sums():
+    """zsalg has one circle-value type: a family's fiber phases are one-term
+    sums, the residues S*s_j*E mod N for a rational family and, for a float
+    exponent, the float sum exp(2*pi*i*(s_j*q mod 1)) bit for bit."""
+    import zsalg
+    import zsalg.cocycle
+
+    assert not hasattr(zsalg, "Phase") and not hasattr(zsalg.cocycle, "Phase")
+    # N = 4 * 10 and S = 10, so fiber j's phase of E is the residue j*E mod 40
+    rational = LinearHomotopy(RotationForm([[0, 0], [Fraction(1, 4), 0]]), m=11)
+    for big_e in (0, 1, 7, -3, 123):
+        got = [(p.terms, p.cond, p.rem) for p in rational.phases(big_e)]
+        assert got == [({j * big_e % 40: 1}, 40, 0) for j in range(11)]
+    k1 = kgraph_k1((2, 2))
+    f, e = k1.paths("v", (0, 1))[0], k1.paths("v", (1, 0))[0]
+    quarter = rot_theta(Fraction(1, 4)).phase(f, e)
+    assert (quarter.terms, quarter.cond) == ({1: 1}, 4)
+    assert (rational.phase(f, e).terms, rational.phase(f, e).cond) == ({0: 1}, 40)
+    floating = LinearHomotopy(RotationForm([[0, 0], [0.3, 0]]), m=5)
+    for q in (0.3, -1.7, 2.25, 1e-13, 12345.678):
+        for s, p in zip(floating.scales, floating.phases(q)):
+            want = cmath.exp(2j * cmath.pi * ((s * q) % 1.0))
+            assert _bits(p) == ({}, 1, want.real.hex(), want.imag.hex())
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 9, 12, 15, 16, 24, 40, 105, 120])

@@ -393,7 +393,7 @@ def dense_residuals(rep):
         for c2 in rep.basis:
             defect = mat(c1) @ mat(c2)
             if zs.s(c1) == zs.r(c2):
-                defect -= phase(c1, c2).complex_value() * mat(zs.compose(c1, c2))
+                defect -= phase(c1, c2).value() * mat(zs.compose(c1, c2))
             r1.append(norm(defect))
     out["R1_multiplication"] = max(r1)
     out["R2_source_guarded"] = max(
@@ -675,7 +675,7 @@ class ReferenceRep:
         q = self.family.exponent(c1, c2)
         if q not in self._phases:
             phases = self.family.phases(q)
-            self._phases[q] = np.array([phases[j].complex_value() for j in self.grid])
+            self._phases[q] = np.array([phases[j].value() for j in self.grid])
         return self._phases[q]
 
     def matrix(self, c):
@@ -980,7 +980,7 @@ def first_phase_mismatches(zs, family, bound):
                 delta = q(c1, y) + q(c2, x) - q(c1, c2) - q(c12, x)
                 for j in range(family.m):
                     def value(a, b):
-                        return family.phases(q(a, b))[j].complex_value()
+                        return family.phases(q(a, b))[j].value()
 
                     left, right = value(c1, y) * value(c2, x), value(c1, c2) * value(c12, x)
                     exact = not family.phases(delta)[j].is_one()

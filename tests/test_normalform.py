@@ -9,7 +9,6 @@ from zsalg.cocycle import (
     ConstantHomotopy,
     GridFunction,
     LinearHomotopy,
-    Phase,
     PhaseSum,
     RotationForm,
     trivial_cocycle,
@@ -92,7 +91,7 @@ def test_term_product_rotation_degenerate_phase():
     # the reversed product carries the climbing phase t/4
     out = sf * se
     coeff = out.terms[(ef, "v", v)]
-    assert coeff.at(10).same_as(PhaseSum.from_phase(Phase(Fraction(1, 4))))
+    assert coeff.at(10).same_as(PhaseSum.e(Fraction(1, 4)))
     assert coeff.at(0).same_as(PhaseSum.one())
 
 
@@ -223,6 +222,30 @@ def test_fiber_evaluation():
             )
 
 
+def test_fiber_models_share_the_exponent_table(monkeypatch):
+    """The model and all its fiber models read one exponent table: across
+    products and adjoints in the model and in every fiber model, each id
+    pair reaches the form once."""
+    fam = LinearHomotopy(RotationForm([[0, 0], [Fraction(1, 4), 0]]), m=11)
+    calls, exponent = {}, fam.form.exponent
+
+    def counting(c1, c2):
+        calls[c1, c2] = calls.get((c1, c2), 0) + 1
+        return exponent(c1, c2)
+
+    monkeypatch.setattr(fam.form, "exponent", counting)
+    model = AlgebraModel(ZSCategory(trivial_pair(kgraph_k1((3, 3)))), fam, (8, 8))
+    rng = random.Random(8)
+    for _ in range(10):
+        x, y = random_element(model, rng), random_element(model, rng)
+        xy = x * y
+        for j in range(model.m):
+            xj, yj = model.evaluate_fiber(x, j), model.evaluate_fiber(y, j)
+            assert model.evaluate_fiber(xy, j).same_as(xj * yj)
+            assert model.evaluate_fiber(x.star(), j).same_as(xj.star())
+    assert calls and set(calls.values()) == {1}
+
+
 def test_fiber_zero_untwisted():
     model = rot_model(m=11)
     D = model.D
@@ -242,9 +265,7 @@ def test_zhat_apply_central():
     for _ in range(100):
         x = random_element(model, rng)
         y = random_element(model, rng)
-        fn = GridFunction.from_phases(
-            [Phase(Fraction(rng.randrange(8), 8)) for _ in range(model.m)]
-        )
+        fn = GridFunction([PhaseSum.e(Fraction(rng.randrange(8), 8)) for _ in range(model.m)])
         lhs = (x * y).scale_fn(fn)
         assert lhs.same_as(x.scale_fn(fn) * y)
         assert lhs.same_as(x * y.scale_fn(fn))
