@@ -41,7 +41,6 @@ from .selfsim import (
     verify_matched_pair,
 )
 from .alignment import (
-    IdealMeetResult,
     Subcategory,
     builtin_counterexample,
     check_concordant,

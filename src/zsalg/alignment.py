@@ -11,21 +11,23 @@ stated bound and says so.
 
 Concordance of a subcategory asks more than agreeing intersections: every
 ambient factorization of a common extension must route through the internal
-generating set.  The builtin counterexample reproduces the product of N with
-the free monoid on two letters, whose free-monoid part is finitely aligned
-but NOT concordant: a.(1,e) = b.(1,e) = (1,a) while a and b have no common
-extension internally.
+generating set.  Routing does not change when a generator f is swapped for
+f u with u invertible (see check_concordant), so the canonical set of
+meet_ideal is the only one tried, and a FAIL replays from it alone.
+
+The builtin counterexample reproduces the product of N with the free monoid
+on two letters, whose free-monoid part is finitely aligned but NOT
+concordant: a.(1,e) = b.(1,e) = (1,a) while a and b have no common extension
+internally.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .categories import (
     SmallCategory,
     check_left_cancellative,
-    invertibles,
     principal_ideal,
     size_fits,
 )
@@ -90,20 +92,10 @@ def equivalent_sets(A, B, cat: SmallCategory, bound) -> bool:
 # ideal meets
 
 
-@dataclass
-class IdealMeetResult:
-    generators: tuple
-    method: str
-    bound: object = None
-
-    def __iter__(self):
-        return iter(self.generators)
-
-
-def meet_ideal(c1, c2, cat: SmallCategory, bound) -> IdealMeetResult:
-    """A finite independent set F with F C = c1 C  n  c2 C (within bound)."""
-    generators, method = cat.meet(c1, c2, bound)
-    return IdealMeetResult(generators, method, bound)
+def meet_ideal(c1, c2, cat: SmallCategory, bound):
+    """(F, method): a finite independent set F with F C = c1 C  n  c2 C
+    (within bound), and the name of the category's method."""
+    return cat.meet(c1, c2, bound)
 
 
 def check_exhaustive(F, v, cat: SmallCategory, bound) -> Report:
@@ -151,14 +143,23 @@ def check_concordant(inc: Subcategory, sub_bound, amb_bound) -> Report:
     """Concordance of the inclusion, exhaustively on the window.
 
     For each internal pair with intersecting ambient ideals, every ambient
-    solution c1 x1 = c2 x2 must factor through the internal generating set F
-    via a common y.  If the canonical F fails, up to 64 equivalent
-    independent generating sets are tried before reporting failure, since
-    the defining property only requires one good F to exist.
+    solution c1 x1 = c2 x2 must route through the generating set F of
+    ``meet_ideal``: some f in F with c1 a1 = f = c2 a2, and a common y with
+    embed(a1) y = x1 and embed(a2) y = x2.  The first solution that does not
+    route is the witness, reported with F.
+
+    F is one of many independent generating sets of the ideal: the others
+    swap a member f for f' = f u with u invertible in the subcategory, and
+    routing does not see the swap.  If c1 a1 = f = c2 a2 and embed(a1) y =
+    x1, embed(a2) y = x2, then c1 (a1 u) = f' = c2 (a2 u) and embed(a1 u)
+    (embed(u^-1) y) = x1, and likewise for x2; the same holds backwards with
+    u^-1.  This uses associativity in both categories, that embed is a
+    functor, and additive sizes (u has size 0, so no window moves).  So a
+    solution routes through F exactly when it routes through F u, and on a
+    category the canonical F decides the verdict and replays its witness.
     """
     sub, amb, embed = inc.sub, inc.amb, inc.embed
     window = sub.morphisms(sub_bound)
-    invs = invertibles(sub, sub_bound)
     checked_pairs = 0
     for c1, c2 in itertools.combinations_with_replacement(window, 2):
         if sub.r(c1) != sub.r(c2):
@@ -167,49 +168,25 @@ def check_concordant(inc: Subcategory, sub_bound, amb_bound) -> Report:
         solutions = []
         for x1 in amb.morphisms_from(amb.s(e1), amb_bound):
             z = amb.compose(e1, x1)
-            if not size_fits(amb.size(z), amb_bound):
-                continue
-            for x2 in divisors_into(e2, z, amb, amb_bound):
-                solutions.append((x1, x2, z))
+            if size_fits(amb.size(z), amb_bound):
+                solutions.extend((x1, x2) for x2 in divisors_into(e2, z, amb, amb_bound))
         if not solutions:
             continue
         checked_pairs += 1
-        base = meet_ideal(c1, c2, sub, sub_bound)
-        bad = _unrouted_solution(
-            inc, c1, c2, solutions, base.generators, invs, sub_bound, amb_bound
-        )
-        if bad is not None:
-            x1, x2 = bad
-            return failing(
-                "concordant",
-                witness=(c1, c2, x1, x2),
-                bound=(sub_bound, amb_bound),
-                generators=list(base.generators),
-            )
+        generators, _method = meet_ideal(c1, c2, sub, sub_bound)
+        for x1, x2 in solutions:
+            if not _routes(inc, c1, c2, x1, x2, generators, sub_bound, amb_bound):
+                return failing(
+                    "concordant",
+                    witness=(c1, c2, x1, x2),
+                    bound=(sub_bound, amb_bound),
+                    generators=list(generators),
+                )
     return passing("concordant", bound=(sub_bound, amb_bound), pairs=checked_pairs)
 
 
-def _unrouted_solution(inc, c1, c2, solutions, F, invs, sub_bound, amb_bound):
-    """None when one candidate generating set routes every solution: the
-    canonical F, else one of its alternatives, which are built only then.
-    Otherwise the witness (x1, x2): the first solution no candidate routes,
-    or the first solution when each routes through some candidate."""
-
-    def routes(G, x1, x2):
-        return _solution_routes(inc, c1, c2, x1, x2, G, sub_bound, amb_bound)
-
-    if all(routes(F, x1, x2) for x1, x2, _z in solutions):
-        return None
-    alternatives = _alternative_generating_sets(F, invs, inc.sub)
-    if any(all(routes(G, x1, x2) for x1, x2, _z in solutions) for G in alternatives):
-        return None
-    for x1, x2, _z in solutions:
-        if not any(routes(G, x1, x2) for G in [F, *alternatives]):
-            return x1, x2
-    return solutions[0][0], solutions[0][1]
-
-
-def _solution_routes(inc, c1, c2, x1, x2, F, sub_bound, amb_bound):
+def _routes(inc, c1, c2, x1, x2, F, sub_bound, amb_bound):
+    """The solution c1 x1 = c2 x2 factors through some f in F."""
     sub, amb, embed = inc.sub, inc.amb, inc.embed
     for f in F:
         for a1 in divisors_into(c1, f, sub, sub_bound):
@@ -219,27 +196,6 @@ def _solution_routes(inc, c1, c2, x1, x2, F, sub_bound, amb_bound):
                     if amb.compose(ea2, y) == x2:
                         return True
     return False
-
-
-def _alternative_generating_sets(F, invs, cat):
-    """Up to 64 equivalent independent generating sets, by swapping in
-    ~-partners: F's members times the invertibles ``invs``."""
-    if not F:
-        return []
-    variants = []
-    for f in F:
-        reps = {f}
-        for u in invs:
-            if cat.s(f) == cat.r(u):
-                fu = cat.compose(f, u)
-                if fu is not None:
-                    reps.add(fu)
-        variants.append(sorted(reps, key=cat.sort_key))
-    out = []
-    for combo in itertools.islice(itertools.product(*variants), 64):
-        if tuple(combo) != tuple(F):
-            out.append(tuple(combo))
-    return out
 
 
 def minimal_exhaustive_sets(v, cat: SmallCategory, bound, max_size=6, window_cap=200):
@@ -276,9 +232,8 @@ def minimal_exhaustive_sets(v, cat: SmallCategory, bound, max_size=6, window_cap
                 )
                 if rest == universe:
                     return  # not minimal
-            fset = tuple(a for _, a in chosen)
-            if independent([*fset], cat, bound):
-                found.append(fset)
+            # independent: a member that divides another is never chosen
+            found.append(tuple(a for _, a in chosen))
             return
         least = min(universe - covered)
         for cov, a in reps:
@@ -363,7 +318,7 @@ def builtin_counterexample() -> dict:
                     continue
                 cw = fixtures.x_elem(X, n, w)
                 cu = fixtures.x_elem(X, n, u)
-                brute = meet_ideal(cw, cu, X, size_bound)
+                brute, _method = meet_ideal(cw, cu, X, size_bound)
                 join = free_monoid_join(w, u)
                 predicted = [fixtures.x_elem(X, n + 1, "a" * max(len(w), len(u)))]
                 if join is not None:
@@ -374,14 +329,14 @@ def builtin_counterexample() -> dict:
                     if not any(divides(h, g, X, size_bound) for h in reduced):
                         reduced.append(g)
                 match = equivalent_sets(
-                    list(brute.generators), reduced, X, size_bound
-                ) if brute.generators or reduced else True
+                    list(brute), reduced, X, size_bound
+                ) if brute or reduced else True
                 all_match = all_match and match
                 formula_checks.append(
                     {
                         "pair": [f"{n}.{w or 'e'}", f"{n}.{u or 'e'}"],
                         "branch": "join" if join is not None else "disjoint",
-                        "brute": [str(g) for g in brute.generators],
+                        "brute": [str(g) for g in brute],
                         "formula": [str(g) for g in reduced],
                         "match": match,
                     }

@@ -99,14 +99,13 @@ class Workspace:
     def __init__(self, doc, bound=None, grid=None):
         if not isinstance(doc, dict):
             raise ZsalgError(f"a workspace is a JSON object, not {type(doc).__name__}")
-        for name in ("bounds", "homotopy", "budgets"):
+        if doc.get("kgraph") is None:
+            raise ZsalgError("workspace needs a 'kgraph' section")
+        for name in ("kgraph", "action", "bounds", "homotopy", "budgets"):
             if not isinstance(doc.get(name, {}), dict):
                 raise ZsalgError(f"workspace section {name!r} must be a JSON object")
         self.doc = doc
-        kg = doc.get("kgraph")
-        if kg is None:
-            raise ZsalgError("workspace needs a 'kgraph' section")
-        self.pres = _section(fixtures.parse_kgraph, kg)
+        self.pres = _section(fixtures.parse_kgraph, doc["kgraph"])
         self.k = self.pres.k
         if bound is None:
             bound = doc.get("bounds", {}).get("degree", (2,) * self.k)
@@ -242,12 +241,12 @@ def cmd_mce(ws: Workspace, args):
     got = ws.graph.mce(mu, nu)
     oracle = ws.graph.mce_oracle(mu, nu)
     agree = set(got) == set(oracle)
-    meet = meet_ideal(ws.zs.from_path(mu), ws.zs.from_path(nu), ws.zs, ws.bound)
+    _generators, method = meet_ideal(ws.zs.from_path(mu), ws.zs.from_path(nu), ws.zs, ws.bound)
     return {
         "checks": [{"check": "mce_oracle_agreement", "passed": agree}],
         "mce": [str(p) for p in got],
         "oracle": [str(p) for p in oracle],
-        "meet_method": meet.method,
+        "meet_method": method,
     }
 
 
@@ -462,8 +461,8 @@ def main(argv=None) -> int:
     fn, needs_ws = COMMANDS[args.command]
     try:
         bound = tuple(int(x) for x in args.bound.split(",")) if args.bound else None
-        ws = None
-        if needs_ws or args.workspace or args.fixture:
+        ws = None  # a command that reads no workspace builds none
+        if needs_ws:
             if args.workspace:
                 with open(args.workspace) as fh:
                     doc = json.load(fh)

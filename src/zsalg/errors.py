@@ -6,8 +6,9 @@ class ZsalgError(Exception):
 
 
 class MalformedSquaresError(ZsalgError):
-    """A malformed k-graph presentation: an edge off the declared colors or
-    vertices, or a square table that is not a bijection of matching squares."""
+    """A malformed k-graph presentation: an entry of the wrong JSON shape, an
+    edge off the declared colors or vertices, or a square table that is not
+    a bijection of matching squares."""
 
 
 class MalformedTableError(ZsalgError):

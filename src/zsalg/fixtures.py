@@ -121,17 +121,42 @@ def json_int(x, field):
     return x
 
 
+def _array(x, where):
+    """A workspace array: a string is not read as its characters."""
+    if type(x) is not list:
+        raise MalformedSquaresError(f"{where}: not a JSON array: {x!r}")
+    return x
+
+
+def _name(x, where):
+    """A vertex or edge name, which is a JSON string."""
+    if type(x) is not str:
+        raise MalformedSquaresError(f"{where}: a name is a JSON string, not {x!r}")
+    return x
+
+
 def parse_kgraph(section) -> KGraphPresentation:
-    """A workspace "kgraph" section; edges run from src to dst (the range)."""
-    edges = [
-        Edge(e["id"], json_int(e["color"], "color"), e["dst"], e["src"])
-        for e in section.get("edges", [])
-    ]
-    squares = [
-        ((sq["ef"][0], sq["ef"][1]), (sq["fe"][0], sq["fe"][1]))
-        for sq in section.get("squares", [])
-    ]
-    return KGraphPresentation(json_int(section["k"], "k"), list(section["vertices"]), edges, squares)
+    """A workspace "kgraph" section; edges run from src to dst (the range).
+    An array, name or square side of the wrong shape raises
+    MalformedSquaresError naming the entry."""
+    edges = []
+    for n, e in enumerate(_array(section.get("edges", []), "kgraph.edges")):
+        where = f"kgraph.edges[{n}]"
+        name, color = _name(e["id"], f"{where}.id"), json_int(e["color"], "color")
+        edges.append(Edge(name, color, _name(e["dst"], f"{where}.dst"), _name(e["src"], f"{where}.src")))
+    squares = []
+    for n, sq in enumerate(_array(section.get("squares", []), "kgraph.squares")):
+        sides = []
+        for side in ("ef", "fe"):
+            where = f"kgraph.squares[{n}].{side}"
+            if type(sq[side]) is not list or len(sq[side]) != 2:
+                raise MalformedSquaresError(f"{where}: a square side is two edges, not {sq[side]!r}")
+            sides.append(tuple(_name(x, f"{where}[{i}]") for i, x in enumerate(sq[side])))
+        squares.append(tuple(sides))
+    k = json_int(section["k"], "k")
+    vertices = _array(section["vertices"], "kgraph.vertices")
+    vertices = [_name(v, f"kgraph.vertices[{n}]") for n, v in enumerate(vertices)]
+    return KGraphPresentation(k, vertices, edges, squares)
 
 
 def parse_groupoid(section) -> GroupoidPresentation:

@@ -1,8 +1,11 @@
 """Alignment engine: independence, meets, exhaustive sets, concordance."""
 
+import itertools
+
 import pytest
 
 from zsalg.alignment import (
+    _routes,
     builtin_counterexample,
     check_concordant,
     check_exhaustive,
@@ -16,7 +19,7 @@ from zsalg.alignment import (
     path_inclusion,
     zs_inclusion,
 )
-from zsalg.categories import SmallCategory, validate_category
+from zsalg.categories import SmallCategory, size_fits, validate_category
 from zsalg.errors import NotIndependentError
 from zsalg.fixtures import (
     kgraph_e2,
@@ -61,20 +64,19 @@ def test_meet_ideal_methods():
     k1 = kgraph_k1((2, 2))
     e = k1.paths("v", (1, 0))[0]
     f = k1.paths("v", (0, 1))[0]
-    got = meet_ideal(e, f, k1, (2, 2))
-    assert got.method == "MCE" and [str(p) for p in got.generators] == ["ef"]
-    assert meet_ideal(e, e, k1, (2, 2)).generators == (e,)
+    generators, method = meet_ideal(e, f, k1, (2, 2))
+    assert method == "MCE" and [str(p) for p in generators] == ["ef"]
+    assert meet_ideal(e, e, k1, (2, 2))[0] == (e,)
 
     zs = ZSCategory(swap_pair())
     x = zs.from_path(zs.D.nf(("a",)))
-    got = meet_ideal(x, x, zs, (2,))
-    assert got.method == "ZS-path-lift" and got.generators == (x,)
+    assert meet_ideal(x, x, zs, (2,)) == ((x,), "ZS-path-lift")
 
     X = x_monoid()
     validate_category(X, 4)
-    got = meet_ideal(x_elem(X, 0, "a"), x_elem(X, 0, "b"), X, 4)
-    assert got.method == "brute"
-    assert [str(g) for g in got.generators] == ["(1|'a')"]
+    generators, method = meet_ideal(x_elem(X, 0, "a"), x_elem(X, 0, "b"), X, 4)
+    assert method == "brute"
+    assert [str(g) for g in generators] == ["(1|'a')"]
 
 
 def test_meet_ideal_matches_brute_oracle_and_symmetry():
@@ -83,16 +85,14 @@ def test_meet_ideal_matches_brute_oracle_and_symmetry():
     window = zs.morphisms((2,))
     for c1 in window[:8]:
         for c2 in window[:8]:
-            fast = meet_ideal(c1, c2, zs, (3,))
-            assert independent(fast.generators, zs, (3,))
+            fast, _ = meet_ideal(c1, c2, zs, (3,))
+            assert independent(fast, zs, (3,))
             slow, _ = SmallCategory.meet(zs, c1, c2, (3,))
-            if fast.generators or slow:
-                assert equivalent_sets(list(fast.generators), list(slow), zs, (3,))
-            sym = meet_ideal(c2, c1, zs, (3,))
-            if fast.generators or sym.generators:
-                assert equivalent_sets(
-                    list(fast.generators), list(sym.generators), zs, (3,)
-                )
+            if fast or slow:
+                assert equivalent_sets(list(fast), list(slow), zs, (3,))
+            sym, _ = meet_ideal(c2, c1, zs, (3,))
+            if fast or sym:
+                assert equivalent_sets(list(fast), list(sym), zs, (3,))
 
 
 @pytest.mark.parametrize("name", ["k1", "swap"])
@@ -111,9 +111,9 @@ def test_overrides_match_brute_force_defaults(name):
             assert SmallCategory.divides(cat, a, b, bound) == divides(a, b, cat, bound)
             assert SmallCategory.meets(cat, a, b, bound) == cat.meets(a, b, bound)
             slow, slow_method = SmallCategory.meet(cat, a, b, bound)
-            fast = meet_ideal(a, b, cat, bound)
-            assert (slow_method, fast.method) == ("brute", method)
-            assert equivalent_sets(list(fast.generators), list(slow), cat, bound)
+            fast, fast_method = meet_ideal(a, b, cat, bound)
+            assert (slow_method, fast_method) == ("brute", method)
+            assert equivalent_sets(list(fast), list(slow), cat, bound)
 
 
 @pytest.mark.parametrize("name", ["k1", "swap"])
@@ -147,12 +147,10 @@ def test_tail_invariance_of_meets():
     b = zs.D.nf(("b",))
     for tail1 in ("v", "g"):
         for tail2 in ("v", "g"):
-            got = meet_ideal(ZSMorphism(a, tail1), ZSMorphism(b, tail2), zs, (3,))
-            plain = meet_ideal(zs.from_path(a), zs.from_path(b), zs, (3,))
-            if got.generators or plain.generators:
-                assert equivalent_sets(
-                    list(got.generators), list(plain.generators), zs, (3,)
-                )
+            got, _ = meet_ideal(ZSMorphism(a, tail1), ZSMorphism(b, tail2), zs, (3,))
+            plain, _ = meet_ideal(zs.from_path(a), zs.from_path(b), zs, (3,))
+            if got or plain:
+                assert equivalent_sets(list(got), list(plain), zs, (3,))
 
 
 def test_check_exhaustive():
@@ -202,6 +200,70 @@ def test_concordant_zs_inclusion():
     inc = zs_inclusion(sub, amb)
     assert check_concordant(inc, (2,), (2, 2))
     assert check_exhaustive_lifting(inc, (2,), (2, 2))
+
+
+def _inclusion(name):
+    """(inclusion, sub bound, ambient bound) of three genuine categories:
+    k1's color-1 paths, swap2's restricted product, and swap at split 0,
+    whose subcategory is the Z/2 groupoid."""
+    if name == "k1":
+        k1 = kgraph_k1((2, 2))
+        gamma, _ = validate_kgraph(sub_kgraph(k1, [1]), (2,))
+        return path_inclusion(gamma, k1), (2,), (2, 2)
+    pair = swap2_pair() if name == "swap2" else swap_pair()
+    colors, sub_bound, amb_bound = ([1], (2,), (2, 2)) if name == "swap2" else ([], (), (2,))
+    gamma, _ = validate_kgraph(sub_kgraph(pair.acted, colors), sub_bound)
+    return zs_inclusion(ZSCategory(restrict_pair(pair, gamma)), ZSCategory(pair)), sub_bound, amb_bound
+
+
+def _invertibles(cat, bound):
+    """The window's morphisms with a two-sided inverse in the window."""
+    window = cat.morphisms(bound)
+    return [
+        u for u in window
+        if any(
+            cat.s(w) == cat.r(u) and cat.r(w) == cat.s(u)
+            and cat.compose(u, w) == cat.identity(cat.r(u))
+            and cat.compose(w, u) == cat.identity(cat.s(u))
+            for w in window
+        )
+    ]
+
+
+@pytest.mark.parametrize("name", ["k1", "swap2", "swap-split-0"])
+def test_routing_does_not_see_invertible_swaps(name):
+    """The property check_concordant rests on: on a category, a solution
+    c1 x1 = c2 x2 routes through the canonical generating set F exactly
+    when it routes through every F u, each member f swapped for some f u
+    with u invertible.  The swaps are built here, for every checked pair
+    and every solution of the window."""
+    inc, sub_bound, amb_bound = _inclusion(name)
+    sub, amb, embed = inc.sub, inc.amb, inc.embed
+    validate_category(sub, sub_bound)
+    validate_category(amb, amb_bound)
+    assert check_concordant(inc, sub_bound, amb_bound)
+    invs = _invertibles(sub, sub_bound)
+    solutions = swapped_sets = 0
+    for c1, c2 in itertools.combinations_with_replacement(sub.morphisms(sub_bound), 2):
+        if sub.r(c1) != sub.r(c2):
+            continue
+        e1, e2 = embed(c1), embed(c2)
+        F, _ = meet_ideal(c1, c2, sub, sub_bound)
+        swaps = [{sub.compose(f, u) for u in invs if sub.s(f) == sub.r(u)} for f in F]
+        variants = [G for G in itertools.product(*swaps) if G != tuple(F)]
+        for x1 in amb.morphisms_from(amb.s(e1), amb_bound):
+            z = amb.compose(e1, x1)
+            if not size_fits(amb.size(z), amb_bound):
+                continue
+            for x2 in amb.divisors_into(e2, z, amb_bound):
+                solutions += 1
+                swapped_sets += len(variants)
+                routed = _routes(inc, c1, c2, x1, x2, F, sub_bound, amb_bound)
+                for G in variants:
+                    assert _routes(inc, c1, c2, x1, x2, G, sub_bound, amb_bound) == routed
+    assert solutions
+    # only k1 has no invertible but its identities: elsewhere swaps were tried
+    assert (swapped_sets == 0) == (name == "k1")
 
 
 def test_zs_inclusion_morphisms_get_ambient_answers():

@@ -180,41 +180,62 @@ def test_malformed_angle_matrix_is_malformed(tmp_path, command, section, message
     assert report["error"] == "ZsalgError" and message in report["message"]
 
 
+#: the flip action of Z/2 on e2 with a <| g = v, which breaks the
+#: interchange law at (g, g, a)
+_BROKEN_FLIP = {
+    "kgraph": FIXTURE_DOCS["e2"]["kgraph"],
+    "groupoid": FIXTURE_DOCS["swap"]["groupoid"],
+    "action": {
+        "left": [{"g": "g", "edge": "a", "out": "b"}, {"g": "g", "edge": "b", "out": "a"}],
+        "right": [{"g": "g", "edge": "a", "out": "v"}, {"g": "g", "edge": "b", "out": "g"}],
+    },
+    "bounds": {"degree": [2]},
+}
+
+
 def test_zs_broken_flip_witness(tmp_path):
     """The flip action with a <| g = v breaks the interchange law; zs
     reports the last non-associative triple of the product window."""
-    e2 = {
-        "k": 1,
-        "vertices": ["v"],
-        "edges": [
-            {"id": "a", "color": 1, "src": "v", "dst": "v"},
-            {"id": "b", "color": 1, "src": "v", "dst": "v"},
-        ],
-        "squares": [],
-    }
-    ws = {
-        "kgraph": e2,
-        "groupoid": {
-            "units": ["v"],
-            "morphisms": [
-                {"id": "v", "src": "v", "dst": "v", "inv": "v"},
-                {"id": "g", "src": "v", "dst": "v", "inv": "g"},
-            ],
-            "compose": [["g", "g", "v"]],
-        },
-        "action": {
-            "left": [{"g": "g", "edge": "a", "out": "b"}, {"g": "g", "edge": "b", "out": "a"}],
-            "right": [{"g": "g", "edge": "a", "out": "v"}, {"g": "g", "edge": "b", "out": "g"}],
-        },
-        "bounds": {"degree": [2]},
-    }
     path = tmp_path / "ws.json"
-    path.write_text(json.dumps(ws))
+    path.write_text(json.dumps(_BROKEN_FLIP))
     code, report = run(tmp_path, "zs", "--workspace", str(path))
     assert code == 1
     checks = {c["check"]: c for c in report["checks"]}
     assert checks["matched_pair"]["witness"] == ["acting_interchange", "g", "g", "a"]
     assert checks["zs_associativity"]["witness"] == ["(bb|'g')", "(bb|'g')", "(bb|'v')"]
+
+
+def test_concordance_broken_flip_witness(tmp_path):
+    """On the broken flip's product, which is not a category, the canonical
+    generating set leaves a solution unrouted: concordance fails with that
+    solution and the set, as validate, zs and rep-check fail."""
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(_BROKEN_FLIP))
+    code, report = run(tmp_path, "concordance", "--workspace", str(path))
+    assert code == 1
+    checks = {c["check"]: c for c in report["checks"]}
+    concordant = checks["concordant"]
+    assert not concordant["passed"]
+    assert concordant["witness"] == ["(<v>|'g')", "(<v>|'v')", "(a|'g')", "(b|'g')"]
+    assert concordant["details"]["generators"] == ["(<v>|'v')"]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [["--fixture", "k1"], ["--workspace", "{ws}"]],
+    ids=["fixture", "unread-workspace"],
+)
+def test_counterexample_builds_no_workspace(tmp_path, source):
+    """counterexample reads no workspace, so it builds none: naming a
+    fixture, or a workspace it could not parse, gives the bytes of the plain
+    command, bound included."""
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps({"kgraph": []}))
+    argv = [str(path) if arg == "{ws}" else arg for arg in source]
+    plain, named = tmp_path / "plain.json", tmp_path / "named.json"
+    assert main(["counterexample", "--out", str(plain)]) == 1
+    assert main(["counterexample", *argv, "--out", str(named)]) == 1
+    assert named.read_bytes() == plain.read_bytes()
 
 
 def test_nf_mult_command(tmp_path):
@@ -612,13 +633,31 @@ def _edge_doc(**edge):
         (_edge_doc(color=2), "color 2"),
         ([_edge_doc()], "JSON object"),
         (_edge_doc(dst="w"), "undeclared vertex"),
+        (
+            {"kgraph": {**FIXTURE_DOCS["k1"]["kgraph"], "squares": [{"ef": ["e"], "fe": ["f", "e"]}]}},
+            "kgraph.squares[0].ef: a square side is two edges, not ['e']",
+        ),
+        (
+            {"kgraph": {**_edge_doc()["kgraph"], "vertices": [["v"]]}},
+            "kgraph.vertices[0]: a name is a JSON string, not ['v']",
+        ),
+        (_edge_doc(id=["a"]), "kgraph.edges[0].id: a name is a JSON string, not ['a']"),
+        (
+            {"kgraph": {**_edge_doc()["kgraph"], "vertices": "vw",
+                        "edges": [{"id": x, "color": 1, "src": x, "dst": x} for x in "vw"]}},
+            "kgraph.vertices: not a JSON array: 'vw'",
+        ),
     ],
-    ids=["color-0", "color-above-rank", "top-level-array", "undeclared-vertex"],
+    ids=[
+        "color-0", "color-above-rank", "top-level-array", "undeclared-vertex",
+        "one-edge-square-side", "list-vertex-name", "list-edge-id", "string-vertex-list",
+    ],
 )
 def test_malformed_presentation_exits_two(tmp_path, doc, message):
     """A presentation that names a color outside 1..k or an undeclared
-    vertex, or a document that is not an object, is malformed input: exit 2,
-    not a traceback and not a verdict."""
+    vertex, a square side that is not two edges, a name that is not a
+    string, a vertex list that is not an array, or a document that is not an
+    object, is malformed input: exit 2, not a traceback and not a verdict."""
     path = tmp_path / "ws.json"
     path.write_text(json.dumps(doc))
     code, report = run(tmp_path, "validate", "--workspace", str(path))
@@ -652,12 +691,15 @@ def test_integer_field_is_not_truncated(tmp_path, command, sections, field):
         ("homotopy-check", "homotopy", [11]),
         ("validate", "bounds", [2]),
         ("concordance", "budgets", [6]),
+        ("validate", "kgraph", []),
+        ("validate", "action", []),
     ],
-    ids=["homotopy", "bounds", "budgets"],
+    ids=["homotopy", "bounds", "budgets", "kgraph", "action"],
 )
 def test_workspace_section_of_the_wrong_type_is_malformed(tmp_path, command, section, value):
-    """A bounds, homotopy or budgets section that is not a JSON object is
-    malformed input (exit 2), named in the message, not a traceback."""
+    """A kgraph, action, bounds, homotopy or budgets section that is not a
+    JSON object is malformed input (exit 2), named in the message, not a
+    traceback."""
     path = _workspace(tmp_path, "e2", **{section: value})
     code, report = run(tmp_path, command, "--workspace", path)
     assert code == 2

@@ -78,3 +78,51 @@ def test_transversal_two_orbits():
     for orbit in gpd.orbits():
         assert sum(1 for u in orbit if u in X) == 1
     assert check_transversal(gpd)
+
+
+def _one_unit(compose, inv):
+    """A table on the one unit v: every endpoint law holds."""
+    names = sorted({"v", *inv})
+    return GroupoidPresentation(
+        units=["v"],
+        morphisms=names,
+        rng={g: "v" for g in names},
+        src={g: "v" for g in names},
+        inv=inv,
+        compose=compose,
+    )
+
+
+#: arrows a: w -> u and b: u -> w, with inverses y and x; a.b is defined but
+#: named a, so it runs w -> w where it should run u -> u
+_TWO_UNITS_BAD_COMPOSITE = GroupoidPresentation(
+    units=["u", "w"],
+    morphisms=["a", "b", "u", "w", "x", "y"],
+    rng={"a": "u", "b": "w", "x": "u", "y": "w"},
+    src={"a": "w", "b": "u", "x": "w", "y": "u"},
+    inv={"a": "y", "y": "a", "b": "x", "x": "b"},
+    compose={("a", "y"): "u", ("y", "a"): "w", ("b", "x"): "w", ("x", "b"): "u", ("a", "b"): "a"},
+)
+
+
+@pytest.mark.parametrize(
+    "pres, witness",
+    [
+        # g.h = v, but h.g = g
+        (_one_unit({("g", "h"): "v", ("h", "g"): "g"}, {"g": "h", "h": "g"}),
+         ("ginv_g_not_source", "g")),
+        (_TWO_UNITS_BAD_COMPOSITE, ("compose_endpoints", "a", "b")),
+        # a and b are mutually inverse, but a.a = a: (a.a).b = v, a.(a.b) = a
+        (_one_unit({("a", "b"): "v", ("b", "a"): "v", ("a", "a"): "a", ("b", "b"): "b"},
+                   {"a": "b", "b": "a"}),
+         ("associativity", "a", "a", "b")),
+    ],
+    ids=["ginv-g-not-source", "compose-endpoints", "associativity"],
+)
+def test_axiom_failure_names_the_law_and_the_elements(pres, witness):
+    """Each presentation passes every law checked before the one it breaks,
+    so the witness names that law and its first failing elements."""
+    _, rep = validate_groupoid(pres)
+    assert not rep.passed
+    assert rep.name == "groupoid_axioms"
+    assert rep.witness == witness

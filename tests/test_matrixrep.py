@@ -19,6 +19,7 @@ from zsalg.cocycle import (
     ConstantHomotopy,
     LinearHomotopy,
     RotationForm,
+    TableForm,
     linear_homotopy,
     trivial_cocycle,
 )
@@ -26,6 +27,7 @@ from zsalg.errors import InfiniteBasisError, OffGridError
 from zsalg.fixtures import (
     FIXTURE_DOCS,
     kgraph_convex_with_source,
+    kgraph_e2,
     kgraph_k1,
     swap_pair,
     trivial_pair,
@@ -1067,3 +1069,17 @@ def test_small_blocks_change_no_float(case, monkeypatch):
     if family.cond not in (None, 1):
         first, _ = first_phase_mismatches(zs, family, bound)
         assert table.mismatches["R1_multiplication"] == first
+
+
+def test_homotopy_relations_report_the_first_failing_fiber():
+    """A generator that is not a cocycle: phase 1/10 on (a, b) of e2 alone.
+    Fiber 0 is untwisted and passes; fiber 1 fails the multiplication
+    relation, and the family check stops there, naming the fiber and the
+    relation."""
+    zs = ZSCategory(trivial_pair(kgraph_e2((4,))))
+    a, b = (zs.from_path(zs.D.nf((x,))) for x in "ab")
+    family = LinearHomotopy(TableForm({(a, b): Fraction(1, 10)}), m=3)
+    out = check_homotopy_relations(zs, family, (3,))
+    assert not out and out.name == "homotopy_relations"
+    assert out.witness["fiber"] == 1
+    assert sorted(out.witness["residuals"]) == ["R1_multiplication"]

@@ -121,7 +121,7 @@ DIGESTS = {
     "cocycle-check-perturbed-unit-groupoid": "23da8ad6dca142f806fe3b696c60d93751ad1d5d155e01b59d7ed5e5513f5402",
     "cocycle-check-swap": "e4171a8fcb35ac31da91a13d317cc568369d3d1da9d1a70c40708a59c9239718",
     "cocycle-check-swap2": "a49a1d8f9961299b046993bd5239be4606c9868bc4832f88eb99ae3abf28a9bc",
-    "concordance-broken-flip": "aa32799e5a6952d1b7b6da4739f52a6a15997654c8d2bbb0f4c9227991f2ade8",
+    "concordance-broken-flip": "5b314fff98f30698b78a572e82f076ecb5d412a60e910993662d4cdc14431b29",
     "concordance-e2": "0d49bb1acf42113523cb59838b8323993cd67ac7e06e0f83486cecc667efff4d",
     "concordance-k1": "64b12db3d4488def49d70f7ad374365c76b9fb40d46cfb3964253ccdbc54e420",
     "concordance-perturbed-unit-groupoid": "5eedc69f9119ed73a4b3cca504b7a2219f9dbef5cff53c65b0714f7623a1050b",

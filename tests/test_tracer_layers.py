@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -36,17 +37,24 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-def test_traced_run_sees_the_matrix_model():
+def test_traced_run_sees_the_matrix_model(tmp_path):
     """A traced cli-verdicts run still passes through check_relations and
-    TruncatedRep.matrix: a design that went round either would read 0."""
+    TruncatedRep.matrix: a design that went round either would read 0.  It
+    runs from a copy of the harness and the sources, since the harness
+    writes its records next to itself."""
     root = TRACER.parents[1]
+    skip = shutil.ignore_patterns("__pycache__", ".perfbench_out")
+    for name in ("perfbench", "src"):
+        shutil.copytree(root / name, tmp_path / name, ignore=skip)
+    shutil.copy(root / "BENCHMARK.json", tmp_path)
     out = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "run.py"), "--workload", "cli-verdicts",
+        [sys.executable, str(tmp_path / "perfbench" / "run.py"), "--workload", "cli-verdicts",
          "--seed", "1", "--seconds", "1", "--trace", "1"],
-        cwd=root, capture_output=True, text=True, timeout=300, check=True,
+        cwd=tmp_path, capture_output=True, text=True, timeout=300, check=True,
     )
     result = json.loads(out.stdout.strip().splitlines()[-1])
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
     assert result["correct"]
     assert metrics["matrixrep.check_relations.calls"] == 34
     assert metrics["matrixrep.dim.max"] == 30
+    assert (tmp_path / ".perfbench_out" / "cli-verdicts-seed1-trace1.json").is_file()
