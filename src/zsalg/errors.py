@@ -12,7 +12,8 @@ class MalformedSquaresError(ZsalgError):
 
 
 class MalformedTableError(ZsalgError):
-    """A groupoid or category table is structurally broken."""
+    """A groupoid or category table is structurally broken, or a workspace
+    groupoid section has an entry of the wrong JSON shape."""
 
 
 class DegreeMismatchError(ZsalgError):

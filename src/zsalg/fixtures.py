@@ -121,17 +121,17 @@ def json_int(x, field):
     return x
 
 
-def _array(x, where):
+def _array(x, where, error=MalformedSquaresError):
     """A workspace array: a string is not read as its characters."""
     if type(x) is not list:
-        raise MalformedSquaresError(f"{where}: not a JSON array: {x!r}")
+        raise error(f"{where}: not a JSON array: {x!r}")
     return x
 
 
-def _name(x, where):
-    """A vertex or edge name, which is a JSON string."""
+def _name(x, where, error=MalformedSquaresError):
+    """A vertex, edge or groupoid element name, which is a JSON string."""
     if type(x) is not str:
-        raise MalformedSquaresError(f"{where}: a name is a JSON string, not {x!r}")
+        raise error(f"{where}: a name is a JSON string, not {x!r}")
     return x
 
 
@@ -160,14 +160,35 @@ def parse_kgraph(section) -> KGraphPresentation:
 
 
 def parse_groupoid(section) -> GroupoidPresentation:
-    """A workspace "groupoid" section."""
+    """A workspace "groupoid" section.  An array, morphism entry, name or
+    compose entry of the wrong shape raises MalformedTableError naming the
+    entry."""
+    bad = MalformedTableError
+
+    def names(xs, where):
+        return [_name(x, f"{where}[{n}]", bad) for n, x in enumerate(xs)]
+
+    units = names(_array(section["units"], "groupoid.units", bad), "groupoid.units")
+    morphisms = []
+    for n, m in enumerate(_array(section["morphisms"], "groupoid.morphisms", bad)):
+        where = f"groupoid.morphisms[{n}]"
+        if type(m) is not dict:
+            raise bad(f"{where}: not a JSON object: {m!r}")
+        morphisms.append({f: _name(m[f], f"{where}.{f}", bad) for f in ("id", "dst", "src", "inv")})
+    compose = {}
+    for n, entry in enumerate(_array(section.get("compose", []), "groupoid.compose", bad)):
+        where = f"groupoid.compose[{n}]"
+        if type(entry) is not list or len(entry) != 3:
+            raise bad(f"{where}: a compose entry is three names, not {entry!r}")
+        a, b, c = names(entry, where)
+        compose[a, b] = c
     return GroupoidPresentation(
-        units=list(section["units"]),
-        morphisms=[m["id"] for m in section["morphisms"]],
-        rng={m["id"]: m["dst"] for m in section["morphisms"]},
-        src={m["id"]: m["src"] for m in section["morphisms"]},
-        inv={m["id"]: m["inv"] for m in section["morphisms"]},
-        compose={(a, b): c for a, b, c in section.get("compose", [])},
+        units=units,
+        morphisms=[m["id"] for m in morphisms],
+        rng={m["id"]: m["dst"] for m in morphisms},
+        src={m["id"]: m["src"] for m in morphisms},
+        inv={m["id"]: m["inv"] for m in morphisms},
+        compose=compose,
     )
 
 

@@ -16,11 +16,24 @@ elements is decided by canonical term lists; in the covariant model the
 sound test is equality after raising both sides to a common path level.
 Term-level equality is sound but not claimed complete for the quotient
 algebra: level raising certifies every identity this toolkit asserts.
+
+The product of the terms (l1, g1, m1) and (l2, g2, m2) reads l1 and m2 only
+through two twist exponents and the paths l1 alpha' and m2 beta'; the rest
+depends on its core (g1, m1, l2, g2) alone.  So each core is reduced once,
+on its first ask, into one record per common extension xi = m1 alpha =
+l2 beta: the sum of the other nine twist exponents, the moved cofactors
+alpha' and beta' with their product ids, the merged tail, and alpha, beta
+and xi for the audit transcript, which reads the same records as the
+product.  The records are kept by (g1, id of m1, id of l2, g2) for the
+model's lifetime, and its fiber models share them: they hold form
+exponents, which no fiber changes.
 """
 
 from __future__ import annotations
 
-from .cocycle import CocycleFamily, GridFunction, PhaseSum
+from typing import NamedTuple
+
+from .cocycle import CocycleFamily, GridFunction, PhaseSum, _Memo
 from .errors import (
     DegreeMismatchError,
     NoSourcesRequiredError,
@@ -114,6 +127,27 @@ class Element:
         return " + ".join(bits)
 
 
+class _Reduced(NamedTuple):
+    """One common extension xi = m1 alpha = l2 beta of a term-pair core
+    (g1, m1, l2, g2), reduced.  ``twist`` is the sum of the nine twist
+    exponents that read neither l1 nor m2; alpha' = g1 |> alpha and
+    beta' = g2^-1 |> beta, with h = g2^-1 <| beta, are the moved cofactors,
+    and ``tail`` is the merged tail (g1 <| alpha) h^-1."""
+
+    twist: object
+    moved_alpha: Path
+    moved_beta: Path
+    alpha_id: int  # the product id of alpha'
+    beta_id: int  # the product id of beta'
+    tail: object
+    # for the audit transcript
+    xi: Path
+    alpha: Path
+    beta: Path
+    residual_tail: object  # g1 <| alpha
+    pushed_tail: object  # h
+
+
 class AlgebraModel:
     """The covariant algebra of a product category twisted by a sampled
     cocycle family: level raising is one of its rewrites."""
@@ -126,12 +160,16 @@ class AlgebraModel:
         self.G = zs.C
         self.pair = zs.pair
         self.family = family
-        # the family's exponent of two product morphisms, from its id table
-        q = family.exponents(zs)
-        self._exponent = lambda a, b: q[zs.id_of(a)][zs.id_of(b)]
+        # the family's id table of exponents, read as q[i][j] on the product
+        # ids of paths and of tails
+        self._q = family.exponents(zs)
+        self._path_ids = _Memo(lambda p: zs.id_of(zs.from_path(p)))
+        self._tail_ids = _Memo(lambda g: zs.id_of(zs.from_tail(g)))
         self.m = family.m
         self.level_bound = tuple(level_bound)
         self._fiber_cache = {}
+        # the reduced term-pair cores (_reduce); fiber models share them
+        self._cores = {}
         self._no_sources = all(
             self.D.edges_at.get((v, i))
             for v in self.D.vertices
@@ -185,72 +223,102 @@ class AlgebraModel:
         """All reduced terms of (z(f1) S_l1 S_g1 S_m1*)(z(f2) S_l2 S_g2 S_m2*)
         over every pair of terms drawn from the two term lists.
 
+        A term pair's core is (g1, m1, l2, g2).  ``_reduce`` reduces it once
+        into one record (``_Reduced``) per common extension, holding the
+        twist exponents that read neither l1 nor m2, summed, the moved
+        cofactors alpha' and beta', the merged tail and the audit data; the
+        model and its fiber models share the records.  A term pair adds
+        q(l1, alpha') - q(m2, beta') from the family's id table to each
+        record's sum and composes l1 alpha' and m2 beta'.
+
         When ``audit`` is a list, one record per term pair and common
         extension is appended to it, with the data every coefficient factor
         came from.
         """
-        e, phases = self._exponent, self.family.phases
-        path, tail = self.zs.from_path, self.zs.from_tail
-        bound = self.level_bound
+        q, phases = self._q, self.family.phases
+        pid, D = self._path_ids, self.D
         for (l1, g1, m1), f1 in xterms:
+            left = q[pid[l1]]
             for (l2, g2, m2), f2 in yterms:
-                if self.D.r(m1) != self.D.r(l2):
+                if D.r(m1) != D.r(l2):
                     continue
-                join = tuple(max(a, b) for a, b in zip(m1.degree, l2.degree))
-                if not deg_le(join, bound):
-                    raise WindowExceededError(
-                        f"needed extension degree {join} exceeds window {bound}"
-                    )
-                g2inv = self.G.inverse(g2)
+                records = self._reduce(g1, m1, l2, g2)
+                if not records:
+                    continue
                 base = f1 * f2
-                extensions, _ = self.D.meet(m1, l2, bound)
-                for xi in extensions:
-                    # the cofactors xi = m1 alpha = l2 beta
-                    alpha = self.D.divisors_into(m1, xi, bound)[0]
-                    beta = self.D.divisors_into(l2, xi, bound)[0]
-                    a_moved, g1_res = self.pair.extend(g1, alpha)
-                    b_moved, h = self.pair.extend(g2inv, beta)
-                    hinv = self.G.inverse(h)
-                    # adjoint-sandwich expansion over the common extension,
-                    # then push g1 through alpha and absorb into l1
-                    tw = (
-                        -e(path(m1), path(alpha))
-                        + e(path(l2), path(beta))
-                        + e(tail(g1), path(alpha))
-                        - e(path(a_moved), tail(g1_res))
-                        + e(path(l1), path(a_moved))
-                    )
-                    # convert S_beta* S_g2 via the inverse tail, merge the
-                    # tails and the adjoint-side paths
-                    tw = (
-                        tw
-                        + e(tail(g2inv), tail(g2))
-                        - e(tail(g2inv), path(beta))
-                        + e(path(b_moved), tail(h))
-                        - e(tail(h), tail(hinv))
-                        + e(tail(g1_res), tail(hinv))
-                        - e(path(m2), path(b_moved))
-                    )
+                right = q[pid[m2]]
+                for rec in records:
+                    tw = rec.twist + left[rec.alpha_id] - right[rec.beta_id]
                     key = (
-                        self.D.compose(l1, a_moved),
-                        self.G.compose(g1_res, hinv),
-                        self.D.compose(m2, b_moved),
+                        D.compose(l1, rec.moved_alpha),
+                        rec.tail,
+                        D.compose(m2, rec.moved_beta),
                     )
                     if audit is not None:
                         audit.append(
                             {
                                 "left_term": [str(l1), str(g1), str(m1)],
                                 "right_term": [str(l2), str(g2), str(m2)],
-                                "common_extension": str(xi),
-                                "alpha": str(alpha),
-                                "beta": str(beta),
-                                "moved_alpha": str(a_moved),
-                                "residual_tail": str(g1_res),
-                                "inverse_push": [str(b_moved), str(h)],
+                                "common_extension": str(rec.xi),
+                                "alpha": str(rec.alpha),
+                                "beta": str(rec.beta),
+                                "moved_alpha": str(rec.moved_alpha),
+                                "residual_tail": str(rec.residual_tail),
+                                "inverse_push": [str(rec.moved_beta), str(rec.pushed_tail)],
                                 "result": [str(part) for part in key],
                             }
                         )
                     yield key, base.times_phases(phases(tw))
+
+    def _reduce(self, g1, m1, l2, g2):
+        """The records of the core (g1, m1, l2, g2), for m1 and l2 of one
+        range: one per common extension xi = m1 alpha = l2 beta, kept by
+        (g1, id of m1, id of l2, g2) on the first ask.  A core whose
+        extensions leave the level bound raises WindowExceededError on every
+        ask and keeps nothing."""
+        D = self.D
+        core = (g1, D.id_of(m1), D.id_of(l2), g2)
+        records = self._cores.get(core)
+        if records is not None:
+            return records
+        bound = self.level_bound
+        join = tuple(max(a, b) for a, b in zip(m1.degree, l2.degree))
+        if not deg_le(join, bound):
+            raise WindowExceededError(f"needed extension degree {join} exceeds window {bound}")
+        q, pid, tid = self._q, self._path_ids, self._tail_ids
+        g2inv = self.G.inverse(g2)
+        records = []
+        extensions, _ = D.meet(m1, l2, bound)
+        for xi in extensions:
+            # the cofactors xi = m1 alpha = l2 beta
+            alpha = D.divisors_into(m1, xi, bound)[0]
+            beta = D.divisors_into(l2, xi, bound)[0]
+            a_moved, g1_res = self.pair.extend(g1, alpha)
+            b_moved, h = self.pair.extend(g2inv, beta)
+            hinv = self.G.inverse(h)
+            # adjoint-sandwich expansion over the common extension, then push
+            # g1 through alpha; convert S_beta* S_g2 via the inverse tail and
+            # merge the tails.  q(l1, alpha') and q(m2, beta') are the term
+            # pair's own.
+            twist = (
+                -q[pid[m1]][pid[alpha]]
+                + q[pid[l2]][pid[beta]]
+                + q[tid[g1]][pid[alpha]]
+                - q[pid[a_moved]][tid[g1_res]]
+                + q[tid[g2inv]][tid[g2]]
+                - q[tid[g2inv]][pid[beta]]
+                + q[pid[b_moved]][tid[h]]
+                - q[tid[h]][tid[hinv]]
+                + q[tid[g1_res]][tid[hinv]]
+            )
+            records.append(
+                _Reduced(
+                    twist, a_moved, b_moved, pid[a_moved], pid[b_moved],
+                    self.G.compose(g1_res, hinv), xi, alpha, beta, g1_res, h,
+                )
+            )
+        records = self._cores[core] = tuple(records)
+        return records
 
     def explain_product(self, x: Element, y: Element):
         """Audit transcript of the reduction: one record per term pair and
@@ -265,7 +333,7 @@ class AlgebraModel:
         out = {}
         for (lam, g, mu), f in x.terms.items():
             ginv = self.G.inverse(g)
-            tw = -self._exponent(self.zs.from_tail(g), self.zs.from_tail(ginv))
+            tw = -self._q[self._tail_ids[g]][self._tail_ids[ginv]]
             coeff = f.conj().times_phases(self.family.phases(tw))
             key = (mu, ginv, lam)
             out[key] = out[key] + coeff if key in out else coeff
@@ -280,7 +348,7 @@ class AlgebraModel:
             raise NoSourcesRequiredError("level raising needs no sources on the window")
         if not deg_le(n, self.level_bound):
             raise WindowExceededError(f"level {n} exceeds window {self.level_bound}")
-        e, path, tail = self._exponent, self.zs.from_path, self.zs.from_tail
+        q, pid, tid = self._q, self._path_ids, self._tail_ids
         out = {}
         for (lam, g, mu), f in x.terms.items():
             if not deg_le(lam.degree, n):
@@ -289,10 +357,10 @@ class AlgebraModel:
             for alpha in self.D.paths(self.G.s(g), gap):
                 a_moved, g_res = self.pair.extend(g, alpha)
                 tw = (
-                    e(path(lam), path(a_moved))
-                    + e(tail(g), path(alpha))
-                    - e(path(a_moved), tail(g_res))
-                    - e(path(mu), path(alpha))
+                    q[pid[lam]][pid[a_moved]]
+                    + q[tid[g]][pid[alpha]]
+                    - q[pid[a_moved]][tid[g_res]]
+                    - q[pid[mu]][pid[alpha]]
                 )
                 coeff = f.times_phases(self.family.phases(tw))
                 key = (self.D.compose(lam, a_moved), g_res, self.D.compose(mu, alpha))
@@ -310,7 +378,9 @@ class AlgebraModel:
             raise OffGridError(f"grid index {j} outside 0..{self.m - 1}")
         if j not in self._fiber_cache:
             fiber = self.family.cocycle_at(j)
-            self._fiber_cache[j] = AlgebraModel(self.zs, fiber, self.level_bound)
+            fm = self._fiber_cache[j] = AlgebraModel(self.zs, fiber, self.level_bound)
+            # a record keeps form exponents, which no fiber changes
+            fm._cores = self._cores
         return self._fiber_cache[j]
 
     def evaluate_fiber(self, x: Element, j) -> Element:

@@ -666,6 +666,55 @@ def test_malformed_presentation_exits_two(tmp_path, doc, message):
     assert message in report["message"]
 
 
+def _groupoid_doc(**section):
+    doc = json.loads(json.dumps(FIXTURE_DOCS["swap"]))
+    doc["groupoid"].update(section)
+    return doc
+
+
+_SWAP_MORPHISMS = FIXTURE_DOCS["swap"]["groupoid"]["morphisms"]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_groupoid_doc(units="v"), "groupoid.units: not a JSON array: 'v'"),
+        (
+            _groupoid_doc(morphisms=[_SWAP_MORPHISMS[0], {**_SWAP_MORPHISMS[1], "id": ["g"]}]),
+            "groupoid.morphisms[1].id: a name is a JSON string, not ['g']",
+        ),
+        (
+            _groupoid_doc(morphisms=[_SWAP_MORPHISMS[0], "g"]),
+            "groupoid.morphisms[1]: not a JSON object: 'g'",
+        ),
+        (
+            _groupoid_doc(compose=[["g", "g"]]),
+            "groupoid.compose[0]: a compose entry is three names, not ['g', 'g']",
+        ),
+        (_groupoid_doc(compose={"a": 1}), "groupoid.compose: not a JSON array: {'a': 1}"),
+        (
+            _groupoid_doc(compose=[["g", "g", 1]]),
+            "groupoid.compose[0][2]: a name is a JSON string, not 1",
+        ),
+    ],
+    ids=[
+        "string-unit-list", "list-morphism-id", "string-morphism", "two-item-compose",
+        "object-compose", "non-name-composite",
+    ],
+)
+def test_malformed_groupoid_section_exits_two(tmp_path, doc, message):
+    """The groupoid section is checked entry by entry: a unit list that is
+    not an array (a string is not read as its characters), a morphism that
+    is not an object, a name that is not a string or a compose entry that is
+    not three names is malformed input, exit 2 naming the entry."""
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(tmp_path, "validate", "--workspace", str(path))
+    assert code == 2
+    assert report["error"] == "MalformedTableError"
+    assert report["message"] == message
+
+
 @pytest.mark.parametrize(
     "command, sections, field",
     [

@@ -30,7 +30,7 @@ from zsalg.fixtures import (
     trivial_pair,
     two_orbit_groupoid,
 )
-from zsalg.kgraph import KGraphPresentation, validate_kgraph
+from zsalg.kgraph import KGraph, KGraphPresentation, validate_kgraph
 from zsalg.normalform import (
     AlgebraModel,
     ModuleVector,
@@ -106,13 +106,17 @@ def test_product_range_mismatch_is_zero():
 
 
 def test_window_exceeded():
+    """A term pair past the level bound raises on every ask, and its core
+    keeps no record."""
     zs = ZSCategory(swap_pair())
     model = AlgebraModel(zs, ConstantHomotopy(trivial_cocycle(), m=1), (1,))
     D = model.D
     aa = D.nf(("a", "a"))
     x = model.term(model.one_fn(), aa, "v", D.identity("v"))
-    with pytest.raises(WindowExceededError):
-        x.star() * x
+    for _ in range(2):
+        with pytest.raises(WindowExceededError):
+            x.star() * x
+    assert model._cores == {}
 
 
 def test_involution_examples():
@@ -383,7 +387,24 @@ def test_element_json_roundtrippable_shape():
     assert doc[0]["coefficient"] == [{"re": 1.0, "im": 0.0}]
 
 
-def test_explain_product_transcript():
+@pytest.fixture
+def meet_calls(monkeypatch):
+    """The number of KGraph.meet calls so far, as calls[0]."""
+    calls = [0]
+    meet = KGraph.meet
+
+    def counting(self, a, b, bound):
+        calls[0] += 1
+        return meet(self, a, b, bound)
+
+    monkeypatch.setattr(KGraph, "meet", counting)
+    return calls
+
+
+def test_explain_product_transcript(meet_calls):
+    """A transcript names exactly the terms its product produces, on the
+    first ask and on a repeated one, which reads the kept records and
+    computes no meet."""
     import json
 
     model = swap_model()
@@ -401,3 +422,72 @@ def test_explain_product_transcript():
     assert set(map(tuple, [r["result"] for r in records])) == {
         tuple(map(str, k)) for k in (x * y).terms
     }
+    # random elements on the k1 rotation model and on swap
+    rng = random.Random(5)
+    for model in (rot_model(), swap_model()):
+        for _ in range(20):
+            x, y = random_element(model, rng), random_element(model, rng)
+            terms = {tuple(map(str, key)) for key in (x * y).terms}
+            first = model.explain_product(x, y)
+            asked = meet_calls[0]
+            assert model.explain_product(x, y) == first
+            assert meet_calls[0] == asked
+            assert {tuple(r["result"]) for r in first} == terms
+
+
+def test_a_repeated_product_computes_no_meet(meet_calls):
+    model = rot_model()
+    rng = random.Random(2)
+    x, y = random_element(model, rng), random_element(model, rng)
+    xy = x * y
+    asked = meet_calls[0]
+    assert asked
+    assert (x * y).same_as(xy)
+    assert meet_calls[0] == asked
+
+
+def test_fiber_models_share_the_record_table(meet_calls):
+    """A fiber model reads the records its model kept: its products
+    compute no meet the model has computed."""
+    model = rot_model(m=11)
+    rng = random.Random(4)
+    pairs = [(random_element(model, rng), random_element(model, rng)) for _ in range(5)]
+    for x, y in pairs:
+        x * y
+    asked = meet_calls[0]
+    for j in (0, 5, 10):
+        fiber = model.fiber_model(j)
+        assert fiber._cores is model._cores
+        for x, y in pairs:
+            assert model.evaluate_fiber(x * y, j).same_as(
+                model.evaluate_fiber(x, j) * model.evaluate_fiber(y, j)
+            )
+    assert meet_calls[0] == asked
+
+
+@pytest.mark.parametrize(
+    "fixture, triples, meets, extends",
+    [("swap", 50, 102, 156), ("k1", 10, 37, 74)],
+    ids=["swap", "k1"],
+)
+def test_nf_mult_reduces_each_core_once(
+    tmp_path, monkeypatch, meet_calls, fixture, triples, meets, extends
+):
+    """One nf-mult reduces each distinct core (g1, m1, l2, g2) once: on
+    swap, 1,162 term pairs share 102 cores, and on k1, 236 share 37.  Each
+    core asks meet once and pushes two tails per common extension."""
+    from zsalg.cli import main
+
+    pushes = [0]
+    extend = MatchedPair.extend
+
+    def counting(self, c, d):
+        pushes[0] += 1
+        return extend(self, c, d)
+
+    monkeypatch.setattr(MatchedPair, "extend", counting)
+    out = tmp_path / "report.json"
+    argv = ["nf-mult", "--fixture", fixture, "--triples", str(triples), "--seed", "7"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert meet_calls[0] <= meets
+    assert pushes[0] <= extends
