@@ -7,8 +7,10 @@ morphisms whose *size* fits under a stated bound.  A size is either an int
 higher-rank graph); bounds have the same shape and are compared
 componentwise.
 
-Concrete categories subclass SmallCategory: explicit tables here, path
-categories in kgraph, groupoids in groupoid, product categories in selfsim.
+Concrete categories subclass SmallCategory: explicit tables here
+(TableCategory, whose morphisms are their names), path categories in
+kgraph, product categories in selfsim.  A finite groupoid (groupoid) is a
+TableCategory with inverses.
 Every category numbers its own morphisms: dense int ids with cached range,
 source and size, each composite kept once, in its id row (compose_ids), and
 windows memoized as id views (window).  The path and product categories
@@ -33,9 +35,7 @@ then reading the length back, which is not safe under a race.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import MalformedTableError
+from .errors import MalformedTableError, UnknownUnitError
 from .report import Report, failing, passing
 
 
@@ -132,15 +132,13 @@ class SmallCategory:
         morphs = self.morphs
         return [morphs[i] for i in self.window(bound).by_range.get(v, ())]
 
-    # -- generator splitting, for extending actions from generator tables.
-    #    The defaults treat every morphism as atomic and as its own key.
+    # -- generator splitting, for extending actions from generator tables:
+    #    an acting category peels on the right, an acted one (a k-graph) on
+    #    the left.  The defaults treat every morphism as atomic and as its
+    #    own key.
 
     def peel_right(self, m):
         """m = prefix . generator, or None when m is atomic."""
-        return None
-
-    def peel_left(self, m):
-        """m = generator . rest, or None when m is atomic."""
         return None
 
     def generator_key(self, m):
@@ -286,77 +284,71 @@ def bound_key(bound):
     return tuple(bound) if isinstance(bound, list) else bound
 
 
-@dataclass(frozen=True)
-class TableMorphism:
-    name: str
-
-    def __repr__(self):
-        return self.name
-
-
 class TableCategory(SmallCategory):
-    """Finite category given by explicit tables.
+    """Finite category given by explicit tables; a morphism is its name.
 
-    ``compose_table`` maps (name, name) -> name and may be partial: the
-    windowed checks simply skip undefined products.  Identities have size 0
-    and every other morphism size 1.  Used for hand-built counterexample
-    fixtures.
+    ``compose_table`` maps (name, name) -> name and may be partial: compose
+    answers None where it has no entry, and the windowed checks skip those
+    products.  Each object is its own identity morphism, of size 0, and
+    every other morphism has size 1.  The range and source maps, and any
+    further structure map (a groupoid's inverse), send an identity to itself
+    unless given, and must cover every morphism.  Used for hand-built
+    counterexample fixtures, and for finite groupoids (groupoid).
     """
 
     additive_sizes = False
 
-    def __init__(self, objects, morphisms, r_map, s_map, compose_table):
+    def __init__(self, objects, morphisms, r_map, s_map, compose_table, **more_maps):
         super().__init__()
         self._objects = tuple(sorted(objects))
-        self._morphs = {name: TableMorphism(name) for name in morphisms}
+        self.names = tuple(sorted(morphisms))
+        self._maps = {"range": dict(r_map), "source": dict(s_map)}
+        self._maps.update((key, dict(m)) for key, m in more_maps.items())
         for v in self._objects:
-            if v not in self._morphs:
-                raise MalformedTableError(f"identity morphism {v!r} missing from morphism list")
-        self._r = dict(r_map)
-        self._s = dict(s_map)
-        for v in self._objects:
-            self._r.setdefault(v, v)
-            self._s.setdefault(v, v)
-        for name in morphisms:
-            if name not in self._r or name not in self._s:
-                raise MalformedTableError(f"morphism {name!r} lacks range/source")
+            if v not in self.names:
+                raise MalformedTableError(f"unit {v!r} missing from morphisms")
+            for m in self._maps.values():
+                m.setdefault(v, v)
+        for name in self.names:
+            if not all(name in m for m in self._maps.values()):
+                raise MalformedTableError(f"morphism {name!r} lacks {'/'.join(self._maps)}")
+        self._r, self._s = self._maps["range"], self._maps["source"]
         self._table = dict(compose_table)
 
     def objects(self):
         return self._objects
 
     def identity(self, v):
-        return self._morphs[v]
+        if v not in self._objects:
+            raise UnknownUnitError(f"{v!r} is not a unit")
+        return v
 
     def is_identity(self, m):
-        return m.name in self._objects
+        return m in self._objects
 
     def r(self, m):
-        return self._r[m.name]
+        return self._r[m]
 
     def s(self, m):
-        return self._s[m.name]
+        return self._s[m]
 
     def size(self, m):
-        return 0 if m.name in self._objects else 1
+        return 0 if m in self._objects else 1
 
     def morphisms(self, bound):
-        out = [m for m in self._morphs.values() if size_fits(self.size(m), bound)]
-        out.sort(key=self.sort_key)
-        return out
+        return [m for m in self.names if size_fits(self.size(m), bound)]
 
     def compose(self, a, b):
-        if self.s(a) != self.r(b):
+        if self._s[a] != self._r[b]:
             return None
-        if self.is_identity(a):
+        if a in self._objects:
             return b
-        if self.is_identity(b):
+        if b in self._objects:
             return a
-        name = self._table.get((a.name, b.name))
-        return self._morphs[name] if name is not None else None
+        return self._table.get((a, b))
 
     def sort_key(self, m):
-        return m.name
+        return m
 
 
 # ---------------------------------------------------------------------------

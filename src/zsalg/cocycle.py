@@ -48,7 +48,7 @@ import sys
 from fractions import Fraction
 
 from .categories import SmallCategory, id_triples
-from .errors import BadGeneratorError, NotDegreeAdditiveError
+from .errors import BadGeneratorError, NotDegreeAdditiveError, OffGridError
 from .kgraph import deg_add
 from .report import Report, failing, passing
 
@@ -535,9 +535,16 @@ class CocycleFamily:
         only one of a cocycle."""
         return self.phases(self.exponent(c1, c2))[0]
 
+    def check_grid_index(self, j):
+        """OffGridError unless j is a grid index: an int in 0..m-1, and not
+        a bool.  The one rule for every fiber index."""
+        if type(j) is not int or not 0 <= j < self.m:
+            raise OffGridError(f"grid index {j} outside 0..{self.m - 1}")
+
     def cocycle_at(self, j) -> "CocycleFamily":
         """Fiber j, as the one-fiber family at its scale; it shares this
         family's exponent tables, which depend on the form only."""
+        self.check_grid_index(j)
         s = self.scales[j]
         fiber = CocycleFamily(self.form, (s,), f"{self.name}@t={s}")
         fiber._tables = self._tables

@@ -2,6 +2,10 @@
 
 A groupoid is presented by its unit set, morphism list with range/source,
 an inverse involution and a composition table (total on composable pairs).
+A finite groupoid is a categories.TableCategory with inverses: the table
+category keeps the objects, endpoint maps and table lookup, and the
+groupoid adds the inverse map, size 0 on every morphism and a compose that
+refuses a composable pair missing from its table.
 Validation checks every axiom exhaustively; the toolkit then exposes
 isotropy groups, orbits, and an orbit transversal with connecting morphisms,
 which is what the corner decomposition of the groupoid-only algebra consumes.
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .categories import SmallCategory
+from .categories import TableCategory
 from .errors import MalformedTableError, UnknownUnitError
 from .report import Report, failing, passing
 
@@ -29,45 +33,16 @@ class GroupoidPresentation:
     compose: dict = field(default_factory=dict)  # (name, name) -> name, composable pairs
 
 
-class FiniteGroupoid(SmallCategory):
-    """Validated finite groupoid.  Morphisms are their names (strings)."""
+class FiniteGroupoid(TableCategory):
+    """Validated finite groupoid: a TableCategory with inverses, whose
+    objects are its units.  Morphisms are their names (strings)."""
+
+    additive_sizes = True
 
     def __init__(self, pres: GroupoidPresentation):
-        super().__init__()
-        self.units = tuple(sorted(pres.units))
-        self.names = tuple(sorted(pres.morphisms))
-        self._r = dict(pres.rng)
-        self._s = dict(pres.src)
-        self._inv = dict(pres.inv)
-        for u in self.units:
-            if u not in pres.morphisms:
-                raise MalformedTableError(f"unit {u!r} missing from morphisms")
-            self._r.setdefault(u, u)
-            self._s.setdefault(u, u)
-            self._inv.setdefault(u, u)
-        self._table = dict(pres.compose)
-        for g in self.names:
-            if g not in self._r or g not in self._s or g not in self._inv:
-                raise MalformedTableError(f"morphism {g!r} lacks range/source/inverse")
-
-    # -- SmallCategory interface
-
-    def objects(self):
-        return self.units
-
-    def identity(self, v):
-        if v not in self.units:
-            raise UnknownUnitError(f"{v!r} is not a unit")
-        return v
-
-    def is_identity(self, g):
-        return g in self.units
-
-    def r(self, g):
-        return self._r[g]
-
-    def s(self, g):
-        return self._s[g]
+        super().__init__(pres.units, pres.morphisms, pres.rng, pres.src, pres.compose, inverse=pres.inv)
+        self.units = self._objects
+        self._inv = self._maps["inverse"]
 
     def size(self, g):
         return 0
@@ -76,19 +51,10 @@ class FiniteGroupoid(SmallCategory):
         return list(self.names)
 
     def compose(self, g, h):
-        if self._s[g] != self._r[h]:
-            return None
-        if g in self.units:
-            return h
-        if h in self.units:
-            return g
-        out = self._table.get((g, h))
-        if out is None:
+        out = super().compose(g, h)
+        if out is None and self._s[g] == self._r[h]:
             raise MalformedTableError(f"composable pair ({g}, {h}) missing from table")
         return out
-
-    def sort_key(self, g):
-        return g
 
     def inverse(self, g):
         return self._inv[g]

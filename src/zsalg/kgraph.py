@@ -13,6 +13,10 @@ complete bijection, resolving every strictly color-descending edge triple
 both ways (the only overlapping redexes, so by Newman's lemma this certifies
 confluence at every degree), and sweeping a small window of paths through an
 exhaustive factorization round-trip.
+
+Each path is one object with one id, built by one routine (_path_id); nf
+refuses an edge list that is not a path, and compose, divisors_into and
+meet keep their answers by id (see their docstrings).
 """
 
 from __future__ import annotations
@@ -457,11 +461,6 @@ class KGraph(SmallCategory):
 
     def meet(self, c1: Path, c2: Path, bound):
         return self.kept("meet", c1, c2, lambda a, b: (self.mce(a, b), "MCE"), symmetric=True)
-
-    def peel_right(self, m: Path):
-        if len(m.edges) <= 1:
-            return None
-        return self.nf(m.edges[:-1]), self.nf(m.edges[-1:])
 
     def peel_left(self, m: Path):
         if len(m.edges) <= 1:

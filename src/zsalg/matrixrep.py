@@ -73,7 +73,7 @@ import math
 import numpy as np
 
 from .cocycle import CocycleFamily
-from .errors import InfiniteBasisError, OffGridError
+from .errors import InfiniteBasisError
 from .kgraph import deg_add, deg_join, deg_le, deg_splits, deg_sub
 from .normalform import Element
 from .report import Report, failing, passing
@@ -364,8 +364,7 @@ class TruncatedRep:
     window: a view of the family's table at one fiber."""
 
     def __init__(self, zs: ZSCategory, family: CocycleFamily, bound, grid_index):
-        if type(grid_index) is not int or not 0 <= grid_index < family.m:
-            raise OffGridError(f"grid index {grid_index} outside 0..{family.m - 1}")
+        family.check_grid_index(grid_index)
         self._attach(_Table(zs, family, bound, (grid_index,)), 0)
 
     def _attach(self, table: _Table, fiber):

@@ -374,8 +374,7 @@ class AlgebraModel:
     # -- fibers
 
     def fiber_model(self, j) -> "AlgebraModel":
-        if type(j) is not int or not 0 <= j < self.m:
-            raise OffGridError(f"grid index {j} outside 0..{self.m - 1}")
+        self.family.check_grid_index(j)
         if j not in self._fiber_cache:
             fiber = self.family.cocycle_at(j)
             fm = self._fiber_cache[j] = AlgebraModel(self.zs, fiber, self.level_bound)

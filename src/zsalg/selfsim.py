@@ -22,6 +22,10 @@ d1c1 . d2c2 = d1 (c1 |> d2) (c1 <| d2) c2.  When the acting category is a
 groupoid with units the vertices and the left action preserves degrees, the
 pair is a self-similar action and the product carries the path degree as its
 truncation gauge.
+
+One helper (_groupoid_tail) decides whether the acting category is a
+groupoid over the vertices.  A ZSCategory interns its morphisms by the ids
+of their parts and composes on those ids (see its docstring).
 """
 
 from __future__ import annotations
@@ -82,11 +86,6 @@ class FreeMonoidCategory(SmallCategory):
         if len(w) <= 1:
             return None
         return w[:-1], w[-1]
-
-    def peel_left(self, w):
-        if len(w) <= 1:
-            return None
-        return w[0], w[1:]
 
 
 @dataclass
@@ -377,19 +376,12 @@ class ZSCategory(SmallCategory):
                     if self.C.r(c) == self.D.s(d):
                         out.append(self.intern(d, c))
         else:
-            for d in self.D.morphisms(self._scalar_tuple(bound)):
-                dsize = self.D.size(d)
-                dsize = sum(dsize) if isinstance(dsize, tuple) else dsize
-                for c in self.C.morphisms(bound - dsize):
+            for d in self.D.morphisms((bound,) * self.D.k):
+                for c in self.C.morphisms(bound - sum(self.D.size(d))):
                     if self.C.r(c) == self.D.s(d):
                         out.append(self.intern(d, c))
         out.sort(key=self.sort_key)
         return out
-
-    def _scalar_tuple(self, bound):
-        probe = self.D.identity(next(iter(self.D.objects())))
-        dsize = self.D.size(probe)
-        return (bound,) * len(dsize) if isinstance(dsize, tuple) else bound
 
     # -- ids
 
@@ -414,7 +406,7 @@ class ZSCategory(SmallCategory):
             self.sources.append(C.sources[t])
             size = D.sizes[p]
             if not self._groupoid_tailed:
-                size = (sum(size) if isinstance(size, tuple) else size) + C.sizes[t]
+                size = sum(size) + C.sizes[t]
             self.sizes.append(size)
             self.rows.append({})
         return i

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from perfbench.workloads import CLI_WORKSPACES
 from zsalg.cli import Workspace, main
 from zsalg.cocycle import linear_homotopy, verify_homotopy
 from zsalg.errors import NotAPathError
@@ -93,21 +94,8 @@ def test_cocycle_and_homotopy_commands(tmp_path):
 def test_cocycle_check_table_without_groupoid(tmp_path):
     """A table cocycle is keyed by product morphisms, so it is verified on
     the product category even when the groupoid section is absent."""
-    ws = {
-        "kgraph": {
-            "k": 1,
-            "vertices": ["v"],
-            "edges": [
-                {"id": "a", "color": 1, "src": "v", "dst": "v"},
-                {"id": "b", "color": 1, "src": "v", "dst": "v"},
-            ],
-            "squares": [],
-        },
-        "cocycle": {"table": [{"c1": ["a"], "c2": ["b"], "phase": "1/10"}]},
-        "bounds": {"degree": [2]},
-    }
     path = tmp_path / "ws.json"
-    path.write_text(json.dumps(ws))
+    path.write_text(json.dumps(CLI_WORKSPACES["perturbed"]))
     code, report = run(tmp_path, "cocycle-check", "--workspace", str(path))
     assert code == 1
     assert report["checks"][0]["witness"] == ["identity", "(a|'v')", "(a|'v')", "(b|'v')"]
@@ -180,24 +168,11 @@ def test_malformed_angle_matrix_is_malformed(tmp_path, command, section, message
     assert report["error"] == "ZsalgError" and message in report["message"]
 
 
-#: the flip action of Z/2 on e2 with a <| g = v, which breaks the
-#: interchange law at (g, g, a)
-_BROKEN_FLIP = {
-    "kgraph": FIXTURE_DOCS["e2"]["kgraph"],
-    "groupoid": FIXTURE_DOCS["swap"]["groupoid"],
-    "action": {
-        "left": [{"g": "g", "edge": "a", "out": "b"}, {"g": "g", "edge": "b", "out": "a"}],
-        "right": [{"g": "g", "edge": "a", "out": "v"}, {"g": "g", "edge": "b", "out": "g"}],
-    },
-    "bounds": {"degree": [2]},
-}
-
-
 def test_zs_broken_flip_witness(tmp_path):
     """The flip action with a <| g = v breaks the interchange law; zs
     reports the last non-associative triple of the product window."""
     path = tmp_path / "ws.json"
-    path.write_text(json.dumps(_BROKEN_FLIP))
+    path.write_text(json.dumps(CLI_WORKSPACES["broken_flip"]))
     code, report = run(tmp_path, "zs", "--workspace", str(path))
     assert code == 1
     checks = {c["check"]: c for c in report["checks"]}
@@ -210,7 +185,7 @@ def test_concordance_broken_flip_witness(tmp_path):
     generating set leaves a solution unrouted: concordance fails with that
     solution and the set, as validate, zs and rep-check fail."""
     path = tmp_path / "ws.json"
-    path.write_text(json.dumps(_BROKEN_FLIP))
+    path.write_text(json.dumps(CLI_WORKSPACES["broken_flip"]))
     code, report = run(tmp_path, "concordance", "--workspace", str(path))
     assert code == 1
     checks = {c["check"]: c for c in report["checks"]}

@@ -2,7 +2,8 @@
 
 import pytest
 
-from zsalg.errors import UnknownUnitError
+from zsalg.categories import TableCategory
+from zsalg.errors import MalformedTableError, UnknownUnitError
 from zsalg.fixtures import (
     broken_pair_groupoid,
     pair_groupoid_2,
@@ -10,6 +11,7 @@ from zsalg.fixtures import (
     z2_groupoid,
 )
 from zsalg.groupoid import (
+    FiniteGroupoid,
     GroupoidPresentation,
     check_transversal,
     validate_groupoid,
@@ -126,3 +128,54 @@ def test_axiom_failure_names_the_law_and_the_elements(pres, witness):
     assert not rep.passed
     assert rep.name == "groupoid_axioms"
     assert rep.witness == witness
+
+
+def test_a_groupoid_and_its_table_category_agree():
+    """pair_groupoid_2's tables, read as a TableCategory, give the same
+    objects, window, endpoints and composites as the groupoid: table
+    morphisms are their names, and a unit off the objects is refused alike."""
+    gpd = pair_groupoid_2()
+    names = gpd.names
+    table = TableCategory(
+        objects=gpd.units,
+        morphisms=names,
+        r_map={g: gpd.r(g) for g in names},
+        s_map={g: gpd.s(g) for g in names},
+        compose_table={
+            (g, h): gpd.compose(g, h) for g in names for h in names if gpd.s(g) == gpd.r(h)
+        },
+    )
+    assert table.objects() == gpd.objects() == ("u", "w")
+    assert table.morphisms(1) == gpd.morphisms() == list(names)
+    assert table.morphisms(0) == ["u", "w"]
+    for g in names:
+        assert (table.r(g), table.s(g)) == (gpd.r(g), gpd.s(g))
+        assert table.is_identity(g) == gpd.is_identity(g)
+        for h in names:
+            assert table.compose(g, h) == gpd.compose(g, h)
+    for v in gpd.units:
+        assert table.identity(v) == gpd.identity(v) == v
+    for cat in (table, gpd):
+        with pytest.raises(UnknownUnitError):
+            cat.identity("z")
+
+
+def test_a_composable_pair_missing_from_a_groupoid_table_raises():
+    """The groupoid's table is total on composable pairs: a missing one
+    raises on compose and names the pair.  The same table as a
+    TableCategory is partial there, and answers None."""
+    pres = GroupoidPresentation(
+        units=["u", "w"],
+        morphisms=["u", "w", "m_uw", "m_wu"],
+        rng={"m_uw": "u", "m_wu": "w"},
+        src={"m_uw": "w", "m_wu": "u"},
+        inv={"m_uw": "m_wu", "m_wu": "m_uw"},
+        compose={("m_uw", "m_wu"): "u"},
+    )
+    gpd = FiniteGroupoid(pres)
+    assert gpd.compose("m_uw", "m_wu") == "u"
+    with pytest.raises(MalformedTableError, match=r"composable pair \(m_wu, m_uw\) missing from table"):
+        gpd.compose("m_wu", "m_uw")
+    table = TableCategory(pres.units, pres.morphisms, pres.rng, pres.src, pres.compose)
+    assert table.compose("m_uw", "m_wu") == "u"
+    assert table.compose("m_wu", "m_uw") is None

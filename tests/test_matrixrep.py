@@ -78,10 +78,13 @@ def test_rejects_infinite_basis_and_off_grid():
         TruncatedRep(zsk, rot_family(), (2, 2), 11)
 
 
-@pytest.mark.parametrize("grid_index", [11, -1, True], ids=["past-grid", "negative", "bool"])
+@pytest.mark.parametrize(
+    "grid_index", [11, -1, True, 1.0], ids=["past-grid", "negative", "bool", "float"]
+)
 def test_grid_index_is_checked_before_the_window_is_built(grid_index):
     """An off-grid index interns nothing into the product, and True is not
-    the grid index 1; AlgebraModel.fiber_model applies the same rule."""
+    the grid index 1; AlgebraModel.fiber_model and CocycleFamily.cocycle_at
+    apply the same rule."""
     zs = ZSCategory(trivial_pair(kgraph_k1((3, 3))))
     with pytest.raises(OffGridError):
         TruncatedRep(zs, rot_family(), (2, 2), grid_index)
@@ -89,6 +92,8 @@ def test_grid_index_is_checked_before_the_window_is_built(grid_index):
     model = AlgebraModel(zs, rot_family(), (2, 2))
     with pytest.raises(OffGridError):
         model.fiber_model(grid_index)
+    with pytest.raises(OffGridError):
+        rot_family().cocycle_at(grid_index)
 
 
 def test_relations_k1_trivial_and_rotation():
@@ -297,23 +302,8 @@ def test_schur_norm_bounds_dense_and_non_injective():
             assert operator_norm(op) >= np.linalg.norm(dense(op), 2) * (1 - 1e-12)
 
 
-E2 = {
-    "k": 1,
-    "vertices": ["v"],
-    "edges": [
-        {"id": "a", "color": 1, "src": "v", "dst": "v"},
-        {"id": "b", "color": 1, "src": "v", "dst": "v"},
-    ],
-    "squares": [],
-}
-Z2 = {
-    "units": ["v"],
-    "morphisms": [
-        {"id": "v", "src": "v", "dst": "v", "inv": "v"},
-        {"id": "g", "src": "v", "dst": "v", "inv": "g"},
-    ],
-    "compose": [["g", "g", "v"]],
-}
+E2 = FIXTURE_DOCS["e2"]["kgraph"]
+Z2 = FIXTURE_DOCS["swap"]["groupoid"]
 
 
 NON_LEFT_CANCELLATIVE = {

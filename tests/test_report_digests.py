@@ -15,73 +15,20 @@ import json
 
 import pytest
 
+from perfbench.workloads import CLI_WORKSPACES
 from zsalg.cli import main
 
-#: k1 with its rotation generator given as a float: the tolerance path
-FLOAT_K1 = {
-    "kgraph": {
-        "k": 2,
-        "vertices": ["v"],
-        "edges": [
-            {"id": "e", "color": 1, "src": "v", "dst": "v"},
-            {"id": "f", "color": 2, "src": "v", "dst": "v"},
-        ],
-        "squares": [{"ef": ["e", "f"], "fe": ["f", "e"]}],
-    },
-    "homotopy": {"generator": {"rotation": [[0, 0], [0.25, 0]]}, "grid": 11},
-    "bounds": {"degree": [2, 2]},
-}
-
-#: the free monoid on {a, b} with phase 1/10 on (a, b) alone: not a cocycle,
-#: and as a homotopy generator not additive
-PERTURBED_E2 = {
-    "kgraph": {
-        "k": 1,
-        "vertices": ["v"],
-        "edges": [
-            {"id": "a", "color": 1, "src": "v", "dst": "v"},
-            {"id": "b", "color": 1, "src": "v", "dst": "v"},
-        ],
-        "squares": [],
-    },
-    "cocycle": {"table": [{"c1": ["a"], "c2": ["b"], "phase": "1/10"}]},
-    "bounds": {"degree": [2]},
-}
-
-#: Z/2 flipping a and b, with a <| g = v: the interchange law breaks at
-#: (g, g, a), so the matched-pair check and R1 fail
-BROKEN_FLIP = {
-    "kgraph": PERTURBED_E2["kgraph"],
-    "groupoid": {
-        "units": ["v"],
-        "morphisms": [
-            {"id": "v", "src": "v", "dst": "v", "inv": "v"},
-            {"id": "g", "src": "v", "dst": "v", "inv": "g"},
-        ],
-        "compose": [["g", "g", "v"]],
-    },
-    "action": {
-        "left": [{"g": "g", "edge": "a", "out": "b"}, {"g": "g", "edge": "b", "out": "a"}],
-        "right": [{"g": "g", "edge": "a", "out": "v"}, {"g": "g", "edge": "b", "out": "g"}],
-    },
-    "bounds": {"degree": [2]},
-}
-
-#: PERTURBED_E2 over an explicit one-unit groupoid
-PERTURBED_UNIT_GROUPOID = {
-    **PERTURBED_E2,
-    "groupoid": {
-        "units": ["v"],
-        "morphisms": [{"id": "v", "src": "v", "dst": "v", "inv": "v"}],
-        "compose": [],
-    },
-}
-
+#: the benchmark's workspaces: k1 with a float rotation generator (the
+#: tolerance path); the free monoid on {a, b} with phase 1/10 on (a, b)
+#: alone, which is not a cocycle and as a homotopy generator not additive,
+#: bare and over an explicit one-unit groupoid; and Z/2 flipping a and b with
+#: a <| g = v, which breaks the interchange law at (g, g, a), so the
+#: matched-pair check and R1 fail
 WORKSPACES = {
-    "float_k1": FLOAT_K1,
-    "perturbed_e2": PERTURBED_E2,
-    "broken_flip": BROKEN_FLIP,
-    "perturbed_unit_groupoid": PERTURBED_UNIT_GROUPOID,
+    "float_k1": CLI_WORKSPACES["float_k1"],
+    "perturbed_e2": CLI_WORKSPACES["perturbed"],
+    "broken_flip": CLI_WORKSPACES["broken_flip"],
+    "perturbed_unit_groupoid": CLI_WORKSPACES["perturbed_unit_groupoid"],
 }
 
 _QUICK = ["validate", "enumerate", "mce", "zs", "concordance", "cocycle-check", "rep-check"]
