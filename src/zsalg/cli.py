@@ -79,6 +79,8 @@ def _rat(x):
             return Fraction(x)
         except ZeroDivisionError:
             raise ZsalgError(f"zero denominator: {x!r}") from None
+        except ValueError:
+            raise ZsalgError(f"not a rational number: {x!r}") from None
     if not isinstance(x, float) or not math.isfinite(x):
         raise ZsalgError(f"not a finite number: {x!r}")
     return x
@@ -157,7 +159,10 @@ class Workspace:
         """A "rotation" angle matrix, or a "table" of phases keyed by product
         morphisms of the path part."""
         if "rotation" in spec:
-            rows = spec["rotation"]
+            rows = [
+                fixtures.json_array(row, f"{section}.rotation[{n}]", ZsalgError)
+                for n, row in enumerate(spec["rotation"])
+            ]
             if len(rows) != self.k or any(len(row) != self.k for row in rows):
                 raise ZsalgError(f"a rotation matrix has {self.k} rows of {self.k} entries")
             return RotationForm([[_rat(x) for x in row] for row in rows])
@@ -456,11 +461,19 @@ def check_arguments(args, ws):
             raise ZsalgError(f"the antichain budget must be at least 1, not {budget}")
 
 
+def _bound_flag(text):
+    """The --bound flag: comma-separated integers, one per color."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ZsalgError(f"--bound {text}: need comma-separated integers") from None
+
+
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     fn, needs_ws = COMMANDS[args.command]
     try:
-        bound = tuple(int(x) for x in args.bound.split(",")) if args.bound else None
+        bound = _bound_flag(args.bound) if args.bound else None
         ws = None  # a command that reads no workspace builds none
         if needs_ws:
             if args.workspace:

@@ -121,7 +121,7 @@ def json_int(x, field):
     return x
 
 
-def _array(x, where, error=MalformedSquaresError):
+def json_array(x, where, error=MalformedSquaresError):
     """A workspace array: a string is not read as its characters."""
     if type(x) is not list:
         raise error(f"{where}: not a JSON array: {x!r}")
@@ -140,12 +140,12 @@ def parse_kgraph(section) -> KGraphPresentation:
     An array, name or square side of the wrong shape raises
     MalformedSquaresError naming the entry."""
     edges = []
-    for n, e in enumerate(_array(section.get("edges", []), "kgraph.edges")):
+    for n, e in enumerate(json_array(section.get("edges", []), "kgraph.edges")):
         where = f"kgraph.edges[{n}]"
         name, color = _name(e["id"], f"{where}.id"), json_int(e["color"], "color")
         edges.append(Edge(name, color, _name(e["dst"], f"{where}.dst"), _name(e["src"], f"{where}.src")))
     squares = []
-    for n, sq in enumerate(_array(section.get("squares", []), "kgraph.squares")):
+    for n, sq in enumerate(json_array(section.get("squares", []), "kgraph.squares")):
         sides = []
         for side in ("ef", "fe"):
             where = f"kgraph.squares[{n}].{side}"
@@ -154,33 +154,40 @@ def parse_kgraph(section) -> KGraphPresentation:
             sides.append(tuple(_name(x, f"{where}[{i}]") for i, x in enumerate(sq[side])))
         squares.append(tuple(sides))
     k = json_int(section["k"], "k")
-    vertices = _array(section["vertices"], "kgraph.vertices")
+    vertices = json_array(section["vertices"], "kgraph.vertices")
     vertices = [_name(v, f"kgraph.vertices[{n}]") for n, v in enumerate(vertices)]
     return KGraphPresentation(k, vertices, edges, squares)
 
 
 def parse_groupoid(section) -> GroupoidPresentation:
     """A workspace "groupoid" section.  An array, morphism entry, name or
-    compose entry of the wrong shape raises MalformedTableError naming the
+    compose entry of the wrong shape, and an inverse or compose entry that
+    names an undeclared morphism, raise MalformedTableError naming the
     entry."""
     bad = MalformedTableError
-
-    def names(xs, where):
-        return [_name(x, f"{where}[{n}]", bad) for n, x in enumerate(xs)]
-
-    units = names(_array(section["units"], "groupoid.units", bad), "groupoid.units")
+    units = json_array(section["units"], "groupoid.units", bad)
+    units = [_name(u, f"groupoid.units[{n}]", bad) for n, u in enumerate(units)]
     morphisms = []
-    for n, m in enumerate(_array(section["morphisms"], "groupoid.morphisms", bad)):
+    for n, m in enumerate(json_array(section["morphisms"], "groupoid.morphisms", bad)):
         where = f"groupoid.morphisms[{n}]"
         if type(m) is not dict:
             raise bad(f"{where}: not a JSON object: {m!r}")
         morphisms.append({f: _name(m[f], f"{where}.{f}", bad) for f in ("id", "dst", "src", "inv")})
+    ids = {m["id"] for m in morphisms}
+
+    def morphism(x, where):
+        if _name(x, where, bad) not in ids:
+            raise bad(f"{where}: no morphism {x!r}")
+        return x
+
+    for n, m in enumerate(morphisms):
+        morphism(m["inv"], f"groupoid.morphisms[{n}].inv")
     compose = {}
-    for n, entry in enumerate(_array(section.get("compose", []), "groupoid.compose", bad)):
+    for n, entry in enumerate(json_array(section.get("compose", []), "groupoid.compose", bad)):
         where = f"groupoid.compose[{n}]"
         if type(entry) is not list or len(entry) != 3:
             raise bad(f"{where}: a compose entry is three names, not {entry!r}")
-        a, b, c = names(entry, where)
+        a, b, c = (morphism(x, f"{where}[{i}]") for i, x in enumerate(entry))
         compose[a, b] = c
     return GroupoidPresentation(
         units=units,

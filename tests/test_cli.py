@@ -150,12 +150,28 @@ def test_non_finite_number_is_malformed(tmp_path, command, section):
             "2 rows of 2 entries",
         ),
         ("cocycle-check", {"cocycle": {"rotation": [[0, 0], [True, 0]]}}, "not a finite number"),
+        (
+            "cocycle-check",
+            {"cocycle": {"rotation": ["00", "10"]}},
+            "cocycle.rotation[0]: not a JSON array: '00'",
+        ),
+        (
+            "homotopy-check",
+            {"homotopy": {"generator": {"rotation": [[0, 0], "10"]}, "grid": 3}},
+            "homotopy.generator.rotation[1]: not a JSON array: '10'",
+        ),
+        ("cocycle-check", {"cocycle": {"rotation": [[0, 0], ["a", 0]]}}, "not a rational number: 'a'"),
     ],
-    ids=["zero-denominator", "short-matrix", "wide-generator", "bool-angle"],
+    ids=[
+        "zero-denominator", "short-matrix", "wide-generator", "bool-angle", "string-row",
+        "string-generator-row", "non-rational-string",
+    ],
 )
 def test_malformed_angle_matrix_is_malformed(tmp_path, command, section, message):
-    """An angle "1/0", a matrix that is not k by k, and true for an angle
-    are malformed input: no traceback, no verdict, no silent truncation."""
+    """An angle "1/0" or "a", a matrix that is not k by k, a row that is
+    not a JSON array (a string is not read as its characters), and true
+    for an angle are malformed input: no traceback, no verdict, no silent
+    truncation."""
     ws = {
         "kgraph": FIXTURE_DOCS["k1"]["kgraph"],
         "bounds": {"degree": [1, 1]},
@@ -338,23 +354,24 @@ def test_antichain_budget_below_one_is_malformed(tmp_path, where):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["--fixture", "k1", "--bound=-1,2"],
-        ["--fixture", "k1", "--bound", "1,x"],
-        ["--workspace", {"degree": "22"}],
-        ["--workspace", {"degree": [1.5, 2]}],
+        (["--fixture", "k1", "--bound=-1,2"], "degree bound [-1, 2]"),
+        (["--fixture", "k1", "--bound", "1,x"], "--bound 1,x"),
+        (["--workspace", {"degree": "22"}], "degree bound ['2', '2']"),
+        (["--workspace", {"degree": [1.5, 2]}], "degree bound [1.5, 2]"),
     ],
     ids=["negative", "not-a-number", "workspace-string", "workspace-float"],
 )
-def test_bound_must_be_non_negative_integers(tmp_path, argv):
+def test_bound_must_be_non_negative_integers(tmp_path, argv, message):
     """A degree bound is one non-negative integer per color.  A negative
-    entry used to give an empty window, on which every check passes."""
+    entry used to give an empty window, on which every check passes.  The
+    error names the bound."""
     if argv[0] == "--workspace":
         argv = ["--workspace", _workspace(tmp_path, "k1", bounds=argv[1])]
     code, report = run(tmp_path, "validate", *argv)
     assert code == 2
-    assert report["error"] in ("ZsalgError", "ValueError")
+    assert report["error"] == "ZsalgError" and message in report["message"]
 
 
 @pytest.mark.parametrize("triples", ["-3", "0"])
@@ -671,17 +688,25 @@ _SWAP_MORPHISMS = FIXTURE_DOCS["swap"]["groupoid"]["morphisms"]
             _groupoid_doc(compose=[["g", "g", 1]]),
             "groupoid.compose[0][2]: a name is a JSON string, not 1",
         ),
+        (_groupoid_doc(compose=[["g", "g", "zz"]]), "groupoid.compose[0][2]: no morphism 'zz'"),
+        (_groupoid_doc(compose=[["zz", "g", "v"]]), "groupoid.compose[0][0]: no morphism 'zz'"),
+        (
+            _groupoid_doc(morphisms=[_SWAP_MORPHISMS[0], {**_SWAP_MORPHISMS[1], "inv": "zz"}]),
+            "groupoid.morphisms[1].inv: no morphism 'zz'",
+        ),
     ],
     ids=[
         "string-unit-list", "list-morphism-id", "string-morphism", "two-item-compose",
-        "object-compose", "non-name-composite",
+        "object-compose", "non-name-composite", "undeclared-composite", "undeclared-factor",
+        "undeclared-inverse",
     ],
 )
 def test_malformed_groupoid_section_exits_two(tmp_path, doc, message):
     """The groupoid section is checked entry by entry: a unit list that is
     not an array (a string is not read as its characters), a morphism that
-    is not an object, a name that is not a string or a compose entry that is
-    not three names is malformed input, exit 2 naming the entry."""
+    is not an object, a name that is not a string, a compose entry that is
+    not three names, or an inverse or compose entry naming an undeclared
+    morphism is malformed input, exit 2 naming the entry."""
     path = tmp_path / "ws.json"
     path.write_text(json.dumps(doc))
     code, report = run(tmp_path, "validate", "--workspace", str(path))

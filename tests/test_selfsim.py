@@ -98,6 +98,35 @@ def test_verify_trivial_action():
     assert verify_matched_pair(pair, (2,))
 
 
+def _unit_law_cases():
+    """(name, pair, acting window, acted window)."""
+    from perfbench.workloads import CLI_WORKSPACES
+    from zsalg.cli import Workspace, builtin_workspace
+
+    for name in ("swap", "swap2", "k1"):
+        ws = builtin_workspace(name)
+        yield name, ws.pair, ws.bound, ws.bound
+    ws = Workspace(CLI_WORKSPACES["broken_flip"])
+    yield "broken_flip", ws.pair, ws.bound, ws.bound
+    yield "x_monoid", x_monoid().pair, 2, (2,)
+
+
+_UNIT_LAW_CASES = list(_unit_law_cases())
+
+
+@pytest.mark.parametrize(
+    "name, pair, c_bound, d_bound", _UNIT_LAW_CASES, ids=[case[0] for case in _UNIT_LAW_CASES]
+)
+def test_extension_keeps_the_unit_laws(name, pair, c_bound, d_bound):
+    """The unit laws that verify_matched_pair does not check, on every
+    window morphism: c |> id = id, c <| id = c, id |> d = d, id <| d = id."""
+    C, D = pair.acting, pair.acted
+    for c in C.morphisms(c_bound):
+        assert pair.extend(c, D.identity(C.s(c))) == (D.identity(C.r(c)), c), c
+    for d in D.morphisms(d_bound):
+        assert pair.extend(C.identity(D.r(d)), d) == (d, C.identity(D.s(d))), d
+
+
 def test_zs_compose_examples():
     zs = ZSCategory(swap_pair())
     a = zs.D.nf(("a",))
