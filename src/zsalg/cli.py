@@ -1,7 +1,7 @@
 """Command-line surface: ingest a workspace JSON, run checks, emit reports.
 
 A workspace file describes a k-graph (and optionally a groupoid, an action,
-a cocycle, and a homotopy generator):
+a cocycle, and a homotopy generator) in the format ``fixtures.SCHEMA`` sets:
 
     {
       "kgraph":   {"k": 2, "vertices": ["v"],
@@ -30,9 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from fractions import Fraction
 
 from . import acceptance, fixtures
 from .alignment import (
@@ -70,63 +68,28 @@ from .selfsim import (
 )
 
 
-def _rat(x):
-    """A workspace number: exact for strings and ints, else a finite float.
-    json.load accepts NaN and Infinity, which no check can compare; true and
-    false are not numbers, and "1/0" is none either."""
-    if isinstance(x, (str, int)) and not isinstance(x, bool):
-        try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            raise ZsalgError(f"zero denominator: {x!r}") from None
-        except ValueError:
-            raise ZsalgError(f"not a rational number: {x!r}") from None
-    if not isinstance(x, float) or not math.isfinite(x):
-        raise ZsalgError(f"not a finite number: {x!r}")
-    return x
-
-
-def _section(parse, *args):
-    """parse(*args) on a workspace section: a TypeError there is a value of
-    the wrong JSON type, which is malformed input, not an internal error."""
-    try:
-        return parse(*args)
-    except TypeError as exc:
-        raise ZsalgError(f"malformed workspace section: {exc}") from exc
-
-
 class Workspace:
     """Parsed and validated workspace objects."""
 
     def __init__(self, doc, bound=None, grid=None):
-        if not isinstance(doc, dict):
-            raise ZsalgError(f"a workspace is a JSON object, not {type(doc).__name__}")
-        if doc.get("kgraph") is None:
-            raise ZsalgError("workspace needs a 'kgraph' section")
-        for name in ("kgraph", "action", "bounds", "homotopy", "budgets"):
-            if not isinstance(doc.get(name, {}), dict):
-                raise ZsalgError(f"workspace section {name!r} must be a JSON object")
+        fixtures.check_document(doc)
         self.doc = doc
-        self.pres = _section(fixtures.parse_kgraph, doc["kgraph"])
+        self.pres = fixtures.parse_kgraph(doc["kgraph"])
         self.k = self.pres.k
         if bound is None:
             bound = doc.get("bounds", {}).get("degree", (2,) * self.k)
-        self.bound = _section(tuple, bound)
+        self.bound = tuple(bound)
         if len(self.bound) != self.k or not all(type(b) is int and b >= 0 for b in self.bound):
             raise ZsalgError(f"degree bound {list(self.bound)}: need rank {self.k} integers >= 0")
         self.graph, self.graph_report = validate_kgraph(self.pres, self.bound)
 
-        gp = doc.get("groupoid")
-        if gp is None:
-            self.groupoid, self.groupoid_report = (
-                fixtures.trivial_groupoid(self.graph.vertices),
-                None,
-            )
-        else:
-            presentation = _section(fixtures.parse_groupoid, gp)
+        if "groupoid" in doc:
+            presentation = fixtures.parse_groupoid(doc["groupoid"])
             self.groupoid, self.groupoid_report = validate_groupoid(presentation)
+        else:
+            self.groupoid, self.groupoid_report = fixtures.trivial_groupoid(self.graph.vertices), None
 
-        table = _section(fixtures.parse_action, doc.get("action", {}), self.groupoid, self.graph)
+        table = fixtures.parse_action(doc.get("action", {}), self.groupoid, self.graph)
         self.pair = MatchedPair(self.groupoid, self.graph, table)
         try:
             self.zs, self.action_report = ZSCategory(self.pair), None
@@ -135,17 +98,15 @@ class Workspace:
             # product is built on an action that breaks an endpoint law
             self.zs, self.action_report = None, exc.report
 
-        if grid is None:
-            grid = fixtures.json_int(doc.get("homotopy", {}).get("grid", 11), "homotopy.grid")
-        self.grid = grid
-        # a copy: --budget writes here, and builtin documents are shared
-        self.budgets = dict(doc.get("budgets", {}))
+        self.grid = doc.get("homotopy", {}).get("grid", 11) if grid is None else grid
+        # the defaults, then the document's: --budget writes here
+        self.budgets = {"antichain": 6, "window": 200, **doc.get("budgets", {})}
 
     def cocycle(self) -> Cocycle:
         spec = self.doc.get("cocycle")
         if spec is None:
             return trivial_cocycle()
-        form = _section(self._form, spec, "cocycle")
+        form = self._form(spec, "cocycle")
         return Cocycle(form, name="rotation" if "rotation" in spec else "table")
 
     def generator_form(self):
@@ -153,24 +114,23 @@ class Workspace:
         if spec is None:
             section = "cocycle"
             spec = self.doc.get(section, {"rotation": [[0] * self.k] * self.k})
-        return _section(self._form, spec, section)
+        return self._form(spec, section)
 
     def _form(self, spec, section):
         """A "rotation" angle matrix, or a "table" of phases keyed by product
         morphisms of the path part."""
         if "rotation" in spec:
-            rows = [
-                fixtures.json_array(row, f"{section}.rotation[{n}]", ZsalgError)
-                for n, row in enumerate(spec["rotation"])
-            ]
+            rows = spec["rotation"]
             if len(rows) != self.k or any(len(row) != self.k for row in rows):
                 raise ZsalgError(f"a rotation matrix has {self.k} rows of {self.k} entries")
-            return RotationForm([[_rat(x) for x in row] for row in rows])
+            return RotationForm([[fixtures.number(x, section) for x in row] for row in rows])
+        if "table" not in spec:
+            raise ZsalgError(f"{section}: no 'rotation' or 'table'")
         table = {}
         for n, e in enumerate(spec["table"]):
             where = f"{section}.table[{n}]"
             c1, c2 = (self._decode_pathlike(e[c], f"{where}.{c}") for c in ("c1", "c2"))
-            table[c1, c2] = _rat(e["phase"])
+            table[c1, c2] = fixtures.number(e["phase"], where)
         return TableForm(table)
 
     def family(self):
@@ -180,17 +140,14 @@ class Workspace:
 
     def _decode_pathlike(self, spec, where):
         """The product morphism of a table's path, named ``where`` in errors."""
-        if isinstance(spec, dict) and "vertex" in spec:
-            v = spec["vertex"]
-            if v not in self.graph.vertices:
-                raise NotAPathError(f"{where}: no vertex {v!r}")
-            p = self.graph.identity(v)
-        else:
-            try:
-                p = self.graph.nf(tuple(spec))
-            except NotAPathError as exc:
-                raise NotAPathError(f"{where}: {exc}") from None
-        return self.zs.from_path(p)
+        try:
+            if type(spec) is not dict:
+                return self.zs.from_path(self.graph.nf(tuple(spec)))
+            if spec["vertex"] not in self.graph.vertices:
+                raise NotAPathError(f"no vertex {spec['vertex']!r}")
+            return self.zs.from_path(self.graph.identity(spec["vertex"]))
+        except NotAPathError as exc:
+            raise NotAPathError(f"{where}: {exc}") from None
 
 
 def builtin_workspace(name, bound=None, grid=None) -> Workspace:
@@ -279,32 +236,23 @@ def cmd_zs(ws: Workspace, args):
     return {"checks": checks}
 
 
-def _split(ws: Workspace, args):
-    """The colors kept by concordance: --split, by default all but the last."""
-    return args.split if args.split is not None else ws.k - 1
-
-
-def _antichain_budget(ws: Workspace):
-    return fixtures.json_int(ws.budgets.get("antichain", 6), "budgets.antichain")
-
-
 def cmd_concordance(ws: Workspace, args):
-    split, budget = _split(ws, args), _antichain_budget(ws)
-    colors = list(range(1, split + 1))
-    gamma, grep = validate_kgraph(sub_kgraph(ws.graph, colors), ws.bound[:split])
+    # the subcategory keeps every color but the last
+    sub_bound = ws.bound[:-1]
+    gamma, grep = validate_kgraph(sub_kgraph(ws.graph, range(1, ws.k)), sub_bound)
     checks = [grep.to_json()]
     if ws.doc.get("groupoid"):
         inc = zs_inclusion(ZSCategory(restrict_pair(ws.pair, gamma)), ws.zs)
     else:
         inc = path_inclusion(gamma, ws.graph)
-    checks.append(check_concordant(inc, ws.bound[:split], ws.bound).to_json())
+    checks.append(check_concordant(inc, sub_bound, ws.bound).to_json())
     checks.append(
         check_exhaustive_lifting(
             inc,
-            ws.bound[:split],
+            sub_bound,
             ws.bound,
-            max_size=budget,
-            window_cap=fixtures.json_int(ws.budgets.get("window", 200), "budgets.window"),
+            max_size=ws.budgets["antichain"],
+            window_cap=ws.budgets["window"],
         ).to_json()
     )
     return {"checks": checks}
@@ -434,7 +382,6 @@ def build_parser():
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
     parser.add_argument("--mu", help="edge list for the mce command, e.g. e,f")
     parser.add_argument("--nu", help="edge list for the mce command")
-    parser.add_argument("--split", type=int, help="colors kept in the subcategory")
     parser.add_argument("--triples", type=int, default=1000)
     return parser
 
@@ -445,8 +392,8 @@ PARSER = build_parser()
 
 def check_arguments(args, ws):
     """The argument errors: main raises them before the structure check,
-    whose failure would otherwise stand in for them.  Concordance's split
-    and budget ranges read the workspace's rank and budgets."""
+    whose failure would otherwise stand in for them.  Concordance's rank
+    and budget ranges read the workspace."""
     if args.command == "mce":
         for flag in ("mu", "nu"):
             if getattr(args, flag) is None:
@@ -454,9 +401,9 @@ def check_arguments(args, ws):
     if args.command == "nf-mult" and args.triples < 1:
         raise ZsalgError(f"--triples must be at least 1, not {args.triples}")
     if args.command == "concordance":
-        if not 0 <= _split(ws, args) < ws.k:
-            raise ZsalgError(f"--split must be in 0..{ws.k - 1}")
-        budget = _antichain_budget(ws)
+        if ws.k < 1:
+            raise ZsalgError(f"concordance needs rank >= 1, not {ws.k}")
+        budget = ws.budgets["antichain"]
         if budget < 1:
             raise ZsalgError(f"the antichain budget must be at least 1, not {budget}")
 
@@ -469,6 +416,18 @@ def _bound_flag(text):
         raise ZsalgError(f"--bound {text}: need comma-separated integers") from None
 
 
+def _read_workspace(path):
+    """A workspace file's JSON.  Text that is not UTF-8, and an integer too
+    long for Python to read, are malformed input, as a syntax error is."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:  # UnicodeDecodeError, or int's digit limit
+            raise ZsalgError(f"{path}: {exc}") from None
+
+
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     fn, needs_ws = COMMANDS[args.command]
@@ -477,9 +436,7 @@ def main(argv=None) -> int:
         ws = None  # a command that reads no workspace builds none
         if needs_ws:
             if args.workspace:
-                with open(args.workspace) as fh:
-                    doc = json.load(fh)
-                ws = Workspace(doc, bound=bound, grid=args.grid)
+                ws = Workspace(_read_workspace(args.workspace), bound=bound, grid=args.grid)
             else:
                 ws = builtin_workspace(args.fixture or "k1", bound=bound, grid=args.grid)
             if args.budget is not None:
@@ -490,7 +447,7 @@ def main(argv=None) -> int:
         structure = (ws.graph_report, ws.groupoid_report, ws.action_report) if needs_ws else ()
         broken = [r.to_json() for r in structure if r is not None and not r]
         body = fn(ws, args) if not broken or fn is cmd_validate else {"checks": broken}
-    except (ZsalgError, KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ZsalgError, OSError, json.JSONDecodeError) as exc:
         report = {"error": type(exc).__name__, "message": str(exc), "exit": 2}
         _emit(report, args.out)
         return 2

@@ -48,7 +48,7 @@ import sys
 from fractions import Fraction
 
 from .categories import SmallCategory, id_triples
-from .errors import BadGeneratorError, NotDegreeAdditiveError, OffGridError
+from .errors import BadGeneratorError, NotDegreeAdditiveError, OffGridError, ZsalgError
 from .kgraph import deg_add
 from .report import Report, failing, passing
 
@@ -682,7 +682,7 @@ def LinearHomotopy(generator: ExponentForm, m=11) -> CocycleFamily:
     """Sigma_t = exp(2*pi*i*t*q) for an additive generator q, sampled on the
     grid t_j = j/(m-1)."""
     if m < 2:
-        raise ValueError("homotopy grids need at least the two endpoints")
+        raise ZsalgError(f"a homotopy grid needs at least the two endpoints, not {m}")
     return CocycleFamily(generator, (Fraction(j, m - 1) for j in range(m)), "linear")
 
 

@@ -13,7 +13,7 @@ class MalformedSquaresError(ZsalgError):
 
 class MalformedTableError(ZsalgError):
     """A groupoid or category table is structurally broken, or a workspace
-    groupoid section has an entry of the wrong JSON shape."""
+    groupoid or action section is malformed."""
 
 
 class DegreeMismatchError(ZsalgError):
@@ -83,5 +83,5 @@ class InfiniteBasisError(ZsalgError):
 
 
 class NotAPathError(ZsalgError):
-    """An edge list with an unknown edge or adjacent edges that do not meet,
-    or a vertex path at a vertex the graph does not have."""
+    """An edge list that is empty, has an unknown edge or has adjacent edges
+    that do not meet, or a vertex path at a vertex the graph does not have."""

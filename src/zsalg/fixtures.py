@@ -1,4 +1,4 @@
-"""Built-in fixtures used by the test suite, the CLI and the docs.
+"""The workspace format (SCHEMA) and the built-in fixtures, for the CLI and tests.
 
 Everything here is a small, fully checked object: one-vertex graphs with one
 or two edges per color, the flip action of Z/2 on the free monoid, the pair
@@ -9,7 +9,9 @@ the bottom produces validated presentations for the oracle-agreement sweeps.
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
 from .errors import MalformedSquaresError, MalformedTableError, ZsalgError
 from .groupoid import FiniteGroupoid, GroupoidPresentation, validate_groupoid
@@ -24,7 +26,7 @@ from .selfsim import (
 
 # ---------------------------------------------------------------------------
 # workspace documents: the fixtures the command line names with --fixture,
-# in the workspace JSON schema of zsalg.cli.  The Python fixtures below of
+# in the workspace format of SCHEMA below.  The Python fixtures below of
 # the same names are parsed from these documents, so each is defined once.
 # The documents are shared: parse them, never mutate them.
 
@@ -113,94 +115,141 @@ FIXTURE_DOCS = {
 }
 
 
-def json_int(x, field):
-    """A workspace integer field, taken as given: a float is not truncated,
-    and a bool is not an integer."""
-    if type(x) is not int:
-        raise ZsalgError(f"malformed workspace section: {field} must be an integer, not {x!r}")
-    return x
+# ---------------------------------------------------------------------------
+# the workspace schema: each section's error class and keys ("?" marks an
+# optional one), with each value's JSON type: NAME (a string), INT (an
+# integer, not a bool), NUMBER (see ``number``), PATH (a list of edge names,
+# or {"vertex": name}), [t] (an array of t), (n, phrase) (n names, described
+# by phrase) or a dict (an object).  check_document checks a document once,
+# before any parsing, so the parsers below read keys directly.
+
+NAME, INT, NUMBER, PATH = "name", "integer", "number", "path"
+
+_FORM = {"rotation?": [[NUMBER]], "table?": [{"c1": PATH, "c2": PATH, "phase": NUMBER}]}
+_SIDE = (2, "a square side is two edges")
+_ACTION_SIDE = [{"g": NAME, "edge": NAME, "out": NAME}]
+
+SCHEMA = {
+    "kgraph": (MalformedSquaresError, {
+        "k": INT,
+        "vertices": [NAME],
+        "edges?": [{"id": NAME, "color": INT, "src": NAME, "dst": NAME}],
+        "squares?": [{"ef": _SIDE, "fe": _SIDE}],
+    }),
+    "groupoid?": (MalformedTableError, {
+        "units": [NAME],
+        "morphisms": [{"id": NAME, "src": NAME, "dst": NAME, "inv": NAME}],
+        "compose?": [(3, "a compose entry is three names")],
+    }),
+    "action?": (MalformedTableError, {"left?": _ACTION_SIDE, "right?": _ACTION_SIDE}),
+    "cocycle?": (ZsalgError, _FORM),
+    "homotopy?": (ZsalgError, {"generator?": _FORM, "grid?": INT}),
+    "bounds?": (ZsalgError, {"degree?": [INT]}),
+    "budgets?": (ZsalgError, {"antichain?": INT, "window?": INT}),
+}
 
 
-def json_array(x, where, error=MalformedSquaresError):
-    """A workspace array: a string is not read as its characters."""
-    if type(x) is not list:
-        raise error(f"{where}: not a JSON array: {x!r}")
-    return x
+def check_document(doc):
+    """Check a workspace document against SCHEMA, ignoring unknown keys.
+    The first bad value raises its section's error naming its path, as in
+    ``kgraph.edges[0]: no 'id'``; a bad integer raises ZsalgError anywhere."""
+    if type(doc) is not dict:
+        raise ZsalgError(f"a workspace is a JSON object, not {type(doc).__name__}")
+    if doc.get("kgraph") is None:
+        raise ZsalgError("workspace needs a 'kgraph' section")
+    for key, (error, keys) in SCHEMA.items():
+        name = key.rstrip("?")
+        if name in doc:
+            if type(doc[name]) is not dict:
+                raise ZsalgError(f"workspace section {name!r} must be a JSON object")
+            _check(doc[name], keys, name, error)
 
 
-def _name(x, where, error=MalformedSquaresError):
-    """A vertex, edge or groupoid element name, which is a JSON string."""
-    if type(x) is not str:
-        raise error(f"{where}: a name is a JSON string, not {x!r}")
+def _check(x, kind, where, error):
+    """x against the schema type kind; ``where`` is x's path."""
+    if kind is PATH:
+        kind = {"vertex": NAME} if type(x) is dict else [NAME]
+    elif type(kind) is tuple:
+        if type(x) is not list or len(x) != kind[0]:
+            raise error(f"{where}: {kind[1]}, not {x!r}")
+        kind = [NAME]
+    if type(kind) is dict:
+        if type(x) is not dict:
+            raise error(f"{where}: not a JSON object: {x!r}")
+        for key, sub in kind.items():
+            name = key.rstrip("?")
+            if name in x:
+                _check(x[name], sub, f"{where}.{name}", error)
+            elif name == key:
+                raise error(f"{where}: no {name!r}")
+    elif type(kind) is list:
+        if type(x) is not list:
+            raise error(f"{where}: not a JSON array: {x!r}")
+        for n, item in enumerate(x):
+            _check(item, kind[0], f"{where}[{n}]", error)
+    elif kind is NAME:
+        if type(x) is not str:
+            raise error(f"{where}: a name is a JSON string, not {x!r}")
+    elif kind is INT:
+        if type(x) is not int:
+            raise ZsalgError(f"malformed workspace section: {where} must be an integer, not {x!r}")
+    else:
+        number(x, where)
+
+
+def number(x, where):
+    """A workspace number at ``where``: exact for strings and ints, else a
+    finite float.  json.load accepts NaN and Infinity, which no check can
+    compare; true and false are not numbers, and "1/0" is none either."""
+    if type(x) in (str, int):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ZsalgError(f"{where}: zero denominator: {x!r}") from None
+        except ValueError:
+            raise ZsalgError(f"{where}: not a rational number: {x!r}") from None
+    if type(x) is not float or not math.isfinite(x):
+        raise ZsalgError(f"{where}: not a finite number: {x!r}")
     return x
 
 
 def parse_kgraph(section) -> KGraphPresentation:
-    """A workspace "kgraph" section; edges run from src to dst (the range).
-    An array, name or square side of the wrong shape raises
-    MalformedSquaresError naming the entry."""
-    edges = []
-    for n, e in enumerate(json_array(section.get("edges", []), "kgraph.edges")):
-        where = f"kgraph.edges[{n}]"
-        name, color = _name(e["id"], f"{where}.id"), json_int(e["color"], "color")
-        edges.append(Edge(name, color, _name(e["dst"], f"{where}.dst"), _name(e["src"], f"{where}.src")))
-    squares = []
-    for n, sq in enumerate(json_array(section.get("squares", []), "kgraph.squares")):
-        sides = []
-        for side in ("ef", "fe"):
-            where = f"kgraph.squares[{n}].{side}"
-            if type(sq[side]) is not list or len(sq[side]) != 2:
-                raise MalformedSquaresError(f"{where}: a square side is two edges, not {sq[side]!r}")
-            sides.append(tuple(_name(x, f"{where}[{i}]") for i, x in enumerate(sq[side])))
-        squares.append(tuple(sides))
-    k = json_int(section["k"], "k")
-    vertices = json_array(section["vertices"], "kgraph.vertices")
-    vertices = [_name(v, f"kgraph.vertices[{n}]") for n, v in enumerate(vertices)]
-    return KGraphPresentation(k, vertices, edges, squares)
+    """A checked workspace "kgraph" section; edges run from src to dst."""
+    edges = [Edge(e["id"], e["color"], e["dst"], e["src"]) for e in section.get("edges", [])]
+    squares = [(tuple(sq["ef"]), tuple(sq["fe"])) for sq in section.get("squares", [])]
+    return KGraphPresentation(section["k"], section["vertices"], edges, squares)
 
 
 def parse_groupoid(section) -> GroupoidPresentation:
-    """A workspace "groupoid" section.  An array, morphism entry, name or
-    compose entry of the wrong shape, and an inverse or compose entry that
-    names an undeclared morphism, raise MalformedTableError naming the
-    entry."""
-    bad = MalformedTableError
-    units = json_array(section["units"], "groupoid.units", bad)
-    units = [_name(u, f"groupoid.units[{n}]", bad) for n, u in enumerate(units)]
-    morphisms = []
-    for n, m in enumerate(json_array(section["morphisms"], "groupoid.morphisms", bad)):
-        where = f"groupoid.morphisms[{n}]"
-        if type(m) is not dict:
-            raise bad(f"{where}: not a JSON object: {m!r}")
-        morphisms.append({f: _name(m[f], f"{where}.{f}", bad) for f in ("id", "dst", "src", "inv")})
-    ids = {m["id"] for m in morphisms}
+    """A checked workspace "groupoid" section.  A dst or src that names no
+    unit, and an inverse or compose entry that names an undeclared
+    morphism, raise MalformedTableError naming the entry."""
+    units, morphisms = section["units"], section["morphisms"]
+    known = {"unit": set(units), "morphism": {m["id"] for m in morphisms}}
 
-    def morphism(x, where):
-        if _name(x, where, bad) not in ids:
-            raise bad(f"{where}: no morphism {x!r}")
-        return x
+    def check(x, kind, where):
+        if x not in known[kind]:
+            raise MalformedTableError(f"{where}: no {kind} {x!r}")
 
     for n, m in enumerate(morphisms):
-        morphism(m["inv"], f"groupoid.morphisms[{n}].inv")
-    compose = {}
-    for n, entry in enumerate(json_array(section.get("compose", []), "groupoid.compose", bad)):
-        where = f"groupoid.compose[{n}]"
-        if type(entry) is not list or len(entry) != 3:
-            raise bad(f"{where}: a compose entry is three names, not {entry!r}")
-        a, b, c = (morphism(x, f"{where}[{i}]") for i, x in enumerate(entry))
-        compose[a, b] = c
+        for f, kind in (("dst", "unit"), ("src", "unit"), ("inv", "morphism")):
+            check(m[f], kind, f"groupoid.morphisms[{n}].{f}")
+    compose = section.get("compose", [])
+    for n, entry in enumerate(compose):
+        for i, x in enumerate(entry):
+            check(x, "morphism", f"groupoid.compose[{n}][{i}]")
     return GroupoidPresentation(
         units=units,
         morphisms=[m["id"] for m in morphisms],
         rng={m["id"]: m["dst"] for m in morphisms},
         src={m["id"]: m["src"] for m in morphisms},
         inv={m["id"]: m["inv"] for m in morphisms},
-        compose=compose,
+        compose={(a, b): c for a, b, c in compose},
     )
 
 
 def parse_action(section, groupoid: FiniteGroupoid, graph: KGraph) -> ActionTable:
-    """A workspace "action" section: generator tables on (g, edge) keys.
+    """A checked workspace "action" section: generator tables on (g, edge) keys.
     Each entry's g and right out name groupoid elements, and its edge and
     left out name graph edges; an entry that does not raises
     MalformedTableError naming the side, the entry's index and the name."""

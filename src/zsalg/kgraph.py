@@ -192,7 +192,7 @@ class KGraph(SmallCategory):
         seq = tuple(seq)
         if not seq:
             if rng is None:
-                raise ValueError("vertex path needs an explicit vertex")
+                raise NotAPathError("an empty edge list names no vertex")
             return self.identity(rng)
         cached = self._nf_memo.get(seq)
         if cached is not None:

@@ -1,7 +1,10 @@
 """Command surface: exit codes, determinism, witnesses in reports."""
 
+import functools
 import json
 import math
+import operator
+import re
 
 import pytest
 
@@ -279,27 +282,32 @@ def test_mce_without_an_edge_list_is_malformed(tmp_path, missing):
 
 
 @pytest.mark.parametrize(
-    "command, ws",
+    "command, ws, message",
     [
-        ("validate", {"kgraph": {"k": None, "vertices": ["v"], "edges": [], "squares": []}}),
+        (
+            "validate",
+            {"kgraph": {"k": None, "vertices": ["v"], "edges": [], "squares": []}},
+            "malformed workspace section: kgraph.k must be an integer, not None",
+        ),
         (
             "cocycle-check",
             {
                 "kgraph": {"k": 1, "vertices": ["v"], "edges": [], "squares": []},
                 "cocycle": {"rotation": 5},
             },
+            "cocycle.rotation: not a JSON array: 5",
         ),
     ],
     ids=["null-k", "scalar-rotation"],
 )
-def test_wrongly_typed_value_is_malformed(tmp_path, command, ws):
+def test_wrongly_typed_value_is_malformed(tmp_path, command, ws, message):
     """A workspace value of the wrong JSON type is malformed input (exit 2),
-    not a traceback."""
+    not a traceback, and the message names the value's path."""
     path = tmp_path / "ws.json"
     path.write_text(json.dumps(ws))
     code, report = run(tmp_path, command, "--workspace", str(path))
     assert code == 2
-    assert report["error"] == "ZsalgError" and "malformed workspace section" in report["message"]
+    assert report["error"] == "ZsalgError" and report["message"] == message
 
 
 def _workspace(tmp_path, fixture, **sections):
@@ -338,7 +346,8 @@ def test_rank_zero_bound_is_empty(tmp_path):
 def test_homotopy_grid_below_two_is_malformed(tmp_path, grid):
     code, report = run(tmp_path, "homotopy-check", "--fixture", "k1", "--grid", grid)
     assert code == 2
-    assert report["error"] == "ValueError" and "endpoints" in report["message"]
+    assert report["error"] == "ZsalgError"
+    assert report["message"] == f"a homotopy grid needs at least the two endpoints, not {grid}"
 
 
 @pytest.mark.parametrize("where", ["flag", "workspace"])
@@ -358,15 +367,15 @@ def test_antichain_budget_below_one_is_malformed(tmp_path, where):
     [
         (["--fixture", "k1", "--bound=-1,2"], "degree bound [-1, 2]"),
         (["--fixture", "k1", "--bound", "1,x"], "--bound 1,x"),
-        (["--workspace", {"degree": "22"}], "degree bound ['2', '2']"),
-        (["--workspace", {"degree": [1.5, 2]}], "degree bound [1.5, 2]"),
+        (["--workspace", {"degree": "22"}], "bounds.degree: not a JSON array: '22'"),
+        (["--workspace", {"degree": [1.5, 2]}], "bounds.degree[0] must be an integer, not 1.5"),
     ],
     ids=["negative", "not-a-number", "workspace-string", "workspace-float"],
 )
 def test_bound_must_be_non_negative_integers(tmp_path, argv, message):
     """A degree bound is one non-negative integer per color.  A negative
     entry used to give an empty window, on which every check passes.  The
-    error names the bound."""
+    error names the bound, or the workspace value's path."""
     if argv[0] == "--workspace":
         argv = ["--workspace", _workspace(tmp_path, "k1", bounds=argv[1])]
     code, report = run(tmp_path, "validate", *argv)
@@ -694,19 +703,28 @@ _SWAP_MORPHISMS = FIXTURE_DOCS["swap"]["groupoid"]["morphisms"]
             _groupoid_doc(morphisms=[_SWAP_MORPHISMS[0], {**_SWAP_MORPHISMS[1], "inv": "zz"}]),
             "groupoid.morphisms[1].inv: no morphism 'zz'",
         ),
+        (
+            _groupoid_doc(morphisms=[_SWAP_MORPHISMS[0], {**_SWAP_MORPHISMS[1], "dst": "zz"}]),
+            "groupoid.morphisms[1].dst: no unit 'zz'",
+        ),
+        (
+            _groupoid_doc(morphisms=[_SWAP_MORPHISMS[0], {**_SWAP_MORPHISMS[1], "src": "zz"}]),
+            "groupoid.morphisms[1].src: no unit 'zz'",
+        ),
     ],
     ids=[
         "string-unit-list", "list-morphism-id", "string-morphism", "two-item-compose",
         "object-compose", "non-name-composite", "undeclared-composite", "undeclared-factor",
-        "undeclared-inverse",
+        "undeclared-inverse", "undeclared-dst", "undeclared-src",
     ],
 )
 def test_malformed_groupoid_section_exits_two(tmp_path, doc, message):
     """The groupoid section is checked entry by entry: a unit list that is
     not an array (a string is not read as its characters), a morphism that
     is not an object, a name that is not a string, a compose entry that is
-    not three names, or an inverse or compose entry naming an undeclared
-    morphism is malformed input, exit 2 naming the entry."""
+    not three names, an inverse or compose entry naming an undeclared
+    morphism, or a dst or src naming no unit is malformed input, exit 2
+    naming the entry."""
     path = tmp_path / "ws.json"
     path.write_text(json.dumps(doc))
     code, report = run(tmp_path, "validate", "--workspace", str(path))
@@ -760,15 +778,14 @@ def test_workspace_section_of_the_wrong_type_is_malformed(tmp_path, command, sec
     [
         (["mce", "--mu", "a"], "--nu"),
         (["nf-mult", "--triples", "0"], "--triples"),
-        (["concordance", "--split", "9"], "--split"),
         (["concordance", "--budget", "0"], "antichain budget"),
     ],
-    ids=["mce-without-nu", "nf-mult-no-triples", "concordance-split", "concordance-budget"],
+    ids=["mce-without-nu", "nf-mult-no-triples", "concordance-budget"],
 )
 def test_argument_errors_come_before_the_workspace(tmp_path, argv, flag):
     """An argument error exits 2 even on a workspace whose structure check
-    fails, which would otherwise be the verdict; concordance's split and
-    budget ranges are argument errors too, though they read the workspace."""
+    fails, which would otherwise be the verdict; concordance's budget range
+    is an argument error too, though it reads the workspace."""
     path = tmp_path / "ws.json"
     path.write_text(json.dumps({"kgraph": _E2_SECTION, "groupoid": _BAD_INVERSE_Z2}))
     code, report = run(tmp_path, *argv, "--workspace", str(path))
@@ -925,3 +942,189 @@ def test_nf_mult_makes_five_products_per_triple(tmp_path, monkeypatch):
     (check,) = report["checks"]
     assert check["associative"] == check["anti_multiplicative"] == "7/7"
     assert len(calls) == 5 * 7
+
+
+def test_concordance_needs_rank_one(tmp_path):
+    """Concordance keeps every color but the last, so a 0-graph has no
+    subcategory to check: malformed input."""
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps({"kgraph": {"k": 0, "vertices": ["v"]}}))
+    code, report = run(tmp_path, "concordance", "--workspace", str(path))
+    assert code == 2
+    assert report["error"] == "ZsalgError"
+    assert report["message"] == "concordance needs rank >= 1, not 0"
+
+
+def test_empty_table_path_exits_two(tmp_path):
+    """An empty edge list names no vertex path; {"vertex": v} does."""
+    entry = {"c1": [], "c2": ["m"], "phase": "1/4"}
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(dict(_NOT_A_PATH_DOC, cocycle={"table": [entry]})))
+    code, report = run(tmp_path, "cocycle-check", "--workspace", str(path))
+    assert code == 2
+    assert report["error"] == "NotAPathError"
+    assert report["message"] == "cocycle.table[0].c1: an empty edge list names no vertex"
+
+
+def _without(doc, *path):
+    """A copy of doc with the key or item at path deleted."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    del functools.reduce(operator.getitem, head, doc)[last]
+    return doc
+
+
+_PERTURBED_UNIT_GROUPOID = CLI_WORKSPACES["perturbed_unit_groupoid"]
+
+
+def _missing(command, doc, path, error, message):
+    """A test_missing_required_key_exits_two case, named by its message."""
+    return pytest.param(command, _without(doc, *path), error, message, id=message)
+
+
+@pytest.mark.parametrize(
+    "command, doc, error, message",
+    [
+        *(
+            _missing("validate", FIXTURE_DOCS["swap"], ("kgraph", *path), "MalformedSquaresError",
+                     f"kgraph{where}: no {path[-1]!r}")
+            for path, where in [
+                (("k",), ""),
+                (("vertices",), ""),
+                *((("edges", 0, key), ".edges[0]") for key in ("id", "color", "src", "dst")),
+            ]
+        ),
+        *(
+            _missing("validate", FIXTURE_DOCS["k1"], ("kgraph", "squares", 0, side),
+                     "MalformedSquaresError", f"kgraph.squares[0]: no {side!r}")
+            for side in ("ef", "fe")
+        ),
+        *(
+            _missing("validate", FIXTURE_DOCS["swap"], ("groupoid", *path), "MalformedTableError",
+                     f"groupoid{where}: no {path[-1]!r}")
+            for path, where in [
+                (("units",), ""),
+                (("morphisms",), ""),
+                *((("morphisms", 1, key), ".morphisms[1]") for key in ("id", "src", "dst", "inv")),
+            ]
+        ),
+        *(
+            _missing("validate", FIXTURE_DOCS["swap"], ("action", side, 0, key),
+                     "MalformedTableError", f"action.{side}[0]: no {key!r}")
+            for side in ("left", "right")
+            for key in ("g", "edge", "out")
+        ),
+        *(
+            _missing("cocycle-check", _PERTURBED_UNIT_GROUPOID, ("cocycle", "table", 0, key),
+                     "ZsalgError", f"cocycle.table[0]: no {key!r}")
+            for key in ("c1", "c2", "phase")
+        ),
+        _missing("cocycle-check", _PERTURBED_UNIT_GROUPOID, ("cocycle", "table"), "ZsalgError",
+                 "cocycle: no 'rotation' or 'table'"),
+        _missing("homotopy-check", FIXTURE_DOCS["k1"], ("homotopy", "generator", "rotation"),
+                 "ZsalgError", "homotopy.generator: no 'rotation' or 'table'"),
+    ],
+)
+def test_missing_required_key_exits_two(tmp_path, command, doc, error, message):
+    """A required key that is missing is malformed input named by its
+    path, in its section's error class: not a bare KeyError."""
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(tmp_path, command, "--workspace", str(path))
+    assert code == 2
+    assert (report["error"], report["message"]) == (error, message)
+
+
+def _mutations(doc):
+    """(path, change, copy) for each copy of doc with one key or item
+    deleted, or set to null, [], {} or "zz"."""
+
+    def paths(x, path):
+        items = x.items() if type(x) is dict else enumerate(x) if type(x) is list else ()
+        for key, child in items:
+            yield (*path, key)
+            yield from paths(child, (*path, key))
+
+    for path in paths(doc, ()):
+        yield path, "deleted", _without(doc, *path)
+        for value in (None, [], {}, "zz"):
+            copy = json.loads(json.dumps(doc))
+            *head, last = path
+            functools.reduce(operator.getitem, head, copy)[last] = value
+            yield path, f"set to {json.dumps(value)}", copy
+
+
+_PYTHON_TYPES = {"KeyError", "ValueError", "TypeError"}
+
+
+def test_one_value_mutations_exit_0_1_or_2_with_a_named_error(tmp_path):
+    """Each value of three workspaces, deleted or set to null, [], {} or
+    "zz" in turn: validate and cocycle-check exit 0, 1 or 2, nothing raises
+    out of main, and an exit-2 report is a toolkit error whose message is
+    the toolkit's own, never Python's text for a KeyError, ValueError or
+    TypeError."""
+    docs = [
+        FIXTURE_DOCS["swap"],
+        _PERTURBED_UNIT_GROUPOID,
+        {**FIXTURE_DOCS["k1"], "bounds": {"degree": [1, 1]}},
+    ]
+    ws, out = tmp_path / "ws.json", tmp_path / "r.json"
+    runs, bad = 0, []
+    for doc in docs:
+        for path, change, copy in _mutations(doc):
+            ws.write_text(json.dumps(copy))
+            for command in ("validate", "cocycle-check"):
+                try:
+                    code = main([command, "--workspace", str(ws), "--out", str(out)])
+                except Exception as exc:
+                    exc.add_note(f"{command} with {path} {change}")
+                    raise
+                runs += 1
+                report = json.loads(out.read_text())
+                message = report.get("message", "")
+                _, malformed, rest = message.partition("malformed workspace section: ")
+                if (
+                    code not in (0, 1, 2)
+                    or report.get("error") in _PYTHON_TYPES
+                    or malformed and not re.fullmatch(r"\S+ must be an integer, not .+", rest)
+                ):
+                    bad.append((command, path, change, code, report.get("error"), message))
+    assert runs > 1000
+    assert bad == []
+
+
+def test_an_internal_error_is_not_malformed_input(tmp_path, monkeypatch):
+    """A KeyError inside a check is a bug: it propagates out of main with
+    its traceback, and no report is written."""
+    from zsalg import cli
+
+    def broken(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "verify_cocycle", broken)
+    out = tmp_path / "r.json"
+    with pytest.raises(KeyError, match="internal"):
+        main(["cocycle-check", "--fixture", "k1", "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content, error, message",
+    [
+        (b'{"kgraph": ', "JSONDecodeError", "Expecting value"),
+        (b'{"kgraph": {"k": 1, "vertices": ["v\xff"]}}', "ZsalgError", "can't decode byte 0xff"),
+        (b'{"kgraph": {"k": ' + b"1" * 5000 + b"}}", "ZsalgError", "Exceeds the limit"),
+        (None, "FileNotFoundError", "No such file"),
+    ],
+    ids=["syntax", "not-utf-8", "long-integer", "missing-file"],
+)
+def test_unreadable_workspace_file_exits_two(tmp_path, content, error, message):
+    """A workspace file that is missing, is not JSON, is not UTF-8 text or
+    holds an integer too long to read is malformed input: exit 2 with a
+    report, not a traceback."""
+    path = tmp_path / "ws.json"
+    if content is not None:
+        path.write_bytes(content)
+    code, report = run(tmp_path, "validate", "--workspace", str(path))
+    assert code == 2
+    assert report["error"] == error and message in report["message"]

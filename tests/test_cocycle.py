@@ -23,7 +23,7 @@ from zsalg.cocycle import (
     verify_cocycle,
     verify_homotopy,
 )
-from zsalg.errors import BadGeneratorError, NotDegreeAdditiveError
+from zsalg.errors import BadGeneratorError, NotDegreeAdditiveError, ZsalgError
 from zsalg.fixtures import kgraph_e2, kgraph_k1, swap_pair
 from zsalg.kgraph import sub_kgraph, validate_kgraph
 from zsalg.selfsim import ZSCategory
@@ -221,7 +221,7 @@ def test_sampled_continuity_bound():
 
 
 def test_grid_needs_two_endpoints():
-    with pytest.raises(ValueError):
+    with pytest.raises(ZsalgError, match="the two endpoints, not 1"):
         LinearHomotopy(TableForm({}), m=1)
 
 

@@ -1,4 +1,4 @@
-"""No error is swallowed wholesale.
+"""No error is swallowed wholesale, and none is read as malformed input.
 
 A bare ``except:``, an ``except Exception`` or an ``except BaseException``
 in ``zsalg`` turns any internal bug into whatever the handler does next.
@@ -49,3 +49,13 @@ def test_the_guard_finds_broad_handlers(tmp_path):
 
 def test_no_broad_handler_in_zsalg():
     assert broad_handlers() == []
+
+
+def test_main_catches_only_input_errors():
+    """cli.main's one handler names exactly the errors of malformed input,
+    so an internal error (a KeyError or ValueError from a check) propagates
+    with its traceback instead of reading as exit 2."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    [main] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    [handler] = [n for n in ast.walk(main) if isinstance(n, ast.ExceptHandler)]
+    assert sorted(_names(handler.type)) == ["JSONDecodeError", "OSError", "ZsalgError"]
