@@ -8,7 +8,6 @@ from .categories import (
     TableCategory,
     check_left_cancellative,
     equivalent,
-    invertibles,
     principal_ideal,
     validate_category,
 )

@@ -28,6 +28,7 @@ import itertools
 from .categories import (
     SmallCategory,
     check_left_cancellative,
+    equivalent,
     principal_ideal,
     size_fits,
 )
@@ -82,7 +83,7 @@ def equivalent_sets(A, B, cat: SmallCategory, bound) -> bool:
     if len(A) != len(B):
         return False
     for a in A:
-        matches = [b for b in B if divides(b, a, cat, bound) and divides(a, b, cat, bound)]
+        matches = [b for b in B if equivalent(a, b, cat, bound)]
         if len(matches) != 1:
             return False
     return True

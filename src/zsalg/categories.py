@@ -15,13 +15,15 @@ Every category numbers its own morphisms: dense int ids with cached range,
 source and size, each composite kept once, in its id row (compose_ids), and
 windows memoized as id views (window).  The path and product categories
 answer compose from those rows too.  The window sweeps here run on those ids.
-The id view also keeps the answers to the path-pair questions.  A category
-whose divisors_into and meet are exact (kgraph, a product with a groupoid
-tail) keeps them in ``answers`` by id pair, meet by unordered pair (kept):
-they do not depend on the bound.  The brute-force defaults keep theirs on
-the Window they search: principal ideals by id and divisor ids by pair.  So
-an override and the window search, its reference, never read each other's
-answers.  What is kept lives as long as its category, which is one command.
+The id view also keeps the answers to the path-pair questions, of which a
+category answers two itself, divisors_into and meet; divides, meets and
+equivalent follow from them.  A category whose divisors_into and meet are
+exact (kgraph, a product with a groupoid tail) keeps them in ``answers`` by
+id pair, meet by unordered pair (kept): they do not depend on the bound.
+The brute-force defaults keep theirs on the Window they search: principal
+ideals by id and divisor ids by pair.  So an override and the window
+search, its reference, never read each other's answers.  What is kept lives
+as long as its category, which is one command.
 
 id_triples is the one sweep over the composable triples of a window of
 ids; the cocycle, homotopy and additive-generator checks run on it, and so
@@ -67,8 +69,8 @@ class SmallCategory:
 
     Subclasses provide objects, identities, range/source maps, a size gauge,
     bounded morphism enumeration and (partial, memoized) composition.  The
-    divisibility, meet and generator-splitting methods have generic defaults
-    that a subclass overrides when it knows its own factorizations.
+    divisors_into, meet and generator-splitting methods have generic
+    defaults that a subclass overrides when it knows its own factorizations.
 
     Every category is its own id view, set up by ``__init__``: ``morphs``,
     ``ranges``, ``sources`` and ``sizes`` are indexed by id, and
@@ -83,10 +85,9 @@ class SmallCategory:
         self._index, self._windows, self.answers = {}, {}, {}
 
     #: size(a b) = size(a) + size(b) for every composable pair (true for
-    #: groupoids, k-graphs, free monoids and their products), so invertibles
-    #: have size 0 and a divisor x of b by a has size(b) - size(a).  Explicit
-    #: table categories clear this, and the invertibility and divisor
-    #: searches widen to the whole window.
+    #: groupoids, k-graphs, free monoids and their products), so a divisor x
+    #: of b by a has size(b) - size(a).  Explicit table categories clear
+    #: this, and the divisor search widens to the whole window.
     additive_sizes = True
 
     def objects(self):
@@ -217,10 +218,11 @@ class SmallCategory:
             if left != right and left is not None and right is not None:
                 yield morphs[i], morphs[j], morphs[k]
 
-    # -- divisibility and ideal meets.  The defaults search the window by
-    #    brute force and keep their answers on it; path-like subclasses
-    #    override them with exact factorization, which ignores the bound.
-    #    Called unbound, the defaults are the reference for an override.
+    # -- divisibility and ideal meets.  divides and meets follow from
+    #    divisors_into and meet, whose defaults search the window by brute
+    #    force and keep their answers on it; path-like subclasses override
+    #    the two with exact factorization, which ignores the bound.  Called
+    #    unbound, the two defaults are the reference for an override.
 
     def divisors_into(self, a, b, bound):
         """All x in the window with a x = b (at most one when
@@ -229,13 +231,11 @@ class SmallCategory:
 
     def divides(self, a, b, bound) -> bool:
         """b lies in the principal right ideal of a."""
-        return a == b or bool(_divisor_ids(self, self.id_of(a), self.id_of(b), bound))
+        return a == b or bool(self.divisors_into(a, b, bound))
 
     def meets(self, a, b, bound) -> bool:
         """a C  n  b C is nonempty within the window."""
-        return not _ideal_ids(self, self.id_of(a), bound).isdisjoint(
-            _ideal_ids(self, self.id_of(b), bound)
-        )
+        return bool(self.meet(a, b, bound)[0])
 
     def meet(self, c1, c2, bound):
         """(F, method): a finite independent F with F C = c1 C  n  c2 C.
@@ -412,46 +412,9 @@ def check_left_cancellative(cat: SmallCategory, bound) -> Report:
     return passing("left_cancellative", bound=bound, morphisms=len(win.ids))
 
 
-def invertibles(cat: SmallCategory, bound):
-    """Morphisms with a two-sided inverse in the window.
-
-    With additive sizes invertibles all have size 0, so the scan is
-    restricted there; for explicit tables the whole window is scanned.
-    Identities are always included.
-    """
-    if cat.additive_sizes:
-        zero = [m for m in cat.morphisms(bound) if _is_zero(cat.size(m))]
-    else:
-        zero = cat.morphisms(bound)
-    invs = []
-    for u in zero:
-        if cat.is_identity(u):
-            invs.append(u)
-            continue
-        for w in zero:
-            if cat.s(w) == cat.r(u) and cat.r(w) == cat.s(u):
-                if cat.compose(u, w) == cat.identity(cat.r(u)) and cat.compose(w, u) == cat.identity(cat.s(u)):
-                    invs.append(u)
-                    break
-    return invs
-
-
-def _is_zero(size):
-    if isinstance(size, tuple):
-        return all(x == 0 for x in size)
-    return size == 0
-
-
 def equivalent(a, b, cat: SmallCategory, bound) -> bool:
-    """a ~ b: a = bc for an invertible c, i.e. equal principal right ideals."""
-    if a == b:
-        return True
-    if cat.r(a) != cat.r(b):
-        return False
-    for c in invertibles(cat, bound):
-        if cat.s(b) == cat.r(c) and cat.compose(b, c) == a:
-            return True
-    return False
+    """a ~ b: each divides the other, i.e. equal principal right ideals."""
+    return cat.divides(a, b, bound) and cat.divides(b, a, bound)
 
 
 def principal_ideal(a, cat: SmallCategory, bound):

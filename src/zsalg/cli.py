@@ -15,8 +15,7 @@ a cocycle, and a homotopy generator) in the format ``fixtures.SCHEMA`` sets:
       "cocycle":  {"rotation": [[0, 0], ["1/4", 0]]}
                   or {"table": [{"c1": ["a"], "c2": ["b"], "phase": "1/10"}]},
       "homotopy": {"generator": {"rotation": [[0, 0], ["1/4", 0]]}, "grid": 11},
-      "bounds":   {"degree": [2, 2]},
-      "budgets":  {"antichain": 6, "window": 200}
+      "bounds":   {"degree": [2, 2]}
     }
 
 Edges are morphisms from src to dst (dst is the range).  Rational entries
@@ -99,8 +98,6 @@ class Workspace:
             self.zs, self.action_report = None, exc.report
 
         self.grid = doc.get("homotopy", {}).get("grid", 11) if grid is None else grid
-        # the defaults, then the document's: --budget writes here
-        self.budgets = {"antichain": 6, "window": 200, **doc.get("budgets", {})}
 
     def cocycle(self) -> Cocycle:
         spec = self.doc.get("cocycle")
@@ -246,15 +243,7 @@ def cmd_concordance(ws: Workspace, args):
     else:
         inc = path_inclusion(gamma, ws.graph)
     checks.append(check_concordant(inc, sub_bound, ws.bound).to_json())
-    checks.append(
-        check_exhaustive_lifting(
-            inc,
-            sub_bound,
-            ws.bound,
-            max_size=ws.budgets["antichain"],
-            window_cap=ws.budgets["window"],
-        ).to_json()
-    )
+    checks.append(check_exhaustive_lifting(inc, sub_bound, ws.bound).to_json())
     return {"checks": checks}
 
 
@@ -378,7 +367,6 @@ def build_parser():
     parser.add_argument("--bound", help="comma-separated degree bound, e.g. 2,2")
     parser.add_argument("--grid", type=int, help="homotopy grid size M")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, help="antichain enumeration budget")
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
     parser.add_argument("--mu", help="edge list for the mce command, e.g. e,f")
     parser.add_argument("--nu", help="edge list for the mce command")
@@ -393,32 +381,30 @@ PARSER = build_parser()
 def check_arguments(args, ws):
     """The argument errors: main raises them before the structure check,
     whose failure would otherwise stand in for them.  Concordance's rank
-    and budget ranges read the workspace."""
+    range reads the workspace."""
     if args.command == "mce":
         for flag in ("mu", "nu"):
             if getattr(args, flag) is None:
                 raise ZsalgError(f"mce needs --{flag}")
     if args.command == "nf-mult" and args.triples < 1:
         raise ZsalgError(f"--triples must be at least 1, not {args.triples}")
-    if args.command == "concordance":
-        if ws.k < 1:
-            raise ZsalgError(f"concordance needs rank >= 1, not {ws.k}")
-        budget = ws.budgets["antichain"]
-        if budget < 1:
-            raise ZsalgError(f"the antichain budget must be at least 1, not {budget}")
+    if args.command == "concordance" and ws.k < 1:
+        raise ZsalgError(f"concordance needs rank >= 1, not {ws.k}")
 
 
 def _bound_flag(text):
-    """The --bound flag: comma-separated integers, one per color."""
+    """The --bound flag: comma-separated integers, one per color; the
+    empty text is the empty bound."""
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(",")) if text else ()
     except ValueError:
         raise ZsalgError(f"--bound {text}: need comma-separated integers") from None
 
 
 def _read_workspace(path):
-    """A workspace file's JSON.  Text that is not UTF-8, and an integer too
-    long for Python to read, are malformed input, as a syntax error is."""
+    """A workspace file's JSON.  Text that is not UTF-8, an integer too
+    long for Python to read, and arrays or objects nested too deep for the
+    reader are malformed input, as a syntax error is."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -426,21 +412,24 @@ def _read_workspace(path):
             raise
         except ValueError as exc:  # UnicodeDecodeError, or int's digit limit
             raise ZsalgError(f"{path}: {exc}") from None
+        except RecursionError:
+            raise ZsalgError(f"{path}: nested too deep to read") from None
 
 
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     fn, needs_ws = COMMANDS[args.command]
     try:
-        bound = _bound_flag(args.bound) if args.bound else None
+        bound = None if args.bound is None else _bound_flag(args.bound)
         ws = None  # a command that reads no workspace builds none
         if needs_ws:
-            if args.workspace:
+            if args.workspace is not None:
+                if args.fixture is not None:
+                    raise ZsalgError("give --fixture or --workspace, not both")
                 ws = Workspace(_read_workspace(args.workspace), bound=bound, grid=args.grid)
             else:
-                ws = builtin_workspace(args.fixture or "k1", bound=bound, grid=args.grid)
-            if args.budget is not None:
-                ws.budgets["antichain"] = args.budget
+                name = "k1" if args.fixture is None else args.fixture
+                ws = builtin_workspace(name, bound=bound, grid=args.grid)
         check_arguments(args, ws)
         # a failed structure check is the verdict of every workspace command
         # but validate, which reports it with its own: no check runs on it

@@ -145,18 +145,20 @@ SCHEMA = {
     "cocycle?": (ZsalgError, _FORM),
     "homotopy?": (ZsalgError, {"generator?": _FORM, "grid?": INT}),
     "bounds?": (ZsalgError, {"degree?": [INT]}),
-    "budgets?": (ZsalgError, {"antichain?": INT, "window?": INT}),
 }
 
 
 def check_document(doc):
-    """Check a workspace document against SCHEMA, ignoring unknown keys.
-    The first bad value raises its section's error naming its path, as in
-    ``kgraph.edges[0]: no 'id'``; a bad integer raises ZsalgError anywhere."""
+    """Check a workspace document against SCHEMA.  The first bad value
+    raises its section's error naming its path, as in ``kgraph.edges[0]: no
+    'id'``; a bad integer raises ZsalgError anywhere.  A key that SCHEMA does
+    not declare is an error too, as in ``bounds: unknown key 'degre'``, so a
+    misspelt key is never read as an absent one."""
     if type(doc) is not dict:
         raise ZsalgError(f"a workspace is a JSON object, not {type(doc).__name__}")
     if doc.get("kgraph") is None:
         raise ZsalgError("workspace needs a 'kgraph' section")
+    _check_keys(doc, SCHEMA, "workspace", ZsalgError, "section")
     for key, (error, keys) in SCHEMA.items():
         name = key.rstrip("?")
         if name in doc:
@@ -176,6 +178,7 @@ def _check(x, kind, where, error):
     if type(kind) is dict:
         if type(x) is not dict:
             raise error(f"{where}: not a JSON object: {x!r}")
+        _check_keys(x, kind, where, error, "key")
         for key, sub in kind.items():
             name = key.rstrip("?")
             if name in x:
@@ -195,6 +198,14 @@ def _check(x, kind, where, error):
             raise ZsalgError(f"malformed workspace section: {where} must be an integer, not {x!r}")
     else:
         number(x, where)
+
+
+def _check_keys(x, kind, where, error, noun):
+    """Every key of the object x is one that kind declares."""
+    declared = {key.rstrip("?") for key in kind}
+    for name in x:
+        if name not in declared:
+            raise error(f"{where}: unknown {noun} {name!r}")
 
 
 def number(x, where):

@@ -428,7 +428,7 @@ class KGraph(SmallCategory):
     #    factorization.  The answers are exact, so the window bound is not
     #    needed, and each is kept per id pair (SmallCategory.kept), meet's
     #    per unordered pair since MCE(mu, nu) = MCE(nu, mu) in paths order:
-    #    divides reads divisors_into's answer and meets reads meet's.
+    #    the derived divides and meets read these kept answers.
 
     def divisors_into(self, a: Path, b: Path, bound):
         return list(self.kept("divisors_into", a, b, self._cofactor))
@@ -441,12 +441,6 @@ class KGraph(SmallCategory):
             return ()
         head, rest = self.factorize(b, a.degree, deg_sub(b.degree, a.degree))
         return (rest,) if head.edges == a.edges else ()
-
-    def divides(self, a: Path, b: Path, bound) -> bool:
-        return a == b or bool(self.divisors_into(a, b, bound))
-
-    def meets(self, a: Path, b: Path, bound) -> bool:
-        return bool(self.meet(a, b, bound)[0])
 
     def meet(self, c1: Path, c2: Path, bound):
         return self.kept("meet", c1, c2, lambda a, b: (self.mce(a, b), "MCE"), symmetric=True)

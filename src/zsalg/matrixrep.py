@@ -662,7 +662,8 @@ def check_relations(rep: TruncatedRep, exhaustive_sets=None) -> Report:
 def _commutation_residual(rep: TruncatedRep) -> float:
     """The grid-family layer of an all-fiber view: every fiber at once, over
     blocks of basis morphisms with the same ends."""
-    samples = np.array([complex(j + 1, j) for j in rep.table.grid])[:, None]
+    grid = np.asarray(rep.table.grid)
+    samples = np.exp(1j * np.pi * grid / len(grid))[:, None]
     vertices = {v: rep.vertex_matrix(v) for v in rep.D.vertices}
     scaled = {v: (t, samples * w) for v, (t, w) in vertices.items()}
     pairs = itertools.permutations(scaled, 2)
@@ -683,8 +684,9 @@ def check_homotopy_relations(zs: ZSCategory, family: CocycleFamily, bound) -> Re
     The vertex maps of the family act per fiber as f(t_j) times the vertex
     projection; their images are mutually orthogonal, they are unital, they
     commute past the generators, and the multiplication relation twists by
-    the fiber sample.  The sample function is f(t_j) = (j + 1) + j i, which
-    is nonzero and different at every grid point.
+    the fiber sample.  The sample function is f(t_j) = exp(i pi j / M) on
+    the M grid points: nonzero and different at every grid point, and of
+    modulus 1, so the residual keeps the size of one fiber's at any M.
     """
     reps = build_grid_reps(zs, family, bound)
     fiber_results = []

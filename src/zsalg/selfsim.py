@@ -544,8 +544,9 @@ class ZSCategory(SmallCategory):
     #    the path part, exactly.  The lifted divisors_into answers are kept
     #    per id pair and meet's per unordered id pair (SmallCategory.kept);
     #    divides and meets need no lift and read the path part's kept
-    #    answers, one per path pair whatever the tails.  Otherwise the
-    #    brute-force defaults apply, with their answers kept on the window.
+    #    answers, one per path pair whatever the tails (on a broken action
+    #    the lifted divisor misses the principal ideal; these do not).
+    #    Otherwise the brute-force defaults apply, answers kept on the window.
 
     def divisors_into(self, a: ZSMorphism, b: ZSMorphism, bound):
         if not self.is_groupoid_tailed():

@@ -10,7 +10,6 @@ from zsalg.alignment import (
     check_concordant,
     check_exhaustive,
     check_exhaustive_lifting,
-    divides,
     divisors_into,
     equivalent_sets,
     independent,
@@ -98,7 +97,8 @@ def test_meet_ideal_matches_brute_oracle_and_symmetry():
 @pytest.mark.parametrize("name", ["k1", "swap"])
 def test_overrides_match_brute_force_defaults(name):
     """The exact KGraph and ZSCategory answers agree with the window search
-    of the SmallCategory defaults, called unbound on the same category."""
+    of the SmallCategory defaults, called unbound on the same category:
+    divides with divisors_into's, and meets with meet's."""
     if name == "k1":
         cat, bound, method = kgraph_k1((3, 3)), (2, 2), "MCE"
     else:
@@ -107,10 +107,11 @@ def test_overrides_match_brute_force_defaults(name):
     window = cat.morphisms(bound)
     for a in window:
         for b in window:
-            assert SmallCategory.divisors_into(cat, a, b, bound) == divisors_into(a, b, cat, bound)
-            assert SmallCategory.divides(cat, a, b, bound) == divides(a, b, cat, bound)
-            assert SmallCategory.meets(cat, a, b, bound) == cat.meets(a, b, bound)
+            slow_divisors = SmallCategory.divisors_into(cat, a, b, bound)
+            assert slow_divisors == divisors_into(a, b, cat, bound)
+            assert cat.divides(a, b, bound) == (a == b or bool(slow_divisors))
             slow, slow_method = SmallCategory.meet(cat, a, b, bound)
+            assert cat.meets(a, b, bound) == bool(slow)
             fast, fast_method = meet_ideal(a, b, cat, bound)
             assert (slow_method, fast_method) == ("brute", method)
             assert equivalent_sets(list(fast), list(slow), cat, bound)
@@ -399,9 +400,10 @@ def test_second_pass_of_questions_does_no_path_work(name, monkeypatch):
 
 
 def test_brute_force_references_never_read_an_override_answer():
-    """A KGraph whose divisors_into and meets are wrong, and kept, asked
-    first: the SmallCategory defaults, called unbound on it, still give the
-    window search's answers, and the same as on a plain k1."""
+    """A KGraph whose divisors_into and meet are wrong, and kept, asked
+    first: the derived divides and meets follow the wrong answers, and the
+    SmallCategory defaults, called unbound on it, still give the window
+    search's answers, the same as on a plain k1."""
     from zsalg.fixtures import FIXTURE_DOCS, parse_kgraph
     from zsalg.kgraph import KGraph
 
@@ -409,8 +411,11 @@ def test_brute_force_references_never_read_an_override_answer():
         def divisors_into(self, a, b, bound):
             return list(self.kept("divisors_into", a, b, lambda a, b: (a,)))
 
-        def meets(self, a, b, bound):
-            return self.kept("meets", a, b, lambda a, b: not KGraph.meets(self, a, b, bound))
+        def meet(self, a, b, bound):
+            def wrong(a, b):
+                return ((), "wrong") if self.mce(a, b) else ((a,), "wrong")
+
+            return self.kept("wrong meet", a, b, wrong)
 
     bound = (2, 2)
     cat = WrongAnswers(parse_kgraph(FIXTURE_DOCS["k1"]["kgraph"]))
@@ -418,7 +423,7 @@ def test_brute_force_references_never_read_an_override_answer():
     window = cat.morphisms(bound)
     for a in window:
         for b in window:
-            assert cat.divisors_into(a, b, bound) == [a]
+            assert cat.divisors_into(a, b, bound) == [a] and cat.divides(a, b, bound)
             assert cat.meets(a, b, bound) != plain.meets(a, b, bound)
     for a in window:
         ideal_a = {cat.compose(a, x) for x in window if cat.s(a) == cat.r(x)} | {a}
@@ -427,6 +432,5 @@ def test_brute_force_references_never_read_an_override_answer():
             ideal_b = {cat.compose(b, x) for x in window if cat.s(b) == cat.r(x)} | {b}
             common = {c for c in ideal_a & ideal_b if deg_le(c.degree, bound)}
             assert SmallCategory.divisors_into(cat, a, b, bound) == divisors
-            assert SmallCategory.divides(cat, a, b, bound) == (a == b or bool(divisors))
-            assert SmallCategory.meets(cat, a, b, bound) == bool(common)
+            assert bool(SmallCategory.meet(cat, a, b, bound)[0]) == bool(common)
             assert SmallCategory.meet(cat, a, b, bound) == SmallCategory.meet(plain, a, b, bound)

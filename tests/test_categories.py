@@ -8,7 +8,6 @@ from zsalg.categories import (
     check_left_cancellative,
     equivalent,
     id_triples,
-    invertibles,
     principal_ideal,
     size_fits,
     validate_category,
@@ -74,14 +73,56 @@ def test_equivalent_reflexive_and_distinct_edges():
     assert not equivalent(a, b, graph, (3,))
 
 
+def _invertibles(cat, window):
+    """The window's morphisms with a two-sided inverse in the window, by
+    nested loops."""
+    return [
+        u
+        for u in window
+        if any(
+            cat.s(w) == cat.r(u) and cat.r(w) == cat.s(u)
+            and cat.compose(u, w) == cat.identity(cat.r(u))
+            and cat.compose(w, u) == cat.identity(cat.s(u))
+            for w in window
+        )
+    ]
+
+
+def _equivalent_by_invertibles(a, b, cat, invs):
+    """a = b c for an invertible c of the window."""
+    return a == b or any(cat.s(b) == cat.r(c) and cat.compose(b, c) == a for c in invs)
+
+
 def test_x_monoid_only_trivial_invertible():
     cat = x_monoid()
     validate_category(cat, 4)
-    invs = invertibles(cat, 4)
+    invs = _invertibles(cat, cat.morphisms(4))
     assert len(invs) == 1 and cat.is_identity(invs[0])
     a = x_elem(cat, 0, "a")
     b = x_elem(cat, 0, "b")
     assert not equivalent(a, b, cat, 4)
+
+
+@pytest.mark.parametrize(
+    "make, bound",
+    [
+        (lambda: kgraph_e2((3,)), (3,)),
+        (x_monoid, 4),
+        (pair_groupoid_2, 0),
+        (lambda: ZSCategory(swap_pair()), (2,)),
+    ],
+    ids=["e2", "x-monoid", "pair-groupoid", "swap"],
+)
+def test_mutual_divisibility_is_equivalence_by_invertibles(make, bound):
+    """On every window pair of these left-cancellative categories,
+    equivalent (each divides the other) agrees with a = b c for an
+    invertible c of the window, found by nested loops."""
+    cat = make()
+    window = cat.morphisms(bound)
+    invs = _invertibles(cat, window)
+    for a in window:
+        for b in window:
+            assert equivalent(a, b, cat, bound) == _equivalent_by_invertibles(a, b, cat, invs)
 
 
 def test_groupoid_elements_all_equivalent_to_range():

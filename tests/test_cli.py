@@ -350,32 +350,22 @@ def test_homotopy_grid_below_two_is_malformed(tmp_path, grid):
     assert report["message"] == f"a homotopy grid needs at least the two endpoints, not {grid}"
 
 
-@pytest.mark.parametrize("where", ["flag", "workspace"])
-def test_antichain_budget_below_one_is_malformed(tmp_path, where):
-    """A given budget of 0 is honoured, and it is malformed input."""
-    if where == "flag":
-        argv = ["--fixture", "swap2", "--budget", "0"]
-    else:
-        argv = ["--workspace", _workspace(tmp_path, "e2", budgets={"antichain": 0})]
-    code, report = run(tmp_path, "concordance", *argv)
-    assert code == 2
-    assert report["error"] == "ZsalgError" and "antichain budget" in report["message"]
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["--fixture", "k1", "--bound=-1,2"], "degree bound [-1, 2]"),
         (["--fixture", "k1", "--bound", "1,x"], "--bound 1,x"),
+        (["--fixture", "k1", "--bound", ""], "degree bound []: need rank 2"),
         (["--workspace", {"degree": "22"}], "bounds.degree: not a JSON array: '22'"),
         (["--workspace", {"degree": [1.5, 2]}], "bounds.degree[0] must be an integer, not 1.5"),
     ],
-    ids=["negative", "not-a-number", "workspace-string", "workspace-float"],
+    ids=["negative", "not-a-number", "empty", "workspace-string", "workspace-float"],
 )
 def test_bound_must_be_non_negative_integers(tmp_path, argv, message):
     """A degree bound is one non-negative integer per color.  A negative
-    entry used to give an empty window, on which every check passes.  The
-    error names the bound, or the workspace value's path."""
+    entry used to give an empty window, on which every check passes, and an
+    empty --bound was read as no flag.  The error names the bound, or the
+    workspace value's path."""
     if argv[0] == "--workspace":
         argv = ["--workspace", _workspace(tmp_path, "k1", bounds=argv[1])]
     code, report = run(tmp_path, "validate", *argv)
@@ -737,11 +727,10 @@ def test_malformed_groupoid_section_exits_two(tmp_path, doc, message):
     "command, sections, field",
     [
         ("homotopy-check", {"homotopy": {"grid": 2.5}}, "homotopy.grid"),
-        ("concordance", {"budgets": {"antichain": 6.5}}, "budgets.antichain"),
         ("validate", {"kgraph": _edge_doc(color=1.5)["kgraph"]}, "color"),
         ("validate", {"kgraph": {**_E2_SECTION, "k": True}}, "k"),
     ],
-    ids=["grid", "antichain", "color", "bool-rank"],
+    ids=["grid", "color", "bool-rank"],
 )
 def test_integer_field_is_not_truncated(tmp_path, command, sections, field):
     """An integer field takes a JSON integer: 2.5 is not read as 2, and
@@ -753,24 +742,27 @@ def test_integer_field_is_not_truncated(tmp_path, command, sections, field):
 
 
 @pytest.mark.parametrize(
-    "command, section, value",
+    "command, section, value, message",
     [
-        ("homotopy-check", "homotopy", [11]),
-        ("validate", "bounds", [2]),
-        ("concordance", "budgets", [6]),
-        ("validate", "kgraph", []),
-        ("validate", "action", []),
+        ("homotopy-check", "homotopy", [11], "section 'homotopy' must be a JSON object"),
+        ("validate", "bounds", [2], "section 'bounds' must be a JSON object"),
+        ("concordance", "budgets", {"antichain": 6}, "workspace: unknown section 'budgets'"),
+        ("validate", "kgraph", [], "section 'kgraph' must be a JSON object"),
+        ("validate", "action", [], "section 'action' must be a JSON object"),
     ],
     ids=["homotopy", "bounds", "budgets", "kgraph", "action"],
 )
-def test_workspace_section_of_the_wrong_type_is_malformed(tmp_path, command, section, value):
-    """A kgraph, action, bounds, homotopy or budgets section that is not a
-    JSON object is malformed input (exit 2), named in the message, not a
-    traceback."""
+def test_workspace_section_of_the_wrong_type_is_malformed(
+    tmp_path, command, section, value, message
+):
+    """A kgraph, action, bounds or homotopy section that is not a JSON
+    object is malformed input (exit 2), named in the message, not a
+    traceback.  A budgets section, which the format no longer has, is an
+    unknown section whatever its type."""
     path = _workspace(tmp_path, "e2", **{section: value})
     code, report = run(tmp_path, command, "--workspace", path)
     assert code == 2
-    assert report["error"] == "ZsalgError" and repr(section) in report["message"]
+    assert report["error"] == "ZsalgError" and message in report["message"]
 
 
 @pytest.mark.parametrize(
@@ -778,14 +770,12 @@ def test_workspace_section_of_the_wrong_type_is_malformed(tmp_path, command, sec
     [
         (["mce", "--mu", "a"], "--nu"),
         (["nf-mult", "--triples", "0"], "--triples"),
-        (["concordance", "--budget", "0"], "antichain budget"),
     ],
-    ids=["mce-without-nu", "nf-mult-no-triples", "concordance-budget"],
+    ids=["mce-without-nu", "nf-mult-no-triples"],
 )
 def test_argument_errors_come_before_the_workspace(tmp_path, argv, flag):
     """An argument error exits 2 even on a workspace whose structure check
-    fails, which would otherwise be the verdict; concordance's budget range
-    is an argument error too, though it reads the workspace."""
+    fails, which would otherwise be the verdict."""
     path = tmp_path / "ws.json"
     path.write_text(json.dumps({"kgraph": _E2_SECTION, "groupoid": _BAD_INVERSE_Z2}))
     code, report = run(tmp_path, *argv, "--workspace", str(path))
@@ -795,8 +785,8 @@ def test_argument_errors_come_before_the_workspace(tmp_path, argv, flag):
 
 def test_one_parser_serves_every_call(tmp_path, monkeypatch):
     """main parses with the process's one parser, and a call's options do
-    not reach the next call: concordance after concordance --budget 3 gets
-    the workspace's default budget back."""
+    not reach the next call: concordance after concordance --bound 1,1 gets
+    the fixture's bound back."""
     from zsalg import cli
 
     def no_new_parser():
@@ -804,11 +794,10 @@ def test_one_parser_serves_every_call(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "build_parser", no_new_parser)
     _, default = run(tmp_path, "concordance", "--fixture", "swap2")
-    _, budget_3 = run(tmp_path, "concordance", "--fixture", "swap2", "--budget", "3")
+    _, bound_1 = run(tmp_path, "concordance", "--fixture", "swap2", "--bound", "1,1")
     _, after = run(tmp_path, "concordance", "--fixture", "swap2")
-    lifting = [c for c in budget_3["checks"] if c["check"] == "exhaustive_lifting"]
-    assert lifting[0]["details"]["sets"] == 4
-    assert after == default != budget_3
+    assert (default["bound"], bound_1["bound"]) == ([2, 2], [1, 1])
+    assert after == default != bound_1
 
 
 def test_zs_swap2_associativity_on_the_larger_window(tmp_path):
@@ -1114,17 +1103,81 @@ def test_an_internal_error_is_not_malformed_input(tmp_path, monkeypatch):
         (b'{"kgraph": ', "JSONDecodeError", "Expecting value"),
         (b'{"kgraph": {"k": 1, "vertices": ["v\xff"]}}', "ZsalgError", "can't decode byte 0xff"),
         (b'{"kgraph": {"k": ' + b"1" * 5000 + b"}}", "ZsalgError", "Exceeds the limit"),
+        (b'{"kgraph": ' + b"[" * 100000 + b"]" * 100000 + b"}", "ZsalgError", "nested too deep"),
         (None, "FileNotFoundError", "No such file"),
     ],
-    ids=["syntax", "not-utf-8", "long-integer", "missing-file"],
+    ids=["syntax", "not-utf-8", "long-integer", "deep-nesting", "missing-file"],
 )
 def test_unreadable_workspace_file_exits_two(tmp_path, content, error, message):
-    """A workspace file that is missing, is not JSON, is not UTF-8 text or
-    holds an integer too long to read is malformed input: exit 2 with a
-    report, not a traceback."""
+    """A workspace file that is missing, is not JSON, is not UTF-8 text,
+    holds an integer too long to read or nests arrays too deep to read is
+    malformed input: exit 2 with a report naming the file, not a
+    traceback."""
     path = tmp_path / "ws.json"
     if content is not None:
         path.write_bytes(content)
     code, report = run(tmp_path, "validate", "--workspace", str(path))
     assert code == 2
     assert report["error"] == error and message in report["message"]
+    if error == "ZsalgError":
+        assert report["message"].startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize(
+    "command, sections, error, message",
+    [
+        ("cocycle-check", {"cocyle": {"rotation": [[0, 0], [0, 0]]}},
+         "ZsalgError", "workspace: unknown section 'cocyle'"),
+        ("cocycle-check", {"bounds": {"degre": [1, 1]}},
+         "ZsalgError", "bounds: unknown key 'degre'"),
+        ("homotopy-check", {"homotopy": {"grid": 11, "comment": "eleven"}},
+         "ZsalgError", "homotopy: unknown key 'comment'"),
+        ("cocycle-check", {"cocycle": {"table": [
+            {"c1": {"vertex": "v", "at": 0}, "c2": ["e"], "phase": 0}]}},
+         "ZsalgError", "cocycle.table[0].c1: unknown key 'at'"),
+        ("validate", {"kgraph": {**FIXTURE_DOCS["k1"]["kgraph"], "rank": 2}},
+         "MalformedSquaresError", "kgraph: unknown key 'rank'"),
+        ("validate", {"edges?": []},
+         "ZsalgError", "workspace: unknown section 'edges?'"),
+    ],
+    ids=["section", "bounds-key", "comment-key", "path-key", "kgraph-key", "marked-name"],
+)
+def test_unknown_workspace_key_is_malformed(tmp_path, command, sections, error, message):
+    """A key that the workspace format does not declare, at any level, is
+    malformed input named by its path and its section's error: a misspelt
+    section or key is not read as an absent one, which would run the check
+    on a default (cocycle-check passed on the trivial cocycle)."""
+    code, report = run(tmp_path, command, "--workspace", _workspace(tmp_path, "k1", **sections))
+    assert code == 2
+    assert report["error"] == error and report["message"] == message
+
+
+@pytest.mark.parametrize("exists", [True, False], ids=["workspace", "missing-file"])
+def test_fixture_and_workspace_together_are_an_argument_error(tmp_path, exists):
+    """Two workspace sources are an argument error, raised before the
+    file is read: neither one silently wins."""
+    path = _workspace(tmp_path, "k1") if exists else str(tmp_path / "missing.json")
+    code, report = run(tmp_path, "validate", "--fixture", "swap", "--workspace", path)
+    assert code == 2
+    assert report["error"] == "ZsalgError" and "not both" in report["message"]
+
+
+@pytest.mark.parametrize(
+    "flag, error",
+    [("--fixture", "ZsalgError"), ("--workspace", "FileNotFoundError")],
+    ids=["fixture", "workspace"],
+)
+def test_empty_source_name_is_used(tmp_path, flag, error):
+    """An empty --fixture or --workspace is a name that names nothing, not
+    an absent flag: the run does not fall back to k1."""
+    code, report = run(tmp_path, "validate", flag, "")
+    assert code == 2 and report["error"] == error
+
+
+def test_homotopy_check_passes_on_a_large_grid(tmp_path):
+    """The grid-family residual does not grow with the grid: k1's valid
+    homotopy passes at 10,000 grid points, with the residual of a few."""
+    code, report = run(tmp_path, "homotopy-check", "--fixture", "k1", "--grid", "10000")
+    assert code == 0
+    relations = [c for c in report["checks"] if c["check"] == "homotopy_relations"]
+    assert relations[0]["details"]["IR_commutation_residual"] < 1e-15
